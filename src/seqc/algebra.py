@@ -19,6 +19,25 @@ NEG_INF = float("-inf")
 _SMALL_P = 46337
 
 
+def _kron_mul(a, b, p: int) -> list:
+    """Exact coefficients of a*b mod p, for sequences with entries in [0, p).
+
+    Kronecker substitution: each sequence is packed into one Python int,
+    one coefficient per slot wide enough for a full convolution sum, so a
+    single big-int multiply yields every coefficient with no carry between
+    slots and no overflow at any p.
+    """
+    if not a or not b:
+        return []
+    width = max(1, ((min(len(a), len(b)) * (p - 1) ** 2).bit_length() + 7) // 8)
+    pa = int.from_bytes(b"".join(int(v).to_bytes(width, "little") for v in a), "little")
+    pb = int.from_bytes(b"".join(int(v).to_bytes(width, "little") for v in b), "little")
+    count = len(a) + len(b) - 1
+    data = (pa * pb).to_bytes(count * width, "little")
+    return [int.from_bytes(data[k:k + width], "little") % p
+            for k in range(0, count * width, width)]
+
+
 class FieldMismatchError(ValueError):
     """Operands belong to different prime fields."""
 
@@ -155,17 +174,7 @@ class Poly:
         _check_same_field(self, other)
         if self.is_zero or other.is_zero:
             return Poly.zero(self.field)
-        p = self.field.p
-        a, b = self.coeffs, other.coeffs
-        if p <= _SMALL_P and min(len(a), len(b)) > 8:
-            conv = np.convolve(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
-            return Poly(self.field, tuple(int(v) for v in conv % p))
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return Poly(self.field, tuple(out))
+        return Poly(self.field, tuple(_kron_mul(self.coeffs, other.coeffs, self.field.p)))
 
     def __pow__(self, e: int):
         if e < 0:
@@ -386,22 +395,10 @@ class LaurentSeries:
             else:
                 low = other.low + self.top
             return LaurentSeries.zero(self.field, low)
-        p = self.field.p
+        # the top `known` coefficients of the product need only the top
+        # `known` coefficients of each factor
         known = min(len(self.coeffs), len(other.coeffs))
-        if p <= _SMALL_P:
-            conv = np.convolve(
-                np.array(self.coeffs, dtype=np.int64),
-                np.array(other.coeffs, dtype=np.int64),
-            ) % p
-            out = tuple(int(v) for v in conv[:known])
-        else:
-            a, b = self.coeffs, other.coeffs
-            acc = [0] * known
-            for i, ai in enumerate(a):
-                if ai:
-                    for j in range(min(len(b), known - i)):
-                        acc[i + j] += ai * b[j]
-            out = tuple(v % p for v in acc)
+        out = _kron_mul(self.coeffs[:known], other.coeffs[:known], self.field.p)[:known]
         top = self.top + other.top
         return LaurentSeries(self.field, top, out, top - known + 1)
 

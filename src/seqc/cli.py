@@ -152,6 +152,8 @@ def cmd_verify(args) -> int:
     mutate = None
     if args.corrupt_index is not None:
         idx = args.corrupt_index
+        if not 0 <= idx < args.n_max:
+            raise UsageError(f"--corrupt-index must lie in [0, {args.n_max}), got {idx}")
 
         def mutate(pref, _idx=idx):
             # test fixture: additively corrupt one generator output symbol

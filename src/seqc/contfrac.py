@@ -13,6 +13,13 @@ polynomial itself is only determined when Q_j is the unique minimal
 recurrence for the prefix, which needs 2 deg Q_j <= N; quotient values
 past that index can pick up truncation noise in their low-order
 coefficients and are not emitted.
+
+``check_convergent_identities`` certifies an expansion at the cost of
+about one Euclid pass: it re-derives every partial quotient from the
+stored denominators and checks the three-term recurrence, which implies
+the determinant identity P_{j-1} Q_j - P_j Q_{j-1} = (-1)^j at every j;
+full products are taken at the last convergent only, for the determinant
+and for the approximation property that ties the expansion to its input.
 """
 
 from __future__ import annotations
@@ -28,20 +35,30 @@ from .autoseq import Profile
 
 @dataclass
 class CFExpansion:
-    """Partial quotients A_0..A_J with convergents and reliability count.
+    """Partial quotients A_0..A_J of a series, with convergents and reliability count.
 
-    ``quotients`` holds only value-certified quotients (2 deg Q_j <= N);
-    ``q_degrees`` and the convergent pairs extend to every degree-certified
-    index (deg Q_{j-1} + deg Q_j <= N), which the profile walk needs.
+    ``series`` is the expanded input, known down to x^-N.  ``quotients``
+    holds only value-certified quotients (2 deg Q_j <= N); ``q_degrees``
+    and the convergent pairs extend to every degree-certified index
+    (deg Q_{j-1} + deg Q_j <= N), which the profile walk needs.
     Convergent pairs are stored in a backend-native form and converted to
     Poly lazily; at bench scale the full Poly conversion would dominate.
     """
 
-    field: PrimeField
+    series: LaurentSeries
     quotients: tuple  # Poly: A_0, A_1, ..., A_{reliable_count}
     q_degrees: tuple  # deg Q_0, ..., deg Q_J
     _raw_pairs: tuple  # ((P_j, Q_j) in backend form, j = 0..J)
     _pairs_cache: tuple = dc_field(default=None, repr=False)
+
+    @property
+    def field(self) -> PrimeField:
+        return self.series.field
+
+    @property
+    def precision(self) -> int:
+        """N: the number of known coefficients below x^0."""
+        return -self.series.low
 
     @property
     def reliable_count(self) -> int:
@@ -197,7 +214,7 @@ def cf_expand(r: LaurentSeries) -> CFExpansion:
             raw = ((gf2.from_poly(a0), 1),)
         else:
             raw = ((np.array(a0.coeffs, dtype=np.int64), np.ones(1, dtype=np.int64)),)
-        return CFExpansion(field, (a0,), (0,), raw)
+        return CFExpansion(r, (a0,), (0,), raw)
     symbols, n = _series_symbols(b)
     if field.p == 2:
         bits_q, pairs = _cf_euclid_f2(symbols, n)
@@ -215,7 +232,7 @@ def cf_expand(r: LaurentSeries) -> CFExpansion:
         degs = tuple(_arr_degree(qq) for _, qq in pairs)
         rc = _value_certified_count(degs, n)
         quots = tuple(Poly(field, tuple(int(v) for v in q)) for q in arr_q[:rc])
-    return CFExpansion(field, (a0,) + quots, degs, tuple(pairs))
+    return CFExpansion(r, (a0,) + quots, degs, tuple(pairs))
 
 
 def cf_expand_series(r: LaurentSeries, max_quotients: int = None):
@@ -245,11 +262,7 @@ def cf_expand_series(r: LaurentSeries, max_quotients: int = None):
 
 
 def profile_from_cf(r: LaurentSeries, n_max: int) -> Profile:
-    """Linear complexity profile from the convergent denominators.
-
-    L(N) = deg Q_j for the unique j with
-    deg Q_{j-1} + deg Q_j <= N < deg Q_j + deg Q_{j+1}.
-    """
+    """Linear complexity profile from the convergent denominators of r."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if r.is_zero:
@@ -260,8 +273,18 @@ def profile_from_cf(r: LaurentSeries, n_max: int) -> Profile:
         raise ValueError("expected a sequence series with valuation < 0")
     if -r.low < n_max:
         raise PrecisionError(f"series precision {-r.low} < n_max {n_max}")
-    exp = cf_expand(r)
-    degs = exp.q_degrees
+    return profile_from_expansion(cf_expand(r), n_max)
+
+
+def profile_from_expansion(expansion: CFExpansion, n_max: int) -> Profile:
+    """Linear complexity profile from an expansion's denominator degrees.
+
+    L(N) = deg Q_j for the unique j with
+    deg Q_{j-1} + deg Q_j <= N < deg Q_j + deg Q_{j+1}.
+    """
+    if expansion.precision < n_max:
+        raise PrecisionError(f"series precision {expansion.precision} < n_max {n_max}")
+    degs = expansion.q_degrees
     vals = []
     j = 0
     for n in range(1, n_max + 1):
@@ -271,97 +294,115 @@ def profile_from_cf(r: LaurentSeries, n_max: int) -> Profile:
     return Profile(tuple(vals))
 
 
-def check_convergent_identities(expansion: CFExpansion, coprimality: str = "full"):
-    """Verify deg Q_j = sum deg A_h and the convergent coprimality identity.
+def _native_ops(field: PrimeField):
+    """(divmod, a*b + c, equality, degree, Poly -> native) on the stored pair form."""
+    p = field.p
+    if p == 2:
+        return (gf2.divmod_, lambda a, b, c: gf2.mul(a, b) ^ c, int.__eq__,
+                gf2.degree, gf2.from_poly)
+    return (lambda a, b: _arr_divmod(a, b, p), lambda a, b, c: _arr_mul_add(a, b, c, p),
+            np.array_equal, _arr_degree, lambda poly: np.array(poly.coeffs, dtype=np.int64))
 
-    Over F_2 the identity is P_{j-1} Q_j + P_j Q_{j-1} = 1; for odd p it
-    holds up to the unit (-1)^j.  ``coprimality`` may be "full", "sampled"
-    (every 16th convergent; the degree identity is still checked for all),
-    or "skip".  Returns the index of the first failing convergent or None.
+
+def _last_convergent_ok(expansion: CFExpansion) -> bool:
+    """Determinant and approximation property at J, with exact full products."""
+    field, n, pairs = expansion.field, expansion.precision, expansion._raw_pairs
+    last = len(pairs) - 1
+    prev = max(last - 1, 0)  # J = 0: the determinant is Q_0 = 1, checked already
+    # G = x^N R cut below x^0: the N known symbols plus A_0 x^N
+    coeffs = expansion.series.coeffs  # from the top exponent down to x^-N
+    if field.p == 2:
+        (p_prev, q_prev), (p_last, q_last) = pairs[prev], pairs[last]
+        det_ok = last == 0 or gf2.mul(p_prev, q_last) ^ gf2.mul(p_last, q_prev) == 1
+        g = int("".join(map(str, coeffs)), 2)
+        res_deg = gf2.degree(gf2.mul(q_last, g) ^ (p_last << n))
+    else:
+        (p_prev, q_prev), (p_last, q_last) = expansion.convergent(prev), expansion.convergent(last)
+        det = p_prev * q_last - p_last * q_prev
+        det_ok = last == 0 or det == Poly(field, ((-1) ** last,))
+        g = Poly(field, coeffs[::-1])
+        res_deg = (q_last * g - p_last.shift(n)).degree
+    dq = expansion.q_degrees[last]
+    return det_ok and res_deg < min(n - dq, dq)
+
+
+def check_convergent_identities(expansion: CFExpansion):
+    """Certify the stored convergents as the expansion of the stored series.
+
+    Recurrence, at every j >= 1 with (P_{-1}, Q_{-1}) = (1, 0): the quotient
+    is re-derived from the denominators as (A_j, R) = divmod(Q_j, Q_{j-1}),
+    and R = Q_{j-2}, deg A_j >= 1, P_j = A_j P_{j-1} + P_{j-2} and
+    deg Q_j = q_degrees[j] must hold; A_j must equal the stored quotient
+    while j <= reliable_count.  (P_0, Q_0) must be (A_0, 1).  By induction
+    these give the determinant P_{j-1} Q_j - P_j Q_{j-1} = (-1)^j at every
+    j (1 over F_2), for about the cost of one Euclid pass.
+
+    Last convergent J, with full products: the determinant itself, and the
+    approximation property against the input.  With G = x^N R cut below
+    x^0 (the N known symbols plus A_0 x^N), Q_J G - P_J x^N is up to sign
+    the remainder r_J that the Euclid loop holds at J, whose degree is
+    N - deg Q_{J+1} (-inf when r_J = 0).  So the exact bound is
+
+        deg(Q_J G - P_J x^N) < min(N - deg Q_J, deg Q_J).
+
+    N - deg Q_J holds because deg Q_{J+1} > deg Q_J; it is Legendre's
+    criterion, which makes P_J / Q_J a convergent of G / x^N, so the
+    recurrence-checked chain is the expansion of this input.  deg Q_J holds
+    because the expansion stops at the first J with
+    deg Q_J + deg Q_{J+1} > N (or at r_J = 0); it rejects an expansion cut
+    short.  Returns the index of the first failing convergent or None.
     """
-    degs = expansion.q_degrees
-    total = 0
-    for j in range(1, expansion.degree_count + 1):
-        if j <= expansion.reliable_count:
-            total += int(expansion.quotients[j].degree)
-            if degs[j] != total:
-                return j
-        elif degs[j] <= degs[j - 1]:  # deg A_j >= 1 even past the value-certified range
+    field = expansion.field
+    divmod_, mul_add, same, deg, native = _native_ops(field)
+    pairs, degs = expansion._raw_pairs, expansion.q_degrees
+    if len(degs) != len(pairs):
+        return min(len(degs), len(pairs))
+    one, zero = native(Poly.one(field)), native(Poly.zero(field))
+    p_cur, q_cur = pairs[0]
+    if not (same(p_cur, native(expansion.quotients[0])) and same(q_cur, one) and degs[0] == 0):
+        return 0
+    p_prev, q_prev = one, zero
+    for j in range(1, len(pairs)):
+        p_new, q_new = pairs[j]
+        a, rem = divmod_(q_new, q_cur)
+        if (deg(a) < 1 or not same(rem, q_prev) or deg(q_new) != degs[j]
+                or not same(mul_add(a, p_cur, p_prev), p_new)):
             return j
-    if coprimality == "skip":
-        return None
-    p = expansion.field.p
-    last = expansion.degree_count
-    for j in range(1, last + 1):
-        if coprimality == "sampled" and j % 16 and j != last:
-            continue
-        pj_prev, qj_prev = expansion._raw_pairs[j - 1]
-        pj, qj = expansion._raw_pairs[j]
-        if p == 2:
-            ok = gf2.mul_add_is_one(pj_prev, qj, pj, qj_prev)
-        else:
-            if len(pj) and len(qj_prev):
-                neg = (-np.convolve(pj, qj_prev)) % p
-            else:
-                neg = np.zeros(0, dtype=np.int64)
-            lhs = _arr_mul_add(pj_prev, qj, neg, p)
-            ok = len(lhs) == 1 and int(lhs[0]) in (1, p - 1)
-        if not ok:
+        if j <= expansion.reliable_count and not same(a, native(expansion.quotients[j])):
             return j
-    return None
+        p_prev, q_prev, p_cur, q_cur = p_cur, q_cur, p_new, q_new
+    return None if _last_convergent_ok(expansion) else len(pairs) - 1
 
 
 @dataclass(frozen=True)
 class QCongruenceReport:
-    """Outcome of the Q_j congruence and coefficient-periodicity checks."""
+    """Outcome of the Q_j congruence check."""
 
     k: int
     checked: int
     congruence_failures: tuple  # (j, expected bits, actual bits)
-    lemma_failures: tuple  # (j, expected bits, actual bits)
 
     @property
     def ok(self) -> bool:
-        return not self.congruence_failures and not self.lemma_failures
+        return not self.congruence_failures
 
 
 def q_congruences(expansion: CFExpansion, k: int) -> QCongruenceReport:
     """Check the Q_j congruences of the all-one-pattern analysis.
 
     For k = 1 every Q_j must satisfy Q_j = 1 mod (x+1); for k >= 2 even
-    indices give 1 and odd indices x+1 modulo x^{2^{k-1}} + 1.  Also checks
-    that the coefficients of Q_j * U^{2^k} (U the all-one series) are
-    2^k-periodic and reconstruct Q_j modulo x^{2^k} + 1.
+    indices give 1 and odd indices x+1 modulo x^{2^{k-1}} + 1.  Each
+    reduction XOR-folds Q_j's 2^{k-1}-bit chunks (``gf2.fold_mod``).
     """
     if expansion.field.p != 2:
         raise ValueError("congruence report is defined over F_2 only")
     if k < 1:
         raise ValueError("k must be >= 1")
-    half = 1 << (k - 1)
-    modulus = (1 << half) | 1  # x^{2^{k-1}} + 1 (x + 1 when k = 1)
-    full_mod = (1 << (1 << k)) | 1  # x^{2^k} + 1
+    width = 1 << (k - 1)  # x^width + 1 is x + 1 when k = 1
     cong_fail = []
-    lemma_fail = []
     for j in range(expansion.reliable_count + 1):
-        q = expansion.raw_q(j)
         expected = 1 if (k == 1 or j % 2 == 0) else 0b11
-        actual = gf2.mod_(q, modulus)
+        actual = gf2.fold_mod(expansion.raw_q(j), width)
         if actual != expected:
             cong_fail.append((j, expected, actual))
-        # b_i of Q*U^{2^k} depends only on i mod 2^k; rebuild Q from b_1..b_{2^k}
-        period = 1 << k
-        buckets = [0] * period
-        qq = q
-        while qq:
-            low = qq & -qq
-            buckets[(low.bit_length() - 1) % period] ^= 1
-            qq ^= low
-        recon = 0
-        for i in range(1, period + 1):
-            if buckets[(-i) % period]:
-                recon |= 1 << (period - i)
-        q_mod = gf2.mod_(q, full_mod)
-        if recon != q_mod:
-            lemma_fail.append((j, q_mod, recon))
-    return QCongruenceReport(k, expansion.reliable_count + 1,
-                             tuple(cong_fail), tuple(lemma_fail))
+    return QCongruenceReport(k, expansion.reliable_count + 1, tuple(cong_fail))

@@ -68,7 +68,9 @@ def mul_add_is_one(a1: int, b1: int, a2: int, b2: int) -> bool:
     """Whether a1*b1 + a2*b2 == 1 in GF(2)[x].
 
     Evaluated in the spread domain so only one big-int multiply per product
-    is needed; the final test masks out slot parities.
+    is needed; the final test masks out slot parities.  No seqc code calls
+    it.  It stays defined because perfbench/spans.py looks it up by name to
+    time it; it goes together with that lookup.
     """
     lens = [v.bit_length() for v in (a1, b1, a2, b2)]
     slot = 16 if max(min(lens[0], lens[1]), min(lens[2], lens[3])) < (1 << 14) else 32
@@ -96,8 +98,20 @@ def divmod_(a: int, b: int):
     return q, r
 
 
-def mod_(a: int, b: int) -> int:
-    return divmod_(a, b)[1]
+def fold_mod(a: int, w: int) -> int:
+    """a mod x^w + 1, for any w >= 1.
+
+    x^h = 1 modulo x^w + 1 whenever w divides h, so the two halves of an
+    (h = w 2^t)-bit value XOR onto each other; halving h down to w takes
+    O(log(deg a / w)) big-int operations.
+    """
+    h = w
+    while h < a.bit_length():
+        h <<= 1
+    while h > w:
+        h >>= 1
+        a = (a >> h) ^ (a & ((1 << h) - 1))
+    return a
 
 
 def from_poly(poly: Poly) -> int:

@@ -7,8 +7,6 @@ fractions and compared by cross-multiplication, never through floats.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -197,7 +195,10 @@ def verify(spec: SequenceSpec, n_max: int, mutate=None) -> VerifyReport:
 
     prof_bm = lincomp.bm_profile(pref, field)
     r = LaurentSeries.from_prefix(pref, field)
-    prof_cf = contfrac.profile_from_cf(r, n_max)
+    # one expansion serves the CF profile and every convergent check
+    exp = None if r.is_zero else contfrac.cf_expand(r)
+    prof_cf = (contfrac.profile_from_cf(r, n_max) if exp is None
+               else contfrac.profile_from_expansion(exp, n_max))
 
     div = _first_divergence(prof_bm, prof_cf)
     report.checks.append(CheckResult(
@@ -244,10 +245,8 @@ def verify(spec: SequenceSpec, n_max: int, mutate=None) -> VerifyReport:
             expected=None if fail is None else fail[1],
             actual=None if fail is None else fail[2]))
 
-    if not r.is_zero:
-        exp = contfrac.cf_expand(r)
-        bad = contfrac.check_convergent_identities(
-            exp, coprimality="full" if field.p == 2 else "sampled")
+    if exp is not None:
+        bad = contfrac.check_convergent_identities(exp)
         report.checks.append(CheckResult(
             "convergent_identities", bad is None,
             first_fail_n=bad, expected=None, actual=None))
@@ -266,26 +265,21 @@ def verify(spec: SequenceSpec, n_max: int, mutate=None) -> VerifyReport:
                 actual=None if div is None else div[2]))
 
             q_rep = contfrac.q_congruences(exp, spec.k)
-            bad = None
-            if q_rep.congruence_failures:
-                bad = q_rep.congruence_failures[0]
-            elif q_rep.lemma_failures:
-                bad = q_rep.lemma_failures[0]
+            bad = q_rep.congruence_failures[0] if q_rep.congruence_failures else None
             report.checks.append(CheckResult(
                 "q_congruences", q_rep.ok,
                 first_fail_n=None if bad is None else bad[0],
                 expected=None if bad is None else bad[1],
                 actual=None if bad is None else bad[2]))
 
-            feq = functional_equation_residual(spec, min(n_max, 1024), pref=pref)
+            feq = functional_equation_residual(spec, n_max, pref=pref)
             report.checks.append(CheckResult(
                 "functional_equation", feq.is_zero,
                 first_fail_n=None if feq.is_zero else -int(feq.valuation),
                 expected=0,
                 actual=None if feq.is_zero else list(feq.coeffs[:8])))
 
-    n_res = min(n_max, 1024)
-    res = autoseq.witness_residual(w, pref, n_res)
+    res = autoseq.witness_residual(w, pref, n_max)
     first = None if res.is_zero else next(i for i, c in enumerate(res.coeffs) if c) + 1
     report.checks.append(CheckResult(
         "residual_zero", res.is_zero,
@@ -297,19 +291,10 @@ def verify(spec: SequenceSpec, n_max: int, mutate=None) -> VerifyReport:
 
 
 def verify_suite(n_max: int, k_max: int = 4, mutate=None):
-    """Verify every built-in plus the all-one patterns k = 1..k_max.
-
-    Independent specs fan out over a small thread pool; SEQC_THREADS caps
-    the parallelism.  Results come back in spec order regardless.
-    """
+    """Verify every built-in plus the all-one patterns k = 1..k_max, in order."""
     specs = list(autoseq.builtin_specs())
     for k in range(1, k_max + 1):
         s = autoseq.pattern(2, k, 2 ** k - 1)
         if s not in specs:
             specs.append(s)
-    threads = int(os.environ.get("SEQC_THREADS", "4") or "4")
-    threads = max(1, min(threads, len(specs)))
-    if threads == 1:
-        return [verify(s, n_max, mutate=mutate) for s in specs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda s: verify(s, n_max, mutate=mutate), specs))
+    return [verify(s, n_max, mutate=mutate) for s in specs]

@@ -78,7 +78,7 @@ class TestPoly:
         assert poly_pow_mod_tN(P(F5, 3, 1, 4), 0, 7) == Poly.one(F5)
 
     def test_large_prime_path(self):
-        # exercises the non-numpy multiply branch
+        # convolution sums of (p-1)^2 terms overflow int64 at this p
         field = PrimeField(2147483647)
         a = Poly(field, (2147483646, 1))
         b = a * a
@@ -95,6 +95,23 @@ def test_poly_ring_axioms_f3(xs, ys, zs):
     assert a * b == b * a
     assert (a + b) * c == a * c + b * c
     assert (a * b) * c == a * (b * c)
+
+
+@given(st.sampled_from([2, 3, 2147483647]), st.data())
+def test_poly_mul_matches_schoolbook(p, data):
+    field = PrimeField(p)
+    coeffs = st.lists(st.integers(min_value=0, max_value=p - 1), max_size=40)
+    xs, ys = data.draw(coeffs), data.draw(coeffs)
+    want = [0] * max(len(xs) + len(ys) - 1, 0)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            want[i + j] += x * y
+    assert P(field, *xs) * P(field, *ys) == P(field, *want)
+    if any(xs) and any(ys):
+        # a series product keeps as many top coefficients as the shorter factor
+        prod = series_from_prefix(xs, field) * series_from_prefix(ys, field)
+        n = min(len(xs), len(ys))
+        assert [prod.coeff(-i) for i in range(2, n + 2)] == [v % p for v in want[:n]]
 
 
 @given(coeff_lists, coeff_lists)

@@ -157,6 +157,15 @@ class TestVerify:
         code, _, _ = run_cli(["verify"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("index", ["64", "1000", "-1"])
+    def test_corrupt_index_outside_prefix_is_usage_error(self, capsys, index):
+        code, out, err = run_cli(
+            ["verify", "--seq", "thue-morse", "--n-max", "64", "--corrupt-index", index],
+            capsys)
+        assert code == 2
+        assert out == ""
+        assert "usage error" in err and "--corrupt-index" in err
+
 
 class TestConfigFile:
     def test_config_supplies_defaults(self, capsys, tmp_path):

@@ -1,11 +1,13 @@
 """Continued fractions of truncated Laurent series and their certificates."""
 
+import dataclasses
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqc import autoseq, contfrac, lincomp
+from seqc import autoseq, contfrac, gf2, lincomp
 from seqc.algebra import LaurentSeries, Poly, PrecisionError, PrimeField
 
 F2 = PrimeField(2)
@@ -74,6 +76,15 @@ class TestConvergents:
             exp = contfrac.cf_expand(series_for(spec, 256))
             assert contfrac.check_convergent_identities(exp) is None
 
+    def test_identities_with_polynomial_part(self):
+        # A_0 != 0: (P_0, Q_0) = (A_0, 1) and G carries A_0 x^N
+        for field, stream in ((F2, [1, 0, 1, 1, 0, 0, 1, 0] * 4), (F3, [2, 0, 1, 1, 2] * 6)):
+            r = LaurentSeries.from_prefix(stream, field)
+            r = r + LaurentSeries.from_poly(P(field, 1, 1, 1), r.low)
+            exp = contfrac.cf_expand(r)
+            assert not exp.quotients[0].is_zero
+            assert contfrac.check_convergent_identities(exp) is None
+
     def test_approximation_quality(self):
         # v(Q_{j-1} R - P_{j-1}) = -deg Q_j within certified precision
         for spec in (autoseq.thue_morse(), autoseq.sum_of_digits(3)):
@@ -85,6 +96,82 @@ class TestConvergents:
                 diff = (LaurentSeries.from_poly(qj, -128) * r
                         + LaurentSeries.from_poly(-pj, -128))
                 assert diff.valuation == -exp.q_degrees[j]
+
+
+def _bump(poly, field, i):
+    """Add 1 to coefficient i of a stored (backend-native) polynomial."""
+    if field.p == 2:
+        return poly ^ (1 << i)
+    out = list(poly) + [0] * (i + 1 - len(poly))
+    out[i] = (out[i] + 1) % field.p
+    return np.array(out, dtype=np.int64)
+
+
+def _native_degree(poly):
+    return poly.bit_length() - 1 if isinstance(poly, int) else len(poly) - 1
+
+
+def _random_stream(p, n, seed):
+    rng = random.Random(seed)
+    return [rng.randrange(p) for _ in range(n)]
+
+
+CONTROL_STREAMS = {
+    "f2 thue-morse": (F2, autoseq.prefix(autoseq.thue_morse(), 96)),
+    "f2 random": (F2, _random_stream(2, 96, 5)),
+    "f3 sum-of-digits": (F3, autoseq.prefix(autoseq.sum_of_digits(3), 96)),
+    "f3 random": (F3, _random_stream(3, 96, 6)),
+}
+
+
+def _control(name):
+    field, stream = CONTROL_STREAMS[name]
+    return field, stream, contfrac.cf_expand(LaurentSeries.from_prefix(stream, field))
+
+
+class TestConvergentIdentityControls:
+    """Every corruption of a stored expansion must be caught."""
+
+    @pytest.mark.parametrize("name", sorted(CONTROL_STREAMS))
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("which", [0, 1])  # 0: P_j, 1: Q_j
+    def test_perturbed_convergent(self, name, where, which):
+        field, stream, exp = _control(name)
+        last = exp.degree_count
+        assert last >= 4
+        j = {"first": 1, "middle": last // 2, "last": last}[where]
+        pairs = list(exp._raw_pairs)
+        pair = list(pairs[j])
+        # a coefficient below the leading one, so the degree stays put
+        pair[which] = _bump(pair[which], field, _native_degree(pair[which]) // 2)
+        pairs[j] = tuple(pair)
+        bad = dataclasses.replace(exp, _raw_pairs=tuple(pairs))
+        assert contfrac.check_convergent_identities(exp) is None
+        assert contfrac.check_convergent_identities(bad) is not None
+
+    @pytest.mark.parametrize("name", sorted(CONTROL_STREAMS))
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_wrong_seed_pair(self, name, which):
+        field, stream, exp = _control(name)
+        pair = list(exp._raw_pairs[0])
+        pair[which] = _bump(pair[which], field, 0)
+        bad = dataclasses.replace(exp, _raw_pairs=(tuple(pair),) + exp._raw_pairs[1:])
+        assert contfrac.check_convergent_identities(bad) == 0
+
+    @pytest.mark.parametrize("name", sorted(CONTROL_STREAMS))
+    def test_checked_against_flipped_u0(self, name):
+        field, stream, exp = _control(name)
+        flipped = [(stream[0] + 1) % field.p] + list(stream[1:])
+        bad = dataclasses.replace(exp, series=LaurentSeries.from_prefix(flipped, field))
+        assert contfrac.check_convergent_identities(bad) == exp.degree_count
+
+    @pytest.mark.parametrize("name", sorted(CONTROL_STREAMS))
+    def test_expansion_cut_short(self, name):
+        field, stream, exp = _control(name)
+        bad = dataclasses.replace(exp, _raw_pairs=exp._raw_pairs[:-1],
+                                  q_degrees=exp.q_degrees[:-1],
+                                  quotients=exp.quotients[:exp.degree_count])
+        assert contfrac.check_convergent_identities(bad) == exp.degree_count - 1
 
 
 class TestCertification:
@@ -143,6 +230,15 @@ class TestProfileFromCF:
         r = series_for(autoseq.thue_morse(), 8)
         with pytest.raises(PrecisionError):
             contfrac.profile_from_cf(r, 16)
+        with pytest.raises(PrecisionError):
+            contfrac.profile_from_expansion(contfrac.cf_expand(r), 16)
+
+    def test_from_expansion_matches_from_series(self):
+        for spec in autoseq.builtin_specs():
+            r = series_for(spec, 128)
+            exp = contfrac.cf_expand(r)
+            for n in (1, 77, 128):
+                assert contfrac.profile_from_expansion(exp, n) == contfrac.profile_from_cf(r, n)
 
     def test_matches_bm_on_builtins(self):
         for spec in autoseq.builtin_specs():
@@ -194,6 +290,17 @@ class TestQCongruences:
         _, rem = divmod(q1, P(F2, 1, 0, 1))
         assert rem == P(F2, 1, 1)
 
+    @pytest.mark.parametrize("k, spec", [(1, autoseq.thue_morse()), (2, autoseq.rudin_shapiro())])
+    def test_flipped_q_coefficient_fails(self, k, spec):
+        exp = contfrac.cf_expand(series_for(spec, 128))
+        j = exp.reliable_count // 2
+        pairs = list(exp._raw_pairs)
+        pj, qj = pairs[j]
+        pairs[j] = (pj, qj ^ (1 << (gf2.degree(qj) // 2)))
+        rep = contfrac.q_congruences(dataclasses.replace(exp, _raw_pairs=tuple(pairs)), k)
+        assert not rep.ok
+        assert rep.congruence_failures[0][0] == j
+
     def test_reconstruction_lemma_hand_case(self):
         # Q = x^2+1, k = 2: bucket parities of Q * U^4 give back Q mod x^4+1
         u4 = LaurentSeries(F2, 0, tuple(1 if i % 4 == 0 else 0 for i in range(17)), -16)
@@ -224,3 +331,8 @@ def test_convergent_identities_random_f3(xs):
         return
     exp = contfrac.cf_expand(LaurentSeries.from_prefix(xs, F3))
     assert contfrac.check_convergent_identities(exp) is None
+
+
+@given(st.integers(min_value=0, max_value=(1 << 300) - 1), st.sampled_from([1, 2, 3, 4, 8, 16]))
+def test_fold_mod_equals_division(q, w):
+    assert gf2.fold_mod(q, w) == gf2.divmod_(q, (1 << w) | 1)[1]

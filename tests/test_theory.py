@@ -185,6 +185,29 @@ class TestVerify:
         assert fail is not None
         assert fail.first_fail_n is not None
 
+    @pytest.mark.parametrize("spec", [autoseq.sum_of_digits(3), autoseq.baum_sweet()])
+    def test_corruption_past_1024_fails(self, spec):
+        # only the algebraic witness residual sees this corruption, so it
+        # must run up to n_max
+        def mutate(pref):
+            pref[1500] = (pref[1500] + 1) % spec.field.p
+            return pref
+
+        report = theory.verify(spec, 2048, mutate=mutate)
+        assert not report.ok
+        assert report.first_failure.name == "residual_zero"
+        assert report.first_failure.first_fail_n == 1501
+
+    def test_functional_equation_covers_n_max(self):
+        def mutate(pref):
+            pref[1500] ^= 1
+            return pref
+
+        report = theory.verify(autoseq.thue_morse(), 2048, mutate=mutate)
+        feq = next(c for c in report.checks if c.name == "functional_equation")
+        assert not feq.passed
+        assert feq.first_fail_n > 1024
+
     def test_verify_suite_contains_all_one_patterns(self):
         reports = theory.verify_suite(64, k_max=3)
         names = [r.spec_name for r in reports]
