@@ -36,7 +36,7 @@ from .autoseq import (
     thue_morse,
     witness,
 )
-from .contfrac import CFExpansion, cf_expand, convergents, profile_from_cf, q_congruences
+from .contfrac import CFExpansion, cf_expand, profile_from_cf, q_congruences
 from .expcomp import ExpansionResult, expansion_complexity, expansion_profile
 from .lincomp import bm_connection, bm_profile
 from .theory import (

@@ -11,12 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 NEG_INF = float("-inf")
-
-# int64 convolutions are safe while length * p**2 stays below 2**63
-_SMALL_P = 46337
 
 
 def _kron_mul(a, b, p: int) -> list:
@@ -236,20 +231,6 @@ class Poly:
         return f"Poly(p={self.field.p}, {list(self.coeffs)})"
 
 
-# Spec-level operation names; thin wrappers over the Poly methods.
-
-def poly_add(a: Poly, b: Poly) -> Poly:
-    return a + b
-
-
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    return a * b
-
-
-def poly_divmod(a: Poly, b: Poly):
-    return divmod(a, b)
-
-
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     _check_same_field(a, b)
     while not b.is_zero:
@@ -414,23 +395,13 @@ class LaurentSeries:
         c = self.coeffs
         n = len(c)
         lead_inv = self.field.inv(c[0])
-        if p <= _SMALL_P:
-            ca = np.array(c, dtype=np.int64)
-            z = np.zeros(n, dtype=np.int64)
-            z[0] = lead_inv
-            for i in range(1, n):
-                s = int(ca[1:i + 1] @ z[i - 1::-1]) % p
-                z[i] = (-lead_inv * s) % p
-            out = tuple(int(v) for v in z)
-        else:
-            z = [0] * n
-            z[0] = lead_inv
-            for i in range(1, n):
-                s = sum(c[j] * z[i - j] for j in range(1, i + 1)) % p
-                z[i] = (-lead_inv * s) % p
-            out = tuple(z)
+        z = [0] * n
+        z[0] = lead_inv
+        for i in range(1, n):
+            s = sum(c[j] * z[i - j] for j in range(1, i + 1)) % p
+            z[i] = (-lead_inv * s) % p
         top = -self.top
-        return LaurentSeries(self.field, top, out, top - n + 1)
+        return LaurentSeries(self.field, top, tuple(z), top - n + 1)
 
     def shift(self, k: int):
         """Multiply by x^k."""
@@ -455,23 +426,3 @@ class LaurentSeries:
 
 def series_from_prefix(prefix, field) -> LaurentSeries:
     return LaurentSeries.from_prefix(prefix, field)
-
-
-def series_inverse(r: LaurentSeries) -> LaurentSeries:
-    return r.inverse()
-
-
-def series_add(r: LaurentSeries, s: LaurentSeries) -> LaurentSeries:
-    return r + s
-
-
-def series_mul(r: LaurentSeries, s: LaurentSeries) -> LaurentSeries:
-    return r * s
-
-
-def polynomial_part(r: LaurentSeries) -> Poly:
-    return r.polynomial_part()
-
-
-def valuation(r: LaurentSeries):
-    return r.valuation

@@ -214,19 +214,6 @@ def pattern_count_oracle(p: int, digits, n: int) -> int:
     return sum(1 for i in range(len(rep) - k + 1) if tuple(rep[i:i + k]) == digits)
 
 
-def pattern_digits(spec: SequenceSpec):
-    """Base-p digits (MSB first, length k, leading zeros kept) of a pattern spec."""
-    if spec.kind != PATTERN:
-        raise ValueError("not a pattern spec")
-    a, p = spec.a, spec.p
-    out = []
-    for _ in range(spec.k):
-        out.append(a % p)
-        a //= p
-    out.reverse()
-    return tuple(out)
-
-
 # -- algebraic witnesses -------------------------------------------------
 
 @dataclass(frozen=True)

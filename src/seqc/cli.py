@@ -1,9 +1,10 @@
 """Command-line front-end.
 
 Subcommands: generate, profile, expansion, verify, bench.  Output is
-deterministic for a fixed configuration and seed; rationals are emitted
-as integer numerator/denominator pairs, never decimals.  Exit codes:
-0 ok, 1 verification failure / method disagreement, 2 usage error.
+deterministic for a fixed configuration; rationals are emitted as
+integer numerator/denominator pairs, never decimals.  Exit codes: 0 ok,
+1 verification failure / method disagreement / kernel over its bench
+budget, 2 usage error.
 """
 
 from __future__ import annotations
@@ -185,6 +186,7 @@ def cmd_bench(args) -> int:
     spec = autoseq.thue_morse()
     field = spec.field
     print("kernel,N,seconds,budget,ok")
+    over = False
     for n in sizes:
         pref = autoseq.prefix(spec, n)
         for kernel in (args.kernel,) if args.kernel else ("bm", "cf"):
@@ -196,8 +198,9 @@ def cmd_bench(args) -> int:
             elapsed = time.perf_counter() - start
             budget = BENCH_BUDGETS.get((kernel, n))
             ok = "" if budget is None else str(elapsed < budget).lower()
-            print(f"{kernel},{n},{elapsed:.3f},{budget if budget else ''},{ok}")
-    return 0
+            over = over or (budget is not None and elapsed >= budget)
+            print(f"{kernel},{n},{elapsed:.3f},{'' if budget is None else budget},{ok}")
+    return 1 if over else 0
 
 
 def _load_config(path):
@@ -215,7 +218,7 @@ def _load_config(path):
     return conf
 
 
-_INT_KEYS = {"n", "n_max", "p", "k", "a", "v0", "d_max", "kmax", "seed", "corrupt_index"}
+_INT_KEYS = {"n", "n_max", "p", "k", "a", "v0", "d_max", "kmax", "corrupt_index"}
 
 
 def _apply_config(args, conf):
@@ -240,7 +243,6 @@ def build_parser():
     def add_common(sp):
         sp.add_argument("--out", default=None, help="output path (default stdout)")
         sp.add_argument("--config", default=None, help="key=value config file")
-        sp.add_argument("--seed", type=int, default=None)
 
     sp = sub.add_parser("generate", help="write a sequence prefix in text form")
     add_spec_args(sp)

@@ -24,7 +24,7 @@ and for the approximation property that ties the expansion to its input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,14 +42,14 @@ class CFExpansion:
     and the convergent pairs extend to every degree-certified index
     (deg Q_{j-1} + deg Q_j <= N), which the profile walk needs.
     Convergent pairs are stored in a backend-native form and converted to
-    Poly lazily; at bench scale the full Poly conversion would dominate.
+    Poly one at a time by ``convergent(j)``; at bench scale a full Poly
+    conversion would dominate.
     """
 
     series: LaurentSeries
     quotients: tuple  # Poly: A_0, A_1, ..., A_{reliable_count}
     q_degrees: tuple  # deg Q_0, ..., deg Q_J
     _raw_pairs: tuple  # ((P_j, Q_j) in backend form, j = 0..J)
-    _pairs_cache: tuple = dc_field(default=None, repr=False)
 
     @property
     def field(self) -> PrimeField:
@@ -76,22 +76,12 @@ class CFExpansion:
             return gf2.to_poly(pp, self.field), gf2.to_poly(qq, self.field)
         return Poly(self.field, tuple(pp)), Poly(self.field, tuple(qq))
 
-    @property
-    def convergents(self) -> tuple:
-        """((P_0, Q_0), ..., (P_J, Q_J)) as Poly pairs."""
-        if self._pairs_cache is None:
-            self._pairs_cache = tuple(self._pair_to_polys(p) for p in self._raw_pairs)
-        return self._pairs_cache
-
     def convergent(self, j: int):
+        """(P_j, Q_j) as Poly pairs."""
         return self._pair_to_polys(self._raw_pairs[j])
 
     def raw_q(self, j: int):
         return self._raw_pairs[j][1]
-
-
-def convergents(expansion: CFExpansion) -> tuple:
-    return expansion.convergents
 
 
 def _cf_euclid_f2(bits, n):

@@ -1,20 +1,27 @@
 """Nth expansion complexity by exact linear algebra over F_p.
 
 E_N is the least total degree D of a nonzero h(s,t) with
-h(G(t), t) = 0 mod t^N.  For each candidate D we assemble the N x m
-matrix whose columns are the coefficient vectors of t^j G(t)^i mod t^N
-over all monomials with i + j <= D and look for a nontrivial kernel.
-Column order is (i, j) lexicographic and the returned witness is the
-first reduced-echelon kernel vector, so results are deterministic.
+h(G(t), t) = 0 mod t^N.  The coefficients of h over the monomials
+s^i t^j with i + j <= D (lexicographic in (i, j)) form a vector v, and
+row k of the condition reads sum_(i,j) v_(i,j) G^i[k - j] = 0.  The
+profile keeps one kernel basis for the current D and shrinks it row by
+row, ker A_(N+1) = ker A_N ∩ (row N)^⊥; when it empties, D steps up and
+the basis is rebuilt from rows 0..N-1.  All arithmetic is on Python
+ints, so it is exact at every supported p.
+
+The basis is in echelon form by top index: every vector has a distinct
+highest nonzero coordinate, and a 1 there.  Its smallest-top vector is
+the unique kernel vector with a 1 at the first free column of the
+reduced echelon form and support at or below it, so the witness is
+deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
-import numpy as np
-
-from .algebra import Poly, PrimeField
+from .algebra import Poly, PrimeField, _kron_mul
 
 
 @dataclass(frozen=True)
@@ -32,106 +39,76 @@ def monomials(d: int):
     return [(i, j) for i in range(d + 1) for j in range(d + 1 - i)]
 
 
-def _kernel_vector(a, p):
-    """First canonical kernel vector of the matrix mod p, or None."""
-    a = a.copy() % p
-    n, m = a.shape
-    pivots = []  # column of the pivot in row len(pivots)
-    row = 0
-    for col in range(m):
-        if row == n:
-            break
-        nz = np.nonzero(a[row:, col])[0]
-        if len(nz) == 0:
-            continue
-        pr = row + int(nz[0])
-        if pr != row:
-            a[[row, pr]] = a[[pr, row]]
-        inv = pow(int(a[row, col]), -1, p)
-        a[row] = a[row] * inv % p
-        mask = np.nonzero(a[:, col])[0]
-        for r in mask:
-            if r != row:
-                a[r] = (a[r] - a[r, col] * a[row]) % p
-        pivots.append(col)
-        row += 1
-    pivot_set = set(pivots)
-    free = [c for c in range(m) if c not in pivot_set]
-    if not free:
-        return None
-    f = free[0]
-    v = np.zeros(m, dtype=np.int64)
-    v[f] = 1
-    for r, c in enumerate(pivots):
-        v[c] = (-a[r, f]) % p
-    return v
+def _shrink(basis, row, p):
+    """Echelon basis of {v in span(basis) : row . v = 0}, tops kept.
+
+    The vector of smallest top among those the row does not annihilate
+    is the pivot: it is dropped, and its multiples cleared from the
+    others, whose tops lie above it and so stay put.
+    """
+    out = []
+    pivot = None
+    for v in basis:
+        s = sum(map(mul, v, row)) % p
+        if not s:
+            out.append(v)
+        elif pivot is None:
+            pivot, pivot_inv = v, pow(s, -1, p)
+        else:
+            c = s * pivot_inv % p
+            out.append([(a - c * b) % p for a, b in zip(v, pivot)])
+    return out
 
 
-def _g_powers(pref, p, n, d_max):
-    g = np.zeros(n, dtype=np.int64)
-    g[:len(pref)] = np.array(pref[:n], dtype=np.int64)
-    pows = [np.zeros(n, dtype=np.int64)]
-    pows[0][0] = 1
-    for _ in range(d_max):
-        nxt = np.convolve(pows[-1], g)[:n] % p
-        pows.append(nxt)
-    return pows
+def _unit_basis(m):
+    return [[int(c == r) for c in range(m)] for r in range(m)]
 
 
-def _matrix_for(pows, n, d, p):
-    mons = monomials(d)
-    a = np.zeros((n, len(mons)), dtype=np.int64)
-    for col, (i, j) in enumerate(mons):
-        a[j:, col] = pows[i][:n - j]
-    return a, mons
-
-
-def expansion_complexity(prefix, field: PrimeField, d_max: int = 8) -> ExpansionResult:
-    """E_N for N = len(prefix); search capped at total degree d_max."""
-    n = len(prefix)
-    if n < 1:
+def expansion_profile(prefix, field: PrimeField, d_max: int = 8):
+    """[E_1, ..., E_len] as ExpansionResults; the search is capped at total degree d_max."""
+    n_total = len(prefix)
+    if n_total < 1:
         raise ValueError("prefix must contain at least one symbol")
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
     for u in prefix:
         field.validate_symbol(u)
-    if not any(prefix):
-        return ExpansionResult(n, 0)
     p = field.p
-    pows = _g_powers(prefix, p, n, d_max)
-    return _search(pows, n, p, 1, d_max)
+    g = list(prefix)
+    pows = [[1] + [0] * (n_total - 1), g]  # G^i mod t^N, extended as D grows
+    d, mons = 1, monomials(1)
+    basis = _unit_basis(len(mons))
 
+    def row(k):
+        return [pows[i][k - j] if k >= j else 0 for i, j in mons]
 
-def _search(pows, n, p, d_start, d_max):
-    for d in range(d_start, d_max + 1):
-        a, mons = _matrix_for(pows, n, d, p)
-        v = _kernel_vector(a, p)
-        if v is not None:
-            wit = tuple((i, j, int(c)) for (i, j), c in zip(mons, v) if c)
-            return ExpansionResult(n, d, wit)
-    return ExpansionResult(n, d_max, capped=True)
-
-
-def expansion_profile(prefix, field: PrimeField, d_max: int = 8):
-    """[E_1, ..., E_len] as ExpansionResults; monotone search start per N."""
-    n_total = len(prefix)
-    if n_total < 1:
-        raise ValueError("prefix must contain at least one symbol")
-    for u in prefix:
-        field.validate_symbol(u)
-    p = field.p
-    pows = _g_powers(prefix, p, n_total, d_max)
     out = []
-    d_floor = 1
-    for n in range(1, n_total + 1):
-        if not any(prefix[:n]):
-            out.append(ExpansionResult(n, 0))
-            continue
-        res = _search(pows, n, p, d_floor, d_max)
-        if not res.capped:
-            d_floor = res.value  # E_N is nondecreasing in N
-        out.append(res)
+    nonzero = False
+    for k in range(n_total):
+        basis = _shrink(basis, row(k), p)
+        while not basis and d < d_max:
+            d += 1
+            mons = monomials(d)
+            pows.append(_kron_mul(pows[-1], g, p)[:n_total])
+            basis = _unit_basis(len(mons))
+            for r in range(k + 1):
+                basis = _shrink(basis, row(r), p)
+                if not basis:
+                    break
+        nonzero = nonzero or prefix[k] != 0
+        if not nonzero:
+            out.append(ExpansionResult(k + 1, 0))
+        elif basis:
+            wit = tuple((i, j, c) for (i, j), c in zip(mons, basis[0]) if c)
+            out.append(ExpansionResult(k + 1, d, wit))
+        else:
+            out.append(ExpansionResult(k + 1, d_max, capped=True))
     return out
+
+
+def expansion_complexity(prefix, field: PrimeField, d_max: int = 8) -> ExpansionResult:
+    """E_N for N = len(prefix); search capped at total degree d_max."""
+    return expansion_profile(prefix, field, d_max)[-1]
 
 
 def evaluate_witness(witness, prefix, field: PrimeField) -> Poly:

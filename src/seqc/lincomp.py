@@ -2,9 +2,10 @@
 
 The profile is produced in a single O(N^2) pass, emitting L(N) at every
 step.  Over F_2 the synthesis state is bit-packed into ints; the generic
-prime-field path keeps the state in numpy vectors.  The zero-prefix and
-0...0!=0 boundary conventions fall out of the standard initialization and
-are asserted in tests rather than special-cased here.
+prime-field path keeps the state in numpy int64 vectors and takes the
+discrepancy limb by limb, so it is exact at every supported p.  The
+zero-prefix and 0...0!=0 boundary conventions fall out of the standard
+initialization and are asserted in tests rather than special-cased here.
 """
 
 from __future__ import annotations
@@ -36,10 +37,23 @@ def _bm_f2(bits):
     return prof, c, ell
 
 
+def _limbs(seq, p):
+    """The stream as (shift, k-bit limb array) pairs, sum(limb << shift) = seq.
+
+    k is the widest limb with (N+1)(p-1)(2^k-1) < 2^63, so the dot product
+    of a connection vector with one limb cannot overflow int64.  At small
+    p a single limb holds every symbol.
+    """
+    bits = (p - 1).bit_length()
+    k = min(bits, ((2**63 - 1) // ((len(seq) + 1) * (p - 1)) + 1).bit_length() - 1)
+    s = np.array(seq, dtype=np.int64)
+    return [(shift, (s >> shift) & ((1 << k) - 1)) for shift in range(0, bits, k)]
+
+
 def _bm_modp(seq, p):
     """Generic prime-field synthesis; returns (L values, final c vector, final L)."""
     n_len = len(seq)
-    s = np.array(seq, dtype=np.int64)
+    limbs = _limbs(seq, p)
     c = np.zeros(n_len + 1, dtype=np.int64)
     b = np.zeros(n_len + 1, dtype=np.int64)
     c[0] = b[0] = 1
@@ -48,7 +62,8 @@ def _bm_modp(seq, p):
     bd_inv = 1  # inverse of the discrepancy at the last length change
     prof = []
     for n in range(n_len):
-        d = int(c[:ell + 1] @ s[n - ell:n + 1][::-1]) % p
+        d = sum(int(c[:ell + 1] @ limb[n - ell:n + 1][::-1]) << shift
+                for shift, limb in limbs) % p
         if d:
             t = c.copy()
             coef = d * bd_inv % p

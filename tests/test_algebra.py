@@ -197,9 +197,11 @@ class TestLaurentSeries:
             prod.coeff(prod.low - 1)
 
 
-@given(st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=16))
-def test_series_inverse_roundtrip_f5(xs):
-    r = series_from_prefix(xs, F5)
+@pytest.mark.parametrize("p", [5, 2**31 - 1])
+@given(data=st.data())
+def test_series_inverse_roundtrip_f5(p, data):
+    xs = data.draw(st.lists(st.integers(min_value=0, max_value=p - 1), min_size=1, max_size=16))
+    r = series_from_prefix(xs, PrimeField(p))
     if r.is_zero:
         return
     prod = r * r.inverse()

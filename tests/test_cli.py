@@ -226,3 +226,15 @@ class TestBench:
         lines = out.splitlines()
         assert lines[0] == "kernel,N,seconds,budget,ok"
         assert lines[1].startswith("bm,1,")
+
+    def test_budget_miss_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "BENCH_BUDGETS", {("bm", 1): 0.0})
+        code, out, _ = run_cli(["bench", "--kernel", "bm", "--n", "1"], capsys)
+        assert code == 1
+        assert out.splitlines()[1].endswith(",0.0,false")
+
+
+def test_seed_flag_is_gone():
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["generate", "--seq", "thue-morse", "--n", "4", "--seed", "1"])
+    assert exc.value.code == 2

@@ -1,6 +1,8 @@
 """Nth expansion complexity: exact kernel search plus brute-force oracle."""
 
+import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -133,3 +135,43 @@ class TestBruteForceAgreement:
                     assert res.capped, syms
                 else:
                     assert res.value == expected, syms
+
+
+class TestKernelShrink:
+    # digests of every built-in's profile at N=128, recorded from the
+    # earlier per-N Gaussian elimination, whose witness is the first
+    # reduced-echelon kernel vector
+    DIGESTS = {
+        8: "11c4db4dde3a193d95bf61c9da6beebea4a04ddc5bcafb23b5baa83aa2bd0a5f",
+        12: "b410d9ebcc078a4f549487378bf8196e47fd5ba29b1777d713fbd796a81c3b25",
+    }
+
+    @pytest.mark.parametrize("d_max", sorted(DIGESTS))
+    def test_builtin_profiles_pinned(self, d_max):
+        rows = [(r.n, r.value, r.witness, r.capped)
+                for spec in autoseq.builtin_specs()
+                for r in expcomp.expansion_profile(autoseq.prefix(spec, 128), spec.field,
+                                                   d_max=d_max)]
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == self.DIGESTS[d_max]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_witnesses_exact_at_largest_p(self, seed):
+        field = PrimeField(2**31 - 1)
+        rng = random.Random(seed)
+        pref = [rng.randrange(field.p) for _ in range(24)]
+        res = expcomp.expansion_profile(pref, field)
+        assert all(not r.capped for r in res)
+        for r in res:
+            assert expcomp.evaluate_witness(r.witness, pref[:r.n], field).is_zero, r.n
+
+    @pytest.mark.parametrize("spec, plateau", [(autoseq.thue_morse(), 5),
+                                               (autoseq.rudin_shapiro(), 7)])
+    def test_plateau_at_1024(self, spec, plateau):
+        res = expcomp.expansion_profile(autoseq.prefix(spec, 1024), spec.field)
+        assert res[-1].value == plateau and not res[-1].capped
+        assert expcomp.evaluate_witness(res[-1].witness, autoseq.prefix(spec, 1024),
+                                        spec.field).is_zero
+
+    def test_profile_rejects_bad_d_max(self):
+        with pytest.raises(ValueError):
+            expcomp.expansion_profile([0, 1], F2, d_max=0)

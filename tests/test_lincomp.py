@@ -106,6 +106,18 @@ class TestConnection:
             assert lincomp.replay_recurrence(cs, pref[:ell], len(pref), spec.field) == pref
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_connection_replays_random_p31(seed):
+    # products of two symbols near 2^31 overflow int64 unless split
+    p = 2**31 - 1
+    field = PrimeField(p)
+    rng = random.Random(seed)
+    pref = [rng.randrange(p) for _ in range(64)]
+    ell, cs = lincomp.bm_connection(pref, field)
+    assert ell == 32
+    assert lincomp.replay_recurrence(cs, pref[:ell], len(pref), field) == pref
+
+
 symbol_lists = st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=40)
 
 
