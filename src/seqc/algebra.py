@@ -88,6 +88,12 @@ class PrimeField:
             raise ValueError(f"symbol {a} outside F_{self.p}")
         return a
 
+    def validate_symbols(self, symbols) -> None:
+        """Check every symbol in one min/max pass; scan only to name the first bad one."""
+        if len(symbols) and not (0 <= min(symbols) and max(symbols) < self.p):
+            for u in symbols:
+                self.validate_symbol(u)
+
 
 def _check_same_field(a, b):
     if a.field != b.field:
@@ -299,8 +305,7 @@ class LaurentSeries:
         """R = sum_{i=1..N} u_{i-1} x^-i from the first N sequence symbols."""
         if len(prefix) < 1:
             raise ValueError("prefix must contain at least one symbol")
-        for u in prefix:
-            field.validate_symbol(u)
+        field.validate_symbols(prefix)
         return cls(field, -1, tuple(prefix), -len(prefix))
 
     @classmethod

@@ -221,9 +221,16 @@ def _load_config(path):
 _INT_KEYS = {"n", "n_max", "p", "k", "a", "v0", "d_max", "kmax", "corrupt_index"}
 
 
+# parsed attributes that are not options of a subcommand
+_NOT_OPTIONS = {"command", "func", "required_args", "config"}
+
+
 def _apply_config(args, conf):
     for key, val in conf.items():
-        if getattr(args, key, None) is None:
+        if key not in vars(args) or key in _NOT_OPTIONS:
+            raise UsageError(f"config key {key.replace('_', '-')!r} is not an option of "
+                             f"seqc {args.command}")
+        if getattr(args, key) is None:
             setattr(args, key, int(val) if key in _INT_KEYS else val)
 
 

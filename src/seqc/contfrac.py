@@ -1,30 +1,42 @@
 """Continued fractions of truncated Laurent series over F_p.
 
-The primary engine runs the extended Euclidean algorithm on (x^N, g(x)),
-where g packs the N known coefficients; it is integer-exact and needs no
-precision bookkeeping inside the loop.  The polynomial-part/inverse
-recursion on truncated series is kept as a secondary path for
-differential testing.
+The primary engine runs the Euclidean algorithm on (x^N, g(x)), where g
+packs the N known coefficients; it is integer-exact and needs no
+precision bookkeeping inside the loop.  It works on the remainders only:
+each step records the partial quotient A_j and adds deg A_j to the
+running sum deg Q_j = deg A_1 + ... + deg A_j, which is all a profile
+reads.  The convergents (P_j, Q_j) are never stored; ``convergent(j)``,
+``check_convergent_identities`` and ``q_congruences`` rebuild them from
+the quotients by the three-term recurrence, holding two pairs at a time.
+The polynomial-part/inverse recursion on truncated series is kept as a
+secondary path for differential testing.
+
+Over F_2 polynomials are bit-packed ints (``gf2``).  For odd p they are
+numpy int64 coefficient arrays, low to high, with entries in [0, p) and
+no trailing zeros; products accumulate in int64 and are reduced mod p
+before a sum can pass 2^63 (``_lazy_terms``), so every step is exact at
+every p <= 2^31 - 1.
 
 Reliability is two-tiered.  Convergent degrees are determined by the
 first N coefficients whenever deg Q_{j-1} + deg Q_j <= N (the profile
-bracketing), so deg Q_j is recorded up to that point.  The quotient
+bracketing), so every such quotient is recorded.  The quotient
 polynomial itself is only determined when Q_j is the unique minimal
 recurrence for the prefix, which needs 2 deg Q_j <= N; quotient values
 past that index can pick up truncation noise in their low-order
-coefficients and are not emitted.
+coefficients and are not emitted as ``quotients``.
 
-``check_convergent_identities`` certifies an expansion at the cost of
-about one Euclid pass: it re-derives every partial quotient from the
-stored denominators and checks the three-term recurrence, which implies
-the determinant identity P_{j-1} Q_j - P_j Q_{j-1} = (-1)^j at every j;
-full products are taken at the last convergent only, for the determinant
-and for the approximation property that ties the expansion to its input.
+``check_convergent_identities`` certifies an expansion for about the
+cost of one Euclid pass: it streams the recurrence, checks the quotient
+and denominator degrees at every j, and takes full products at the last
+convergent only, for the determinant and for the approximation property
+that ties the quotients to the input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -35,21 +47,22 @@ from .autoseq import Profile
 
 @dataclass
 class CFExpansion:
-    """Partial quotients A_0..A_J of a series, with convergents and reliability count.
+    """Partial quotients A_0..A_J of a series, with denominator degrees.
 
-    ``series`` is the expanded input, known down to x^-N.  ``quotients``
-    holds only value-certified quotients (2 deg Q_j <= N); ``q_degrees``
-    and the convergent pairs extend to every degree-certified index
-    (deg Q_{j-1} + deg Q_j <= N), which the profile walk needs.
-    Convergent pairs are stored in a backend-native form and converted to
-    Poly one at a time by ``convergent(j)``; at bench scale a full Poly
-    conversion would dominate.
+    ``series`` is the expanded input, known down to x^-N.
+    ``raw_quotients`` holds A_0 and every degree-certified quotient
+    (deg Q_{j-1} + deg Q_j <= N) in backend form: bit-packed ints over
+    F_2, int64 coefficient arrays otherwise.  ``q_degrees`` holds
+    deg Q_0..deg Q_J, the running sums of the quotient degrees, which the
+    profile walk reads.  ``quotients`` converts only the value-certified
+    quotients (2 deg Q_j <= N) to Poly, on first use.  No convergent pair
+    is stored: ``convergent(j)`` rebuilds (P_j, Q_j) by the three-term
+    recurrence in memory linear in deg Q_j.
     """
 
     series: LaurentSeries
-    quotients: tuple  # Poly: A_0, A_1, ..., A_{reliable_count}
+    raw_quotients: tuple  # A_0, A_1, ..., A_J in backend form
     q_degrees: tuple  # deg Q_0, ..., deg Q_J
-    _raw_pairs: tuple  # ((P_j, Q_j) in backend form, j = 0..J)
 
     @property
     def field(self) -> PrimeField:
@@ -63,49 +76,79 @@ class CFExpansion:
     @property
     def reliable_count(self) -> int:
         """Largest j such that A_1..A_j are certified for the input precision."""
-        return len(self.quotients) - 1
+        return _value_certified_count(self.q_degrees, self.precision)
 
     @property
     def degree_count(self) -> int:
         """Largest j for which deg Q_j is certified (may exceed reliable_count)."""
         return len(self.q_degrees) - 1
 
-    def _pair_to_polys(self, pair):
-        pp, qq = pair
-        if self.field.p == 2:
-            return gf2.to_poly(pp, self.field), gf2.to_poly(qq, self.field)
-        return Poly(self.field, tuple(pp)), Poly(self.field, tuple(qq))
+    @cached_property
+    def quotients(self) -> tuple:
+        """A_0, A_1, ..., A_{reliable_count} as Poly."""
+        to_poly = _Backend(self.field).to_poly
+        return tuple(map(to_poly, self.raw_quotients[:self.reliable_count + 1]))
 
     def convergent(self, j: int):
-        """(P_j, Q_j) as Poly pairs."""
-        return self._pair_to_polys(self._raw_pairs[j])
+        """(P_j, Q_j) as Poly pairs, rebuilt from A_0..A_j."""
+        if not 0 <= j < len(self.raw_quotients):
+            raise IndexError(f"convergent index {j} outside [0, {len(self.raw_quotients)})")
+        to_poly = _Backend(self.field).to_poly
+        pp, qq = next(islice(zip(_numerators(self), _denominators(self)), j, None))
+        return to_poly(pp), to_poly(qq)
 
-    def raw_q(self, j: int):
-        return self._raw_pairs[j][1]
+
+class _Backend:
+    """Polynomial operations on one field's backend form.
+
+    ``from_symbols`` packs u_0..u_{n-1} as the coefficients of x^{n-1}..x^0.
+    """
+
+    def __init__(self, field: PrimeField):
+        p = field.p
+        if p == 2:
+            self.mul_add = lambda a, b, c: gf2.mul(a, b) ^ c
+            self.divmod = gf2.divmod_
+            self.degree = gf2.degree
+            self.native = gf2.from_poly
+            self.to_poly = lambda bits: gf2.to_poly(bits, field)
+            self.from_symbols = lambda symbols: int("".join(map(str, symbols)), 2)
+        else:
+            lazy = _lazy_terms(p)
+            self.mul_add = lambda a, b, c: _arr_mul_add(a, b, c, p, lazy)
+            self.divmod = lambda a, b: _arr_divmod(a, b, p, lazy)
+            self.degree = _arr_degree
+            self.native = lambda poly: np.array(poly.coeffs, dtype=np.int64)
+            self.to_poly = lambda arr: Poly(field, tuple(arr.tolist()))
+            self.from_symbols = lambda symbols: _arr_trim(np.array(symbols[::-1], dtype=np.int64))
 
 
-def _cf_euclid_f2(bits, n):
-    g = 0
-    for i, bit in enumerate(bits):
-        if bit:
-            g |= 1 << (n - 1 - i)
+def _euclid(backend: _Backend, r_prev, r_cur, n: int) -> list:
+    """A_1, A_2, ... of r_cur / r_prev while deg Q_{j-1} + deg Q_j <= n.
+
+    Only remainders are carried; deg Q_j is the running sum of the
+    quotient degrees.
+    """
     quotients = []
-    pairs = [(0, 1)]  # (P_0, Q_0) with A_0 = 0
-    p_prev, p_cur = 1, 0
-    q_prev, q_cur = 0, 1
-    r_prev, r_cur = 1 << n, g
-    while r_cur:
-        a, r_next = gf2.divmod_(r_prev, r_cur)
-        q_new = gf2.mul(a, q_cur) ^ q_prev
-        if gf2.degree(q_cur) + gf2.degree(q_new) > n:
+    deg_q = 0
+    while backend.degree(r_cur) >= 0:
+        a, r_next = backend.divmod(r_prev, r_cur)
+        if 2 * deg_q + backend.degree(a) > n:
             break
-        p_new = gf2.mul(a, p_cur) ^ p_prev
         quotients.append(a)
-        pairs.append((p_new, q_new))
-        p_prev, p_cur = p_cur, p_new
-        q_prev, q_cur = q_cur, q_new
+        deg_q += backend.degree(a)
         r_prev, r_cur = r_cur, r_next
-    return quotients, pairs
+    return quotients
+
+
+def _lazy_terms(p: int) -> int:
+    """Products c*v (c, v in [0, p)) an int64 entry absorbs before a reduction.
+
+    An entry starts in [0, p); adding (or subtracting) k such products
+    and one more value below p keeps it below (p-1) + k (p-1)^2 + (p-1),
+    which must stay under 2^63.  k is 2 at p = 2^31 - 1.
+    """
+    return (2**63 - 1 - 2 * (p - 1)) // (p - 1) ** 2
 
 
 def _arr_degree(a) -> int:
@@ -113,65 +156,55 @@ def _arr_degree(a) -> int:
 
 
 def _arr_trim(a):
-    nz = np.nonzero(a)[0]
-    return a[:nz[-1] + 1] if len(nz) else a[:0]
+    """Drop zero coefficients from the top."""
+    top = len(a)
+    while top and not a[top - 1]:
+        top -= 1
+    return a[:top]
 
 
-def _arr_divmod(a, b, p):
-    da, db = _arr_degree(a), _arr_degree(b)
+def _arr_divmod(a, b, p, lazy):
+    """(quotient, remainder) of a by b over F_p, reusing a's storage.
+
+    a is overwritten and the remainder is a view of it.  Entries of a
+    below the current top absorb one product c*b per quotient coefficient
+    and are reduced mod p only every ``lazy`` products.
+    """
+    da, db = len(a) - 1, len(b) - 1
     if da < db:
-        return np.zeros(0, dtype=np.int64), a.copy()
+        return a[:0], a
     inv = pow(int(b[-1]), -1, p)
-    r = a.copy()
+    low = b[:-1]  # the top of each product cancels a[i] exactly
     q = np.zeros(da - db + 1, dtype=np.int64)
+    pending = 0
     for i in range(da, db - 1, -1):
-        c = int(r[i]) % p
+        c = int(a[i]) % p * inv % p
         if c:
-            c = c * inv % p
             q[i - db] = c
-            r[i - db:i + 1] = (r[i - db:i + 1] - c * b) % p
+            if pending == lazy:
+                a[i - db:i] %= p  # every entry touched since the last reduction
+                pending = 0
+            a[i - db:i] -= c * low
+            pending += 1
+    r = a[:db]
+    r %= p
     return q, _arr_trim(r)
 
 
-def _arr_mul_add(a, b, c, p):
-    """a*b + c over F_p for numpy coefficient arrays."""
-    if len(a) == 0 or len(b) == 0:
-        conv = np.zeros(1, dtype=np.int64)
-    else:
-        conv = np.convolve(a, b)
-    n = max(len(conv), len(c))
-    out = np.zeros(n, dtype=np.int64)
-    out[:len(conv)] = conv
-    out[:len(c)] += c
-    return _arr_trim(out % p)
-
-
-def _cf_euclid_modp(symbols, n, p):
-    g = np.zeros(n, dtype=np.int64)
-    for i, u in enumerate(symbols):
-        g[n - 1 - i] = u
-    g = _arr_trim(g)
-    x_n = np.zeros(n + 1, dtype=np.int64)
-    x_n[-1] = 1
-    one = np.ones(1, dtype=np.int64)
-    zero = np.zeros(0, dtype=np.int64)
-    quotients = []
-    pairs = [(zero, one)]
-    p_prev, p_cur = one, zero
-    q_prev, q_cur = zero, one
-    r_prev, r_cur = x_n, g
-    while len(r_cur):
-        a, r_next = _arr_divmod(r_prev, r_cur, p)
-        q_new = _arr_mul_add(a, q_cur, q_prev, p)
-        if _arr_degree(q_cur) + _arr_degree(q_new) > n:
-            break
-        p_new = _arr_mul_add(a, p_cur, p_prev, p)
-        quotients.append(a)
-        pairs.append((p_new, q_new))
-        p_prev, p_cur = p_cur, p_new
-        q_prev, q_cur = q_cur, q_new
-        r_prev, r_cur = r_cur, r_next
-    return quotients, pairs
+def _arr_mul_add(a, b, c, p, lazy):
+    """a*b + c over F_p, reduced mod p every ``lazy`` products."""
+    out = np.zeros(max(len(a) + len(b) - 1, len(c)), dtype=np.int64)
+    out[:len(c)] = c
+    pending = 0
+    for i, ai in enumerate(a.tolist()):
+        if ai:
+            if pending == lazy:
+                out %= p
+                pending = 0
+            out[i:i + len(b)] += ai * b
+            pending += 1
+    out %= p
+    return _arr_trim(out)
 
 
 def _value_certified_count(degs, n) -> int:
@@ -183,46 +216,24 @@ def _value_certified_count(degs, n) -> int:
 
 
 def _series_symbols(r: LaurentSeries):
-    """Coefficients of x^-1..x^-N of a series with valuation < 0."""
-    n = -r.low
-    return [r.coeff(-i) for i in range(1, n + 1)], n
+    """Coefficients of x^-1..x^-N of a nonzero series with valuation < 0."""
+    return [0] * (-1 - r.top) + list(r.coeffs), -r.low
 
 
 def cf_expand(r: LaurentSeries) -> CFExpansion:
     """Certified continued-fraction expansion of a truncated series."""
     if r.is_zero:
         raise ZeroDivisionError("cannot expand the zero series")
-    field = r.field
+    backend = _Backend(r.field)
     a0 = r.polynomial_part()
-    if not a0.is_zero:
-        b = r - LaurentSeries.from_poly(a0, r.low)
-    else:
-        b = r
-    if b.is_zero:
-        # purely polynomial input: the expansion is the single quotient A_0
-        if field.p == 2:
-            raw = ((gf2.from_poly(a0), 1),)
-        else:
-            raw = ((np.array(a0.coeffs, dtype=np.int64), np.ones(1, dtype=np.int64)),)
-        return CFExpansion(r, (a0,), (0,), raw)
-    symbols, n = _series_symbols(b)
-    if field.p == 2:
-        bits_q, pairs = _cf_euclid_f2(symbols, n)
-        if not a0.is_zero:
-            a0_bits = gf2.from_poly(a0)
-            pairs = [(pp ^ gf2.mul(a0_bits, qq), qq) for pp, qq in pairs]
-        degs = tuple(gf2.degree(qq) for _, qq in pairs)
-        rc = _value_certified_count(degs, n)
-        quots = tuple(gf2.to_poly(q, field) for q in bits_q[:rc])
-    else:
-        arr_q, pairs = _cf_euclid_modp(symbols, n, field.p)
-        if not a0.is_zero:
-            a0_arr = np.array(a0.coeffs, dtype=np.int64)
-            pairs = [(_arr_mul_add(a0_arr, qq, pp, field.p), qq) for pp, qq in pairs]
-        degs = tuple(_arr_degree(qq) for _, qq in pairs)
-        rc = _value_certified_count(degs, n)
-        quots = tuple(Poly(field, tuple(int(v) for v in q)) for q in arr_q[:rc])
-    return CFExpansion(r, (a0,) + quots, degs, tuple(pairs))
+    b = r - LaurentSeries.from_poly(a0, r.low) if not a0.is_zero else r
+    quots = [backend.native(a0)]
+    if not b.is_zero:  # else purely polynomial: the expansion is A_0 alone
+        symbols, n = _series_symbols(b)
+        x_n = backend.from_symbols([1] + [0] * n)
+        quots += _euclid(backend, x_n, backend.from_symbols(symbols), n)
+    degs = tuple(accumulate(map(backend.degree, quots[1:]), initial=0))
+    return CFExpansion(r, tuple(quots), degs)
 
 
 def cf_expand_series(r: LaurentSeries, max_quotients: int = None):
@@ -284,84 +295,98 @@ def profile_from_expansion(expansion: CFExpansion, n_max: int) -> Profile:
     return Profile(tuple(vals))
 
 
-def _native_ops(field: PrimeField):
-    """(divmod, a*b + c, equality, degree, Poly -> native) on the stored pair form."""
-    p = field.p
-    if p == 2:
-        return (gf2.divmod_, lambda a, b, c: gf2.mul(a, b) ^ c, int.__eq__,
-                gf2.degree, gf2.from_poly)
-    return (lambda a, b: _arr_divmod(a, b, p), lambda a, b, c: _arr_mul_add(a, b, c, p),
-            np.array_equal, _arr_degree, lambda poly: np.array(poly.coeffs, dtype=np.int64))
+def _recurrence(expansion: CFExpansion, before, first):
+    """x_0, x_1, ..., x_J with x_j = A_j x_{j-1} + x_{j-2}, from x_{-1}, x_0.
+
+    Holds two terms at a time, so memory stays linear in deg x_J.
+    """
+    mul_add = _Backend(expansion.field).mul_add
+    prev, cur = before, first
+    yield cur
+    for a in expansion.raw_quotients[1:]:
+        prev, cur = cur, mul_add(a, cur, prev)
+        yield cur
 
 
-def _last_convergent_ok(expansion: CFExpansion) -> bool:
+def _numerators(expansion: CFExpansion):
+    """P_0 = A_0, P_1, ..., P_J in backend form (P_{-1} = 1)."""
+    native = _Backend(expansion.field).native
+    return _recurrence(expansion, native(Poly.one(expansion.field)), expansion.raw_quotients[0])
+
+
+def _denominators(expansion: CFExpansion):
+    """Q_0 = 1, Q_1, ..., Q_J in backend form (Q_{-1} = 0)."""
+    native = _Backend(expansion.field).native
+    field = expansion.field
+    return _recurrence(expansion, native(Poly.zero(field)), native(Poly.one(field)))
+
+
+def _last_convergent_ok(expansion: CFExpansion, prev, last) -> bool:
     """Determinant and approximation property at J, with exact full products."""
-    field, n, pairs = expansion.field, expansion.precision, expansion._raw_pairs
-    last = len(pairs) - 1
-    prev = max(last - 1, 0)  # J = 0: the determinant is Q_0 = 1, checked already
+    field, n = expansion.field, expansion.precision
+    j_last = len(expansion.raw_quotients) - 1
     # G = x^N R cut below x^0: the N known symbols plus A_0 x^N
     coeffs = expansion.series.coeffs  # from the top exponent down to x^-N
     if field.p == 2:
-        (p_prev, q_prev), (p_last, q_last) = pairs[prev], pairs[last]
-        det_ok = last == 0 or gf2.mul(p_prev, q_last) ^ gf2.mul(p_last, q_prev) == 1
+        (p_prev, q_prev), (p_last, q_last) = prev, last
+        det_ok = gf2.mul(p_prev, q_last) ^ gf2.mul(p_last, q_prev) == 1
         g = int("".join(map(str, coeffs)), 2)
         res_deg = gf2.degree(gf2.mul(q_last, g) ^ (p_last << n))
     else:
-        (p_prev, q_prev), (p_last, q_last) = expansion.convergent(prev), expansion.convergent(last)
-        det = p_prev * q_last - p_last * q_prev
-        det_ok = last == 0 or det == Poly(field, ((-1) ** last,))
+        to_poly = _Backend(field).to_poly
+        (p_prev, q_prev), (p_last, q_last) = (tuple(map(to_poly, pair)) for pair in (prev, last))
+        det_ok = p_prev * q_last - p_last * q_prev == Poly(field, ((-1) ** j_last,))
         g = Poly(field, coeffs[::-1])
         res_deg = (q_last * g - p_last.shift(n)).degree
-    dq = expansion.q_degrees[last]
-    return det_ok and res_deg < min(n - dq, dq)
+    dq = expansion.q_degrees[j_last]
+    # J = 0: (P_{-1}, Q_{-1}) = (1, 0) and the determinant is Q_0 = 1, checked already
+    return (j_last == 0 or det_ok) and res_deg < min(n - dq, dq)
 
 
 def check_convergent_identities(expansion: CFExpansion):
-    """Certify the stored convergents as the expansion of the stored series.
+    """Certify the stored quotients and degrees as the expansion of the stored series.
 
-    Recurrence, at every j >= 1 with (P_{-1}, Q_{-1}) = (1, 0): the quotient
-    is re-derived from the denominators as (A_j, R) = divmod(Q_j, Q_{j-1}),
-    and R = Q_{j-2}, deg A_j >= 1, P_j = A_j P_{j-1} + P_{j-2} and
-    deg Q_j = q_degrees[j] must hold; A_j must equal the stored quotient
-    while j <= reliable_count.  (P_0, Q_0) must be (A_0, 1).  By induction
-    these give the determinant P_{j-1} Q_j - P_j Q_{j-1} = (-1)^j at every
-    j (1 over F_2), for about the cost of one Euclid pass.
+    The convergents are rebuilt from the stored quotients by the
+    three-term recurrence P_j = A_j P_{j-1} + P_{j-2} (and the same for
+    Q), from (P_{-1}, Q_{-1}) = (1, 0) and (P_0, Q_0) = (A_0, 1).  A_0 must
+    be the polynomial part of the series, and at every j >= 1 deg A_j >= 1
+    and deg Q_j = q_degrees[j] must hold, so the degrees the profile walk
+    reads are those of the rebuilt denominators.  By induction the
+    recurrence gives the determinant P_{j-1} Q_j - P_j Q_{j-1} = (-1)^j at
+    every j (1 over F_2).
 
-    Last convergent J, with full products: the determinant itself, and the
-    approximation property against the input.  With G = x^N R cut below
-    x^0 (the N known symbols plus A_0 x^N), Q_J G - P_J x^N is up to sign
-    the remainder r_J that the Euclid loop holds at J, whose degree is
-    N - deg Q_{J+1} (-inf when r_J = 0).  So the exact bound is
+    Last convergent J, with full products: the determinant itself, which
+    also checks the rebuilt pair's arithmetic, and the approximation
+    property against the input.  With G = x^N R cut below x^0 (the N known
+    symbols plus A_0 x^N), Q_J G - P_J x^N is up to sign the remainder r_J
+    that the Euclid loop holds at J, whose degree is N - deg Q_{J+1}
+    (-inf when r_J = 0).  So the exact bound is
 
         deg(Q_J G - P_J x^N) < min(N - deg Q_J, deg Q_J).
 
     N - deg Q_J holds because deg Q_{J+1} > deg Q_J; it is Legendre's
-    criterion, which makes P_J / Q_J a convergent of G / x^N, so the
-    recurrence-checked chain is the expansion of this input.  deg Q_J holds
+    criterion, which makes P_J / Q_J (in lowest terms by the determinant)
+    a convergent of G / x^N.  A continued fraction whose quotients past
+    A_0 all have degree >= 1 is unique, so A_0..A_J, the expansion of
+    P_J / Q_J, are the first J+1 partial quotients of the input: every
+    stored quotient is certified, not only the last.  deg Q_J holds
     because the expansion stops at the first J with
     deg Q_J + deg Q_{J+1} > N (or at r_J = 0); it rejects an expansion cut
     short.  Returns the index of the first failing convergent or None.
     """
-    field = expansion.field
-    divmod_, mul_add, same, deg, native = _native_ops(field)
-    pairs, degs = expansion._raw_pairs, expansion.q_degrees
-    if len(degs) != len(pairs):
-        return min(len(degs), len(pairs))
-    one, zero = native(Poly.one(field)), native(Poly.zero(field))
-    p_cur, q_cur = pairs[0]
-    if not (same(p_cur, native(expansion.quotients[0])) and same(q_cur, one) and degs[0] == 0):
+    backend = _Backend(expansion.field)
+    quots, degs = expansion.raw_quotients, expansion.q_degrees
+    if len(degs) != len(quots):
+        return min(len(degs), len(quots))
+    if backend.to_poly(quots[0]) != expansion.series.polynomial_part() or degs[0] != 0:
         return 0
-    p_prev, q_prev = one, zero
-    for j in range(1, len(pairs)):
-        p_new, q_new = pairs[j]
-        a, rem = divmod_(q_new, q_cur)
-        if (deg(a) < 1 or not same(rem, q_prev) or deg(q_new) != degs[j]
-                or not same(mul_add(a, p_cur, p_prev), p_new)):
+    pairs = zip(_numerators(expansion), _denominators(expansion))
+    prev = last = next(pairs)
+    for j, pair in enumerate(pairs, 1):
+        if backend.degree(quots[j]) < 1 or backend.degree(pair[1]) != degs[j]:
             return j
-        if j <= expansion.reliable_count and not same(a, native(expansion.quotients[j])):
-            return j
-        p_prev, q_prev, p_cur, q_cur = p_cur, q_cur, p_new, q_new
-    return None if _last_convergent_ok(expansion) else len(pairs) - 1
+        prev, last = last, pair
+    return None if _last_convergent_ok(expansion, prev, last) else len(quots) - 1
 
 
 @dataclass(frozen=True)
@@ -381,8 +406,9 @@ def q_congruences(expansion: CFExpansion, k: int) -> QCongruenceReport:
     """Check the Q_j congruences of the all-one-pattern analysis.
 
     For k = 1 every Q_j must satisfy Q_j = 1 mod (x+1); for k >= 2 even
-    indices give 1 and odd indices x+1 modulo x^{2^{k-1}} + 1.  Each
-    reduction XOR-folds Q_j's 2^{k-1}-bit chunks (``gf2.fold_mod``).
+    indices give 1 and odd indices x+1 modulo x^{2^{k-1}} + 1.  Q_j is
+    rebuilt from the stored quotients by the three-term recurrence, and
+    each reduction XOR-folds its 2^{k-1}-bit chunks (``gf2.fold_mod``).
     """
     if expansion.field.p != 2:
         raise ValueError("congruence report is defined over F_2 only")
@@ -390,9 +416,10 @@ def q_congruences(expansion: CFExpansion, k: int) -> QCongruenceReport:
         raise ValueError("k must be >= 1")
     width = 1 << (k - 1)  # x^width + 1 is x + 1 when k = 1
     cong_fail = []
-    for j in range(expansion.reliable_count + 1):
+    denominators = islice(_denominators(expansion), expansion.reliable_count + 1)
+    for j, q in enumerate(denominators):
         expected = 1 if (k == 1 or j % 2 == 0) else 0b11
-        actual = gf2.fold_mod(expansion.raw_q(j), width)
+        actual = gf2.fold_mod(q, width)
         if actual != expected:
             cong_fail.append((j, expected, actual))
     return QCongruenceReport(k, expansion.reliable_count + 1, tuple(cong_fail))

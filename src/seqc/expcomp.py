@@ -71,8 +71,7 @@ def expansion_profile(prefix, field: PrimeField, d_max: int = 8):
         raise ValueError("prefix must contain at least one symbol")
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
-    for u in prefix:
-        field.validate_symbol(u)
+    field.validate_symbols(prefix)
     p = field.p
     g = list(prefix)
     pows = [[1] + [0] * (n_total - 1), g]  # G^i mod t^N, extended as D grows

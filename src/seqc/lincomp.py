@@ -2,8 +2,9 @@
 
 The profile is produced in a single O(N^2) pass, emitting L(N) at every
 step.  Over F_2 the synthesis state is bit-packed into ints; the generic
-prime-field path keeps the state in numpy int64 vectors and takes the
-discrepancy limb by limb, so it is exact at every supported p.  The
+prime-field path keeps the state in numpy int64 vectors, updates only
+their live span and takes the discrepancy limb by limb, so it is exact at
+every supported p.  The
 zero-prefix and 0...0!=0 boundary conventions fall out of the standard
 initialization and are asserted in tests rather than special-cased here.
 """
@@ -51,25 +52,35 @@ def _limbs(seq, p):
 
 
 def _bm_modp(seq, p):
-    """Generic prime-field synthesis; returns (L values, final c vector, final L)."""
+    """Generic prime-field synthesis; returns (L values, final c vector, final L).
+
+    Only the live span of c changes at a step: x^(n-m) b touches
+    c[n-m : n-m+len(b)], and b is held at length L+1 of its own step.
+    The discrepancy reads u_n, ..., u_(n-L) as one contiguous slice of
+    each reversed limb array.
+    """
     n_len = len(seq)
-    limbs = _limbs(seq, p)
+    # rev[n_len-1-n+i] = limb of u_(n-i)
+    limbs = [(shift, np.ascontiguousarray(limb[::-1])) for shift, limb in _limbs(seq, p)]
     c = np.zeros(n_len + 1, dtype=np.int64)
-    b = np.zeros(n_len + 1, dtype=np.int64)
-    c[0] = b[0] = 1
+    c[0] = 1
+    b = c[:1].copy()
     ell = 0
     m = -1
     bd_inv = 1  # inverse of the discrepancy at the last length change
     prof = []
     for n in range(n_len):
-        d = sum(int(c[:ell + 1] @ limb[n - ell:n + 1][::-1]) << shift
-                for shift, limb in limbs) % p
+        lo = n_len - 1 - n
+        d = sum(int(c[:ell + 1] @ rev[lo:lo + ell + 1]) << shift
+                for shift, rev in limbs) % p
         if d:
-            t = c.copy()
-            coef = d * bd_inv % p
-            width = n_len + 1 - (n - m)
-            c[n - m:] = (c[n - m:] - coef * b[:width]) % p
-            if 2 * ell <= n:
+            grow = 2 * ell <= n
+            if grow:
+                t = c[:ell + 1].copy()
+            span = c[n - m:n - m + len(b)]
+            span -= d * bd_inv % p * b
+            span %= p
+            if grow:
                 ell = n + 1 - ell
                 b = t
                 bd_inv = pow(d, -1, p)
@@ -79,15 +90,10 @@ def _bm_modp(seq, p):
 
 
 def _synthesize(prefix, field: PrimeField):
-    for u in prefix:
-        field.validate_symbol(u)
+    field.validate_symbols(prefix)
     if field.p == 2:
-        prof, c, ell = _bm_f2(prefix)
-        cvec = [(c >> j) & 1 for j in range(ell + 1)]
-    else:
-        prof, c, ell = _bm_modp(prefix, field.p)
-        cvec = [int(v) for v in c[:ell + 1]]
-    return prof, cvec, ell
+        return _bm_f2(prefix)
+    return _bm_modp(prefix, field.p)
 
 
 def bm_profile(prefix, field: PrimeField) -> Profile:
@@ -106,10 +112,10 @@ def bm_connection(prefix, field: PrimeField):
     """
     if len(prefix) < 1:
         raise ValueError("prefix must contain at least one symbol")
-    _, cvec, ell = _synthesize(prefix, field)
+    _, c, ell = _synthesize(prefix, field)
     p = field.p
-    coeffs = tuple((-cvec[ell - i]) % p if ell - i < len(cvec) else 0 for i in range(ell))
-    return ell, coeffs
+    cvec = list(map(int, format(c, f"0{ell + 1}b")[::-1])) if p == 2 else c[:ell + 1].tolist()
+    return ell, tuple(-cvec[ell - i] % p for i in range(ell))
 
 
 def replay_recurrence(coeffs, seed, n: int, field: PrimeField):

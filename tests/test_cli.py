@@ -183,6 +183,15 @@ class TestConfigFile:
         assert code == 0
         assert len(out.splitlines()) == 5
 
+    @pytest.mark.parametrize("line", ["bogus-key=7", "seed=1"])
+    def test_unknown_key_is_usage_error(self, capsys, tmp_path, line):
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"seq=thue-morse\nn-max=4\n{line}\n")
+        code, out, err = run_cli(["profile", "--config", str(conf)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "usage error" in err and line.split("=")[0] in err
+
     def test_bad_line_is_usage_error(self, capsys, tmp_path):
         conf = tmp_path / "run.conf"
         conf.write_text("just-a-word\n")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,33 +130,42 @@ def _control(name):
     return field, stream, contfrac.cf_expand(LaurentSeries.from_prefix(stream, field))
 
 
+def _replaced(seq, j, value):
+    return seq[:j] + (value,) + seq[j + 1:]
+
+
 class TestConvergentIdentityControls:
     """Every corruption of a stored expansion must be caught."""
 
     @pytest.mark.parametrize("name", sorted(CONTROL_STREAMS))
     @pytest.mark.parametrize("where", ["first", "middle", "last"])
-    @pytest.mark.parametrize("which", [0, 1])  # 0: P_j, 1: Q_j
+    @pytest.mark.parametrize("which", [0, 1])  # 0: A_j, 1: deg Q_j
     def test_perturbed_convergent(self, name, where, which):
+        # (P_j, Q_j) is rebuilt from A_j; the profile reads deg Q_j
         field, stream, exp = _control(name)
         last = exp.degree_count
         assert last >= 4
         j = {"first": 1, "middle": last // 2, "last": last}[where]
-        pairs = list(exp._raw_pairs)
-        pair = list(pairs[j])
-        # a coefficient below the leading one, so the degree stays put
-        pair[which] = _bump(pair[which], field, _native_degree(pair[which]) // 2)
-        pairs[j] = tuple(pair)
-        bad = dataclasses.replace(exp, _raw_pairs=tuple(pairs))
+        if which == 0:
+            # a coefficient below the leading one, so the degree stays put
+            a = exp.raw_quotients[j]
+            bad = dataclasses.replace(exp, raw_quotients=_replaced(
+                exp.raw_quotients, j, _bump(a, field, _native_degree(a) // 2)))
+        else:
+            bad = dataclasses.replace(exp, q_degrees=_replaced(exp.q_degrees, j, exp.q_degrees[j] + 1))
         assert contfrac.check_convergent_identities(exp) is None
         assert contfrac.check_convergent_identities(bad) is not None
 
     @pytest.mark.parametrize("name", sorted(CONTROL_STREAMS))
-    @pytest.mark.parametrize("which", [0, 1])
+    @pytest.mark.parametrize("which", [0, 1])  # 0: A_0 (so P_0), 1: deg Q_0
     def test_wrong_seed_pair(self, name, which):
         field, stream, exp = _control(name)
-        pair = list(exp._raw_pairs[0])
-        pair[which] = _bump(pair[which], field, 0)
-        bad = dataclasses.replace(exp, _raw_pairs=(tuple(pair),) + exp._raw_pairs[1:])
+        if which == 0:
+            bad = dataclasses.replace(exp, raw_quotients=_replaced(
+                exp.raw_quotients, 0, _bump(exp.raw_quotients[0], field, 0)))
+        else:
+            bad = dataclasses.replace(exp, q_degrees=_replaced(exp.q_degrees, 0, 1))
+        assert contfrac.check_convergent_identities(exp) is None
         assert contfrac.check_convergent_identities(bad) == 0
 
     @pytest.mark.parametrize("name", sorted(CONTROL_STREAMS))
@@ -163,15 +173,80 @@ class TestConvergentIdentityControls:
         field, stream, exp = _control(name)
         flipped = [(stream[0] + 1) % field.p] + list(stream[1:])
         bad = dataclasses.replace(exp, series=LaurentSeries.from_prefix(flipped, field))
+        assert contfrac.check_convergent_identities(exp) is None
         assert contfrac.check_convergent_identities(bad) == exp.degree_count
 
     @pytest.mark.parametrize("name", sorted(CONTROL_STREAMS))
     def test_expansion_cut_short(self, name):
         field, stream, exp = _control(name)
-        bad = dataclasses.replace(exp, _raw_pairs=exp._raw_pairs[:-1],
-                                  q_degrees=exp.q_degrees[:-1],
-                                  quotients=exp.quotients[:exp.degree_count])
+        bad = dataclasses.replace(exp, raw_quotients=exp.raw_quotients[:-1],
+                                  q_degrees=exp.q_degrees[:-1])
+        assert contfrac.check_convergent_identities(exp) is None
         assert contfrac.check_convergent_identities(bad) == exp.degree_count - 1
+
+
+P31 = 2**31 - 1
+
+
+def _rational_prefix(quotients, field):
+    """The first 2 deg Q_J symbols of P_J / Q_J = [0; A_1, ..., A_J]."""
+    p_prev, p_cur = Poly.one(field), Poly.zero(field)
+    q_prev, q_cur = Poly.zero(field), Poly.one(field)
+    for a in quotients:
+        p_prev, p_cur = p_cur, a * p_cur + p_prev
+        q_prev, q_cur = q_cur, a * q_cur + q_prev
+    n = 2 * q_cur.degree
+    head = p_cur.shift(n) // q_cur  # sum of u_{i-1} x^{n-i}, i = 1..n
+    return [head.coeff(n - 1 - i) for i in range(n)]
+
+
+class TestRationalSeries:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_large_prime_quotients_exact(self, seed):
+        # products of coefficients near 2^31 overflow int64 unless reduced in time
+        field = PrimeField(P31)
+        rng = random.Random(seed)
+        quots = [Poly(field, tuple(rng.randrange(P31 - 1000, P31) for _ in range(3)))
+                 for _ in range(8)]
+        exp = contfrac.cf_expand(LaurentSeries.from_prefix(_rational_prefix(quots, field), field))
+        assert contfrac.check_convergent_identities(exp) is None
+        assert exp.quotients[1:] == tuple(quots)
+        assert exp.q_degrees == tuple(range(0, 17, 2))
+
+
+_quotient_cases = st.sampled_from([2, 3, 5, P31]).flatmap(lambda p: st.tuples(
+    st.just(p),
+    st.lists(st.lists(st.integers(0, p - 1), min_size=2, max_size=4).filter(lambda c: c[-1]),
+             min_size=1, max_size=8)))
+
+
+@given(_quotient_cases)
+@settings(max_examples=60, deadline=None)
+def test_convergents_match_poly_recurrence(case):
+    p, coeff_lists = case
+    field = PrimeField(p)
+    quots = [Poly(field, tuple(c)) for c in coeff_lists]
+    exp = contfrac.cf_expand(LaurentSeries.from_prefix(_rational_prefix(quots, field), field))
+    assert exp.degree_count == len(quots)
+    prev, cur = (Poly.one(field), Poly.zero(field)), (Poly.zero(field), Poly.one(field))
+    assert exp.convergent(0) == cur
+    for j, a in enumerate(quots, 1):
+        prev, cur = cur, (a * cur[0] + prev[0], a * cur[1] + prev[1])
+        assert exp.convergent(j) == cur
+
+
+def test_profile_memory_grows_linearly():
+    # no convergent pair is stored, so peak memory is linear in N
+    peaks = []
+    for n in (2048, 4096):
+        r = LaurentSeries.from_prefix(_random_stream(3, n, 11), F3)
+        tracemalloc.start()
+        try:
+            contfrac.profile_from_cf(r, n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 3 * peaks[0]
 
 
 class TestCertification:
@@ -294,10 +369,12 @@ class TestQCongruences:
     def test_flipped_q_coefficient_fails(self, k, spec):
         exp = contfrac.cf_expand(series_for(spec, 128))
         j = exp.reliable_count // 2
-        pairs = list(exp._raw_pairs)
-        pj, qj = pairs[j]
-        pairs[j] = (pj, qj ^ (1 << (gf2.degree(qj) // 2)))
-        rep = contfrac.q_congruences(dataclasses.replace(exp, _raw_pairs=tuple(pairs)), k)
+        # flipping a non-leading bit of A_j adds x^i Q_{j-1} to Q_j
+        aj = exp.raw_quotients[j]
+        bad = dataclasses.replace(exp, raw_quotients=_replaced(
+            exp.raw_quotients, j, aj ^ (1 << (gf2.degree(aj) // 2))))
+        assert contfrac.q_congruences(exp, k).ok
+        rep = contfrac.q_congruences(bad, k)
         assert not rep.ok
         assert rep.congruence_failures[0][0] == j
 

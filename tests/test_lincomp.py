@@ -118,6 +118,38 @@ def test_connection_replays_random_p31(seed):
     assert lincomp.replay_recurrence(cs, pref[:ell], len(pref), field) == pref
 
 
+def schoolbook_bm(seq, p):
+    """Massey's synthesis on Python lists: (profile, c_0..c_L, L)."""
+    c, b = [1], [1]
+    ell, shift, bd = 0, 1, 1
+    prof = []
+    for n in range(len(seq)):
+        cc = c + [0] * (ell + 1 - len(c))
+        d = sum(cc[i] * seq[n - i] for i in range(ell + 1)) % p
+        if d:
+            coef = d * pow(bd, -1, p) % p
+            new = c + [0] * (shift + len(b) - len(c))
+            for i, bi in enumerate(b):
+                new[shift + i] = (new[shift + i] - coef * bi) % p
+            if 2 * ell <= n:
+                ell, b, bd, shift = n + 1 - ell, c, d, 0
+            c = new
+        shift += 1
+        prof.append(ell)
+    return prof, (c + [0] * (ell + 1))[:ell + 1], ell
+
+
+@given(st.sampled_from([3, 5, 2**31 - 1]).flatmap(lambda p: st.tuples(
+    st.just(p), st.lists(st.integers(0, p - 1) | st.just(0), min_size=1, max_size=64))))
+@settings(max_examples=80)
+def test_live_span_bm_matches_schoolbook(case):
+    p, xs = case
+    field = PrimeField(p)
+    prof, c, ell = schoolbook_bm(xs, p)
+    assert list(lincomp.bm_profile(xs, field)) == prof
+    assert lincomp.bm_connection(xs, field) == (ell, tuple(-c[ell - i] % p for i in range(ell)))
+
+
 symbol_lists = st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=40)
 
 
