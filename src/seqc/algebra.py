@@ -10,6 +10,7 @@ never silently read coefficients past the truncation point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 NEG_INF = float("-inf")
 
@@ -95,6 +96,16 @@ class PrimeField:
                 self.validate_symbol(u)
 
 
+def _lazy_terms(p: int) -> int:
+    """Products c*v (c, v in [0, p)) an int64 entry absorbs before a reduction.
+
+    An entry starts in [0, p); adding (or subtracting) k such products
+    and one more value below p keeps it below (p-1) + k (p-1)^2 + (p-1),
+    which must stay under 2^63.  k is 2 at p = 2^31 - 1.
+    """
+    return (2**63 - 1 - 2 * (p - 1)) // (p - 1) ** 2
+
+
 def _check_same_field(a, b):
     if a.field != b.field:
         raise FieldMismatchError(f"{a.field} vs {b.field}")
@@ -162,8 +173,10 @@ class Poly:
 
     def __add__(self, other):
         _check_same_field(self, other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.field, tuple(self.coeff(i) + other.coeff(i) for i in range(n)))
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return Poly(self.field, tuple(map(add, a, b)) + a[len(b):])
 
     def __neg__(self):
         return Poly(self.field, tuple(-c for c in self.coeffs))
@@ -282,9 +295,9 @@ class LaurentSeries:
         if top is not None:
             if len(c) != top - self.low + 1:
                 raise ValueError("coefficient span does not match top/low")
-            while c and c[0] == 0:
-                c.pop(0)
-                top -= 1
+            lead = next((i for i, v in enumerate(c) if v), len(c))
+            c = c[lead:]
+            top -= lead
             if not c:
                 top = None
         elif c:
@@ -359,8 +372,14 @@ class LaurentSeries:
         top = max(tops)
         if top < low:
             return LaurentSeries.zero(self.field, low)
-        coeffs = tuple(self.coeff(e) + other.coeff(e) for e in range(top, low - 1, -1))
+        coeffs = tuple(map(add, self._window(top, low), other._window(top, low)))
         return LaurentSeries(self.field, top, coeffs, low)
+
+    def _window(self, top: int, low: int) -> tuple:
+        """Coefficients of x^top, ..., x^low, zero-padded; low >= self.low."""
+        if self.top is None or self.top < low:
+            return (0,) * (top - low + 1)
+        return (0,) * (top - self.top) + self.coeffs[:self.top - low + 1]
 
     def __neg__(self):
         if self.is_zero:

@@ -41,7 +41,7 @@ from itertools import accumulate, islice
 import numpy as np
 
 from . import gf2
-from .algebra import LaurentSeries, Poly, PrecisionError, PrimeField
+from .algebra import LaurentSeries, Poly, PrecisionError, PrimeField, _lazy_terms
 from .autoseq import Profile
 
 
@@ -139,16 +139,6 @@ def _euclid(backend: _Backend, r_prev, r_cur, n: int) -> list:
         deg_q += backend.degree(a)
         r_prev, r_cur = r_cur, r_next
     return quotients
-
-
-def _lazy_terms(p: int) -> int:
-    """Products c*v (c, v in [0, p)) an int64 entry absorbs before a reduction.
-
-    An entry starts in [0, p); adding (or subtracting) k such products
-    and one more value below p keeps it below (p-1) + k (p-1)^2 + (p-1),
-    which must stay under 2^63.  k is 2 at p = 2^31 - 1.
-    """
-    return (2**63 - 1 - 2 * (p - 1)) // (p - 1) ** 2
 
 
 def _arr_degree(a) -> int:

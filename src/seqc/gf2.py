@@ -2,17 +2,20 @@
 
 A polynomial is a plain int whose bit i is the coefficient of x^i, so xor
 is addition and shifts are monomial multiplications.  Large products go
-through integer multiplication with coefficients spread into fixed-width
-slots (no carries can cross slots while the convolution coefficients fit),
-which keeps the O(N^2) kernels inside CPython's bignum code.
+through one integer multiplication with the coefficients spread into byte
+slots wide enough to count the shorter operand's bits, so no carry crosses
+a slot.  Spreading and collapsing go through binary strings and
+``bytes.translate``, in linear time, which keeps the O(N^2) kernels inside
+CPython's bignum code.
 """
 
 from __future__ import annotations
 
 from .algebra import Poly
 
-# byte -> 128-bit int with the byte's bits placed every 16 bits
-_SPREAD16 = [sum(((b >> i) & 1) << (16 * i) for i in range(8)) for b in range(256)]
+# ASCII binary digit -> coefficient byte, and slot byte -> ASCII digit of its parity
+_DIGIT = bytes.maketrans(b"01", b"\x00\x01")
+_PARITY = bytes(48 + (v & 1) for v in range(256))
 
 
 def degree(a: int) -> int:
@@ -20,30 +23,23 @@ def degree(a: int) -> int:
     return a.bit_length() - 1
 
 
-def _spread(a: int, slot: int) -> int:
-    out = 0
-    off = 0
-    if slot == 16:
-        while a:
-            out |= _SPREAD16[a & 0xFF] << off
-            a >>= 8
-            off += 128
-        return out
-    for i in range(a.bit_length()):
-        if (a >> i) & 1:
-            out |= 1 << (slot * i)
-    return out
+def _spread(a: int, w: int) -> int:
+    """a with coefficient i moved to the low bit of the i-th w-byte slot."""
+    digits = format(a, "b").encode().translate(_DIGIT)
+    slots = bytearray(len(digits) * w)
+    slots[w - 1::w] = digits
+    return int.from_bytes(slots, "big")
 
 
-def _collapse(prod: int, slot: int) -> int:
-    # keep the parity of every slot
-    step = slot // 8
-    data = prod.to_bytes((prod.bit_length() + 7) // 8 + step, "little")
-    out = 0
-    for i in range(0, len(data), step):
-        if data[i] & 1:
-            out |= 1 << (i // step)
-    return out
+def _collapse(prod: int, w: int) -> int:
+    """The parity of every w-byte slot of prod, slot i as coefficient i."""
+    data = prod.to_bytes(-(-prod.bit_length() // (8 * w)) * w, "big")
+    return int(data[w - 1::w].translate(_PARITY) or b"0", 2)
+
+
+def _slot_bytes(terms: int) -> int:
+    """Bytes per slot that hold a sum of ``terms`` products of bits."""
+    return max(1, (terms.bit_length() + 7) // 8)
 
 
 def mul(a: int, b: int) -> int:
@@ -60,26 +56,21 @@ def mul(a: int, b: int) -> int:
             out ^= a << (low.bit_length() - 1)
             b ^= low
         return out
-    slot = 16 if lb < (1 << 15) else 32
-    return _collapse(_spread(a, slot) * _spread(b, slot), slot)
+    w = _slot_bytes(lb)
+    return _collapse(_spread(a, w) * _spread(b, w), w)
 
 
 def mul_add_is_one(a1: int, b1: int, a2: int, b2: int) -> bool:
     """Whether a1*b1 + a2*b2 == 1 in GF(2)[x].
 
     Evaluated in the spread domain so only one big-int multiply per product
-    is needed; the final test masks out slot parities.  No seqc code calls
+    is needed; the final test reads the slot parities.  No seqc code calls
     it.  It stays defined because perfbench/spans.py looks it up by name to
     time it; it goes together with that lookup.
     """
-    lens = [v.bit_length() for v in (a1, b1, a2, b2)]
-    slot = 16 if max(min(lens[0], lens[1]), min(lens[2], lens[3])) < (1 << 14) else 32
-    s = _spread(a1, slot) * _spread(b1, slot) + _spread(a2, slot) * _spread(b2, slot)
-    nslots = (s.bit_length() + slot - 1) // slot
-    mask = 0
-    for i in range(nslots):
-        mask |= 1 << (slot * i)
-    return (s & mask) == 1
+    w = _slot_bytes(min(a1.bit_length(), b1.bit_length()) + min(a2.bit_length(), b2.bit_length()))
+    s = _spread(a1, w) * _spread(b1, w) + _spread(a2, w) * _spread(b2, w)
+    return _collapse(s, w) == 1
 
 
 def divmod_(a: int, b: int):

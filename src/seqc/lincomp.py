@@ -1,99 +1,140 @@
 """Nth linear complexity profiles by Berlekamp-Massey synthesis.
 
 The profile is produced in a single O(N^2) pass, emitting L(N) at every
-step.  Over F_2 the synthesis state is bit-packed into ints; the generic
-prime-field path keeps the state in numpy int64 vectors, updates only
-their live span and takes the discrepancy limb by limb, so it is exact at
-every supported p.  The
-zero-prefix and 0...0!=0 boundary conventions fall out of the standard
-initialization and are asserted in tests rather than special-cased here.
+step.  The synthesis runs in residual form.  With S = sum u_i x^i, it
+keeps D = c S for the current connection polynomial c and E = b S for the
+polynomial b of the last length change, at step m.  Coefficient n of D is
+sum_j c_j u_(n-j), the discrepancy of step n, so no dot product is taken.
+The update c <- c - (d/b_d) x^(n-m) b becomes D <- D - (d/b_d) x^(n-m) E,
+and a length change makes E the old D.  Coefficients of D below n are
+never read again, so neither D nor E needs them, and the profile needs
+no connection vector at all; only ``bm_connection`` asks for c.
+
+Over F_2, D and E are bit-packed ints; for odd p they are numpy int64
+arrays reduced lazily under the ``_lazy_terms`` bound, so every step is
+exact at every supported p.  The zero-prefix and 0...0!=0 boundary
+conventions fall out of the standard initialization and are asserted in
+tests rather than special-cased here.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .algebra import PrimeField
+from .algebra import PrimeField, _lazy_terms
 from .autoseq import Profile
 
-
-def _bm_f2(bits):
-    """Bit-packed synthesis; returns (per-step L values, final C bits, final L)."""
-    c = 1  # connection polynomial, bit j = c_j, c_0 = 1
-    b = 1  # previous connection polynomial
-    ell = 0
-    m = -1  # index of last length change
-    rev = 0  # bit j = u_{n-j}
-    prof = []
-    for n, u in enumerate(bits):
-        rev = (rev << 1) | (u & 1)
-        if (c & rev).bit_count() & 1:
-            t = c
-            c ^= b << (n - m)
-            if 2 * ell <= n:
-                ell = n + 1 - ell
-                b = t
-                m = n
-        prof.append(ell)
-    return prof, c, ell
+# steps per shift of D over F_2: D moves right once per block and the
+# block's discrepancies are read from a BLOCK-bit window
+_BLOCK = 64
+_MASK = (1 << _BLOCK) - 1
 
 
-def _limbs(seq, p):
-    """The stream as (shift, k-bit limb array) pairs, sum(limb << shift) = seq.
+def _bm_f2(bits, connection):
+    """Bit-packed residual synthesis; returns (L values, C bits or None, final L).
 
-    k is the widest limb with (N+1)(p-1)(2^k-1) < 2^63, so the dot product
-    of a connection vector with one limb cannot overflow int64.  At small
-    p a single limb holds every symbol.
+    At block start s the int ``d`` holds D >> s, and ``w`` its low _BLOCK
+    bits, so bit t of ``w`` is the discrepancy of step n = s + t.  E is
+    kept as it was taken, the pair (e, e_sh) = (D >> s', m - s') from the
+    block s' of the last length change at step m.  Then x^(n-m) E >> s is
+    e shifted left by t - e_sh (right when negative).
+
+    Invariant: bits of ``d`` and ``w`` below the current offset t are
+    stale, and so are the low bits of a shifted e; they are never read.
+    Bit i >= t of ``d`` is exactly coefficient s + i of c S, because an
+    update only reads bits of e at or above e_sh, which were exact when e
+    was taken.
+
+    Start: c = b = 1 and m = -1, so D = S and E = S; e_sh = -1 is
+    folded into e as (e, e_sh) = (S << 1, 0).  c and b are tracked only
+    when ``connection`` is set.
     """
-    bits = (p - 1).bit_length()
-    k = min(bits, ((2**63 - 1) // ((len(seq) + 1) * (p - 1)) + 1).bit_length() - 1)
-    s = np.array(seq, dtype=np.int64)
-    return [(shift, (s >> shift) & ((1 << k) - 1)) for shift in range(0, bits, k)]
+    n_len = len(bits)
+    d = int("".join(map(str, reversed(bits))), 2)
+    e, e_sh = d << 1, 0
+    c = b = 1
+    m = -1
+    ell = 0
+    prof = []
+    for s in range(0, n_len, _BLOCK):
+        if s:
+            d >>= _BLOCK
+        w = d & _MASK
+        for t in range(min(_BLOCK, n_len - s)):
+            if w >> t & 1:
+                n = s + t
+                x = e << (t - e_sh) if t >= e_sh else e >> (e_sh - t)
+                if connection:
+                    c, old_c = c ^ (b << (n - m)), c
+                if 2 * ell <= n:
+                    ell = n + 1 - ell
+                    e, e_sh, m = d, t, n
+                    if connection:
+                        b = old_c
+                d ^= x
+                w ^= x & _MASK
+            prof.append(ell)
+    return prof, (c if connection else None), ell
 
 
-def _bm_modp(seq, p):
-    """Generic prime-field synthesis; returns (L values, final c vector, final L).
+def _bm_modp(seq, p, connection):
+    """Residual synthesis over F_p; returns (L values, c vector or None, final L).
 
-    Only the live span of c changes at a step: x^(n-m) b touches
-    c[n-m : n-m+len(b)], and b is held at length L+1 of its own step.
-    The discrepancy reads u_n, ..., u_(n-L) as one contiguous slice of
-    each reversed limb array.
+    ``res[i]`` holds coefficient i of D = c S for every i >= n; entries
+    below n are stale and never read.  ``e[k]`` holds coefficient m + k
+    of E = b S, reduced, so the update at step n is
+    res[n:] -= (d/b_d) e[:N-n].  Each entry absorbs one product per
+    update and is reduced mod p every ``_lazy_terms(p)`` updates; so is
+    the live prefix c[:L+1] of the connection vector, when it is kept.
+
+    Start: c = b = 1 and m = -1, so res = S and e = [0] + S.
     """
     n_len = len(seq)
-    # rev[n_len-1-n+i] = limb of u_(n-i)
-    limbs = [(shift, np.ascontiguousarray(limb[::-1])) for shift, limb in _limbs(seq, p)]
-    c = np.zeros(n_len + 1, dtype=np.int64)
-    c[0] = 1
-    b = c[:1].copy()
+    res = np.array(seq, dtype=np.int64)
+    e = np.concatenate((np.zeros(1, dtype=np.int64), res))
+    tmp = np.empty(n_len, dtype=np.int64)
+    if connection:
+        c = np.zeros(n_len + 1, dtype=np.int64)
+        c[0] = 1
+        b = c[:1].copy()
+    lazy = _lazy_terms(p)
+    pending = 0  # updates since res and c were last reduced
     ell = 0
     m = -1
     bd_inv = 1  # inverse of the discrepancy at the last length change
     prof = []
     for n in range(n_len):
-        lo = n_len - 1 - n
-        d = sum(int(c[:ell + 1] @ rev[lo:lo + ell + 1]) << shift
-                for shift, rev in limbs) % p
+        d = int(res[n]) % p
         if d:
+            coef = d * bd_inv % p
             grow = 2 * ell <= n
+            live = res[n:]
+            step = np.multiply(e[:n_len - n], coef, out=tmp[:n_len - n])
             if grow:
-                t = c[:ell + 1].copy()
-            span = c[n - m:n - m + len(b)]
-            span -= d * bd_inv % p * b
-            span %= p
-            if grow:
-                ell = n + 1 - ell
-                b = t
+                e = live % p
                 bd_inv = pow(d, -1, p)
-                m = n
+            live -= step
+            if connection:
+                next_b = c[:ell + 1] % p if grow else b
+                c[n - m:n - m + len(b)] -= np.multiply(b, coef, out=tmp[:len(b)])
+                b = next_b
+            if grow:
+                ell, m = n + 1 - ell, n
+            pending += 1
+            if pending == lazy:
+                live %= p
+                if connection:
+                    c[:ell + 1] %= p
+                pending = 0
         prof.append(ell)
-    return prof, c, ell
+    return prof, (c[:ell + 1] % p if connection else None), ell
 
 
-def _synthesize(prefix, field: PrimeField):
+def _synthesize(prefix, field: PrimeField, connection=False):
     field.validate_symbols(prefix)
     if field.p == 2:
-        return _bm_f2(prefix)
-    return _bm_modp(prefix, field.p)
+        return _bm_f2(prefix, connection)
+    return _bm_modp(prefix, field.p, connection)
 
 
 def bm_profile(prefix, field: PrimeField) -> Profile:
@@ -112,9 +153,9 @@ def bm_connection(prefix, field: PrimeField):
     """
     if len(prefix) < 1:
         raise ValueError("prefix must contain at least one symbol")
-    _, c, ell = _synthesize(prefix, field)
+    _, c, ell = _synthesize(prefix, field, connection=True)
     p = field.p
-    cvec = list(map(int, format(c, f"0{ell + 1}b")[::-1])) if p == 2 else c[:ell + 1].tolist()
+    cvec = list(map(int, format(c, f"0{ell + 1}b")[::-1])) if p == 2 else c.tolist()
     return ell, tuple(-cvec[ell - i] % p for i in range(ell))
 
 

@@ -211,14 +211,28 @@ def test_series_inverse_roundtrip_f5(p, data):
     assert all(prod.coeff(prod.top - i) == 0 for i in range(1, known + 1))
 
 
-@given(
-    st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=20),
-    st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=20),
-)
-def test_series_add_matches_termwise(xs, ys):
-    a = series_from_prefix(xs, F2)
-    b = series_from_prefix(ys, F2)
+@st.composite
+def sum_operands(draw):
+    """(p, two series of any top and low, zero ones included, two polynomials)."""
+    p = draw(st.sampled_from([2, 3, 2**31 - 1]))
+    field = PrimeField(p)
+    coeffs = st.lists(st.integers(min_value=0, max_value=p - 1), max_size=30)
+
+    def series():
+        low, cs = draw(st.integers(min_value=-30, max_value=5)), draw(coeffs)
+        if not cs:
+            return LaurentSeries.zero(field, low)
+        return LaurentSeries(field, low + len(cs) - 1, tuple(cs), low)
+
+    return p, series(), series(), Poly(field, tuple(draw(coeffs))), Poly(field, tuple(draw(coeffs)))
+
+
+@given(sum_operands())
+def test_series_add_matches_termwise(operands):
+    p, a, b, f, g = operands
     c = a + b
-    n = min(len(xs), len(ys))
-    for i in range(1, n + 1):
-        assert c.coeff(-i) == (xs[i - 1] + ys[i - 1]) % 2
+    assert c.low == max(a.low, b.low)
+    top = max([s.top for s in (a, b) if s.top is not None], default=c.low)
+    for e in range(c.low, top + 2):
+        assert c.coeff(e) == (a.coeff(e) + b.coeff(e)) % p
+    assert (f + g).coeffs == Poly(f.field, tuple(f.coeff(i) + g.coeff(i) for i in range(31))).coeffs

@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from seqc import autoseq, lincomp
 from seqc.algebra import PrimeField
@@ -139,8 +139,33 @@ def schoolbook_bm(seq, p):
     return prof, (c + [0] * (ell + 1))[:ell + 1], ell
 
 
-@given(st.sampled_from([3, 5, 2**31 - 1]).flatmap(lambda p: st.tuples(
-    st.just(p), st.lists(st.integers(0, p - 1) | st.just(0), min_size=1, max_size=64))))
+def _bits(seed, n):
+    rng = random.Random(seed)
+    return [rng.randrange(2) for _ in range(n)]
+
+
+P31 = 2**31 - 1
+
+
+@given(st.sampled_from([2, 3, 5, P31]).flatmap(lambda p: st.tuples(
+    st.just(p), st.lists(st.integers(0, p - 1) | st.just(0), min_size=1, max_size=300))))
+# F_2 runs in 64-step blocks: a first nonzero symbol past block 0, whole and
+# just-over block lengths, E taken blocks before its next use (a constant
+# run then a break; isolated ones), and length changes at the last step of
+# a block (first nonzero at 63 or 127; a period-2 run broken at 127)
+@example((2, [0] * 70 + _bits(1, 50)))
+@example((2, _bits(2, 64)))
+@example((2, _bits(3, 128)))
+@example((2, _bits(4, 129)))
+@example((2, [1] * 250 + [0] + _bits(5, 40)))
+@example((2, [0] * 10 + [1] + [0] * 150 + [1] + [0] * 140))
+@example((2, [0] * 63 + [1] + _bits(6, 100)))
+@example((2, [0] * 127 + [1] + _bits(7, 100)))
+@example((2, [1, 0] * 63 + [1, 1] + _bits(8, 60)))
+# at p = 2^31 - 1 res and c are reduced every two updates: 200 symbols
+# near p run about a hundred reductions of each
+@example((P31, [P31 - 1 - v for v in _bits(9, 200)]))
+@example((P31, [random.Random(10).randrange(P31) for _ in range(200)]))
 @settings(max_examples=80)
 def test_live_span_bm_matches_schoolbook(case):
     p, xs = case
