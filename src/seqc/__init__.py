@@ -14,9 +14,6 @@ from .algebra import (
     Poly,
     PrecisionError,
     PrimeField,
-    poly_gcd,
-    poly_pow_mod_tN,
-    series_from_prefix,
 )
 from .autoseq import (
     AlgebraicWitness,

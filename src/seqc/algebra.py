@@ -230,12 +230,6 @@ class Poly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def monic(self):
-        if self.is_zero:
-            return self
-        inv = self.field.inv(self.leading())
-        return Poly(self.field, tuple(c * inv for c in self.coeffs))
-
     def shift(self, k: int):
         """Multiply by x^k, k >= 0."""
         if self.is_zero:
@@ -248,29 +242,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly(p={self.field.p}, {list(self.coeffs)})"
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    _check_same_field(a, b)
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
-
-
-def poly_pow_mod_tN(a: Poly, e: int, n: int) -> Poly:
-    """a**e mod x^n by square-and-multiply, truncating at every step."""
-    if n < 1:
-        raise ValueError("precision must be >= 1")
-    if e < 0:
-        raise ValueError("negative exponent")
-    result = Poly.one(a.field)
-    base = a.truncate(n)
-    while e:
-        if e & 1:
-            result = (result * base).truncate(n)
-        base = (base * base).truncate(n)
-        e >>= 1
-    return result
 
 
 @dataclass(frozen=True)
@@ -447,6 +418,3 @@ class LaurentSeries:
         return (f"LaurentSeries(p={self.field.p}, top={self.top}, "
                 f"{list(self.coeffs)}, low={self.low})")
 
-
-def series_from_prefix(prefix, field) -> LaurentSeries:
-    return LaurentSeries.from_prefix(prefix, field)

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import NEG_INF, Poly, PrimeField, poly_pow_mod_tN
+from . import gf2
+from .algebra import Poly, PrimeField, _kron_mul
 
 PATTERN = "pattern"
 SUM_OF_DIGITS = "sum-of-digits"
@@ -289,15 +290,60 @@ def residual(spec: SequenceSpec, n: int) -> Poly:
 
 
 def witness_residual(w: AlgebraicWitness, pref, n: int) -> Poly:
-    g = Poly(w.field, tuple(pref[:n]))
-    acc = Poly.zero(w.field)
-    gpow = Poly.one(w.field)
+    """sum_i h_i(t) G(t)^i mod t^n, for G = pref[0] + pref[1] t + ... + pref[n-1] t^(n-1).
+
+    Over F_p, G(t)^p = G(t^p): the p-th power map is additive and fixes
+    every coefficient.  So G^i is the product over the base-p digits d_j
+    of i of G(t^(p^j))^(d_j), and each factor is G's coefficients spread
+    with stride p^j; only an exponent whose digits sum to more than one
+    takes a product (for the built-ins, Baum-Sweet's s^3 over F_2).  Each
+    h_i is short, so h_i G^i is deg h_i + 1 shifted adds.  Every factor
+    and term is cut mod t^n as it is built, which changes no coefficient
+    below t^n, so the known range is t^0..t^(n-1) as for the full products.
+    """
+    n = max(n, 0)
+    p = w.field.p
+    g = [v % p for v in pref[:n]]
+    if p == 2:
+        g = gf2.from_bits(g)
+        mask = (1 << n) - 1
+        acc = 0
+        for i, h in enumerate(w.h_coeffs):
+            if h.is_zero:
+                continue
+            power = None
+            for stride in _frobenius_strides(i, p):
+                f = gf2.stretch(g, stride, n)
+                power = f if power is None else gf2.mul(power, f) & mask
+            acc ^= gf2.mul(gf2.from_poly(h), 1 if power is None else power)
+        acc &= mask
+        return Poly(w.field, gf2.to_bits(acc))
+    g += [0] * (n - len(g))
+    acc = [0] * n
     for i, h in enumerate(w.h_coeffs):
-        if i:
-            gpow = (gpow * g).truncate(n)
-        if not h.is_zero:
-            acc = acc + (h * gpow).truncate(n)
-    return acc.truncate(n)
+        if h.is_zero:
+            continue
+        power = None
+        for stride in _frobenius_strides(i, p):
+            f = [0] * n
+            f[::stride] = g[:-(-n // stride)]
+            power = f if power is None else _kron_mul(power, f, p)[:n]
+        power = [1] if power is None else power
+        for e, c in enumerate(h.coeffs[:n]):
+            if c:
+                seg = acc[e:e + len(power)]
+                acc[e:e + len(seg)] = [a + c * v for a, v in zip(seg, power)]
+    return Poly(w.field, tuple(acc))
+
+
+def _frobenius_strides(i: int, p: int) -> list:
+    """p^j once for each unit of the base-p digit d_j of i: G^i = prod G(t^stride)."""
+    out, stride = [], 1
+    while i:
+        i, d = divmod(i, p)
+        out += [stride] * d
+        stride *= p
+    return out
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ budget, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -291,12 +292,21 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """One parser per process, built on the first ``main`` call, not at import.
+
+    Parsing leaves the parser unchanged: every call gets a fresh namespace,
+    and config values and defaults are applied to that namespace only.
+    """
+    return build_parser()
+
+
 _DEFAULTS = {"method": "both", "format": "csv", "d_max": 8, "kmax": 4, "n_max": 1024}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if getattr(args, "config", None):
             _apply_config(args, _load_config(args.config))

@@ -37,6 +37,32 @@ def _collapse(prod: int, w: int) -> int:
     return int(data[w - 1::w].translate(_PARITY) or b"0", 2)
 
 
+def from_bits(bits) -> int:
+    """sum_i bits[i] x^i, for a sequence of coefficients in [0, 256) read mod 2."""
+    return int(bytes(bits[::-1]).translate(_PARITY) or b"0", 2)
+
+
+def to_bits(a: int) -> tuple:
+    """The coefficients of a, low to high, with no trailing zeros."""
+    return tuple(format(a, "b").encode().translate(_DIGIT)[::-1]) if a else ()
+
+
+def stretch(a: int, stride: int, n: int) -> int:
+    """a(x^stride) mod x^n: coefficient i moved to i*stride, for stride >= 1.
+
+    Over GF(2), a(x)^(2^j) = a(x^(2^j)), so this is a power of a with no
+    product.  Only the coefficients that land below x^n are moved, through
+    one binary string.
+    """
+    a &= (1 << -(-max(n, 0) // stride)) - 1
+    if stride == 1 or a == 0:
+        return a
+    digits = format(a, "b").encode()
+    out = bytearray(b"0" * ((len(digits) - 1) * stride + 1))
+    out[::stride] = digits
+    return int(out, 2)
+
+
 def _slot_bytes(terms: int) -> int:
     """Bytes per slot that hold a sum of ``terms`` products of bits."""
     return max(1, (terms.bit_length() + 7) // 8)
@@ -108,12 +134,8 @@ def fold_mod(a: int, w: int) -> int:
 def from_poly(poly: Poly) -> int:
     if poly.field.p != 2:
         raise ValueError("bit-packed representation requires p = 2")
-    out = 0
-    for i, c in enumerate(poly.coeffs):
-        if c:
-            out |= 1 << i
-    return out
+    return from_bits(poly.coeffs)
 
 
 def to_poly(bits: int, field) -> Poly:
-    return Poly(field, tuple((bits >> i) & 1 for i in range(bits.bit_length())))
+    return Poly(field, to_bits(bits))

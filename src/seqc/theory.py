@@ -6,11 +6,12 @@ fractions and compared by cross-multiplication, never through floats.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from . import autoseq, contfrac, lincomp
+from . import autoseq, contfrac, gf2, lincomp
 from .algebra import LaurentSeries, Poly, PrimeField
 from .autoseq import SequenceSpec
 
@@ -77,6 +78,12 @@ def cf_prediction(k: int, j: int) -> Poly:
     """Predicted partial quotient A_j of the all-one-pattern series."""
     if k < 1 or j < 1:
         raise ValueError("k and j must be >= 1")
+    # A_j depends on j only through j == 1, j even, j odd > 1
+    return _cf_prediction(k, j if j == 1 else 2 + j % 2)
+
+
+@functools.lru_cache(maxsize=None)
+def _cf_prediction(k: int, j: int) -> Poly:
     field = PrimeField(2)
     if k == 1:
         return Poly(field, (1, 1, 1)) if j == 1 else Poly(field, (1, 0, 1))
@@ -159,24 +166,40 @@ def _first_divergence(seq_a, seq_b):
 def functional_equation_residual(spec: SequenceSpec, n: int, pref=None) -> LaurentSeries:
     """(1+x) R^2 + R + U^{2^k} x^{-2^k} for an all-one-pattern sequence.
 
-    Must vanish to the available precision.  ``pref`` overrides the
-    generated prefix (used to propagate corrupted fixtures).
+    R = sum_{i=1..m} u_{i-1} x^-i over the first m = len(pref[:n]) symbols
+    and U = sum_{i=0..n} x^-i.  Must vanish to the available precision.
+    ``pref`` overrides the generated prefix (used to propagate corrupted
+    fixtures).
+
+    Over F_2, A(x)^2 = A(x^2) for every series A: squaring is additive
+    and fixes every coefficient.  So in y = x^-1, with G = sum u_i y^i,
+    the residual is (y + y^2) G(y^2) + y G(y) + y^{2^k} U(y^{2^k}): two
+    spreads and shift-XORs of bit-packed ints, with no product.  All three
+    terms are exact polynomials in y, so the result is known down to
+    x^-m, the lowest exponent R is known at, the same as for the
+    truncated series products: it is cut there with one mask.
     """
     if not spec.is_all_one_pattern:
         raise ValueError("functional equation applies to all-one patterns only")
     field = spec.field
-    k = spec.k
+    step = 2 ** spec.k
     if pref is None:
         pref = autoseq.prefix(spec, n)
-    r = LaurentSeries.from_prefix(pref[:n], field)
-    u = LaurentSeries(field, 0, (1,) * (n + 1), -n)
-    u_pow = u
-    for _ in range(k):
-        u_pow = u_pow * u_pow
-    # the polynomial factor is exact: declare it known to full depth so the
-    # pessimistic precision rule does not truncate the residual
-    one_plus_x = LaurentSeries.from_poly(Poly(field, (1, 1)), -(2 * n + 2))
-    return one_plus_x * (r * r) + r + u_pow.shift(-(2 ** k))
+    symbols = pref[:n]
+    if not symbols:
+        raise ValueError("prefix must contain at least one symbol")
+    field.validate_symbols(symbols)
+    m = len(symbols)
+    g = gf2.from_bits(symbols)
+    r2 = gf2.stretch(g, 2, m)
+    u = gf2.stretch((1 << (m + 1)) - 1, step, m + 1 - step)
+    res = ((r2 << 1) ^ (r2 << 2) ^ (g << 1) ^ (u << step)) & ((1 << (m + 1)) - 1)
+    if not res:
+        return LaurentSeries.zero(field, -m)
+    # bit e of res is the coefficient of x^-e; the top is the lowest set bit
+    v = (res & -res).bit_length() - 1
+    coeffs = gf2.to_bits(res >> v) + (0,) * (m + 1 - res.bit_length())
+    return LaurentSeries(field, -v, coeffs, -m)
 
 
 def verify(spec: SequenceSpec, n_max: int, mutate=None) -> VerifyReport:
@@ -217,12 +240,9 @@ def verify(spec: SequenceSpec, n_max: int, mutate=None) -> VerifyReport:
             actual=None if div is None else div[2]))
 
     w = autoseq.witness(spec)
-    fail = None
-    for n in range(1, n_max + 1):
-        ell = prof_bm.at(n)
-        if not bounds_hold(w.d, w.m, n, ell):
-            fail = (n, general_bounds(w.d, w.m, n), ell)
-            break
+    d, m = w.d, w.m
+    fail = next(((n, general_bounds(d, m, n), ell) for n, ell in enumerate(prof_bm, start=1)
+                 if not bounds_hold(d, m, n, ell)), None)
     report.checks.append(CheckResult(
         "theorem1_bounds", fail is None,
         first_fail_n=None if fail is None else fail[0],
@@ -290,11 +310,16 @@ def verify(spec: SequenceSpec, n_max: int, mutate=None) -> VerifyReport:
     return report
 
 
-def verify_suite(n_max: int, k_max: int = 4, mutate=None):
-    """Verify every built-in plus the all-one patterns k = 1..k_max, in order."""
+def suite_specs(k_max: int = 4) -> list:
+    """Every built-in plus the all-one patterns k = 1..k_max, in order, once each."""
     specs = list(autoseq.builtin_specs())
     for k in range(1, k_max + 1):
         s = autoseq.pattern(2, k, 2 ** k - 1)
         if s not in specs:
             specs.append(s)
-    return [verify(s, n_max, mutate=mutate) for s in specs]
+    return specs
+
+
+def verify_suite(n_max: int, k_max: int = 4, mutate=None):
+    """Verify every spec of ``suite_specs(k_max)``, in order."""
+    return [verify(s, n_max, mutate=mutate) for s in suite_specs(k_max)]

@@ -10,9 +10,6 @@ from seqc.algebra import (
     Poly,
     PrecisionError,
     PrimeField,
-    poly_gcd,
-    poly_pow_mod_tN,
-    series_from_prefix,
 )
 
 F2 = PrimeField(2)
@@ -56,11 +53,6 @@ class TestPoly:
         a = P(F2, 1, 1)
         assert a * a == P(F2, 1, 0, 1)
 
-    def test_gcd_char2(self):
-        # gcd(x^2+1, x+1) = x+1 since x^2+1 = (x+1)^2
-        g = poly_gcd(P(F2, 1, 0, 1), P(F2, 1, 1))
-        assert g == P(F2, 1, 1)
-
     def test_divmod_f3_hand_checked(self):
         # (x^3 + 2x) / (x^2 + 1) = x remainder x over F_3
         q, r = divmod(P(F3, 0, 2, 0, 1), P(F3, 1, 0, 1))
@@ -70,12 +62,6 @@ class TestPoly:
     def test_field_mismatch_raises(self):
         with pytest.raises(FieldMismatchError):
             P(F2, 1) + P(F3, 1)
-
-    def test_pow_mod_tn(self):
-        one_plus_t = P(F2, 1, 1)
-        assert poly_pow_mod_tN(one_plus_t, 2, 2) == P(F2, 1)
-        assert poly_pow_mod_tN(one_plus_t, 3, 3) == P(F2, 1, 1, 1)
-        assert poly_pow_mod_tN(P(F5, 3, 1, 4), 0, 7) == Poly.one(F5)
 
     def test_large_prime_path(self):
         # convolution sums of (p-1)^2 terms overflow int64 at this p
@@ -109,7 +95,7 @@ def test_poly_mul_matches_schoolbook(p, data):
     assert P(field, *xs) * P(field, *ys) == P(field, *want)
     if any(xs) and any(ys):
         # a series product keeps as many top coefficients as the shorter factor
-        prod = series_from_prefix(xs, field) * series_from_prefix(ys, field)
+        prod = LaurentSeries.from_prefix(xs, field) * LaurentSeries.from_prefix(ys, field)
         n = min(len(xs), len(ys))
         assert [prod.coeff(-i) for i in range(2, n + 2)] == [v % p for v in want[:n]]
 
@@ -139,22 +125,22 @@ def test_frobenius_power_property(e, xs):
 class TestLaurentSeries:
     def test_from_prefix_reindexes(self):
         # u_0..u_3 = 0,1,1,0 becomes x^-2 + x^-3 known down to x^-4
-        r = series_from_prefix([0, 1, 1, 0], F2)
+        r = LaurentSeries.from_prefix([0, 1, 1, 0], F2)
         assert r.valuation == -2
         assert r.low == -4
         assert [r.coeff(-i) for i in range(1, 5)] == [0, 1, 1, 0]
 
     def test_from_prefix_all_zero(self):
-        r = series_from_prefix([0, 0, 0], F2)
+        r = LaurentSeries.from_prefix([0, 0, 0], F2)
         assert r.is_zero
         assert r.low == -3
 
     def test_thue_morse_prefix8(self):
-        r = series_from_prefix([0, 1, 1, 0, 1, 0, 0, 1], F2)
+        r = LaurentSeries.from_prefix([0, 1, 1, 0, 1, 0, 0, 1], F2)
         assert [i for i in range(1, 9) if r.coeff(-i)] == [2, 3, 5, 8]
 
     def test_coeff_below_precision_raises(self):
-        r = series_from_prefix([0, 1, 1, 0], F2)
+        r = LaurentSeries.from_prefix([0, 1, 1, 0], F2)
         with pytest.raises(PrecisionError):
             r.coeff(-5)
 
@@ -173,11 +159,11 @@ class TestLaurentSeries:
     def test_polynomial_part(self):
         r = LaurentSeries(F2, 2, (1, 0, 1, 1), -1)  # x^2 + 1 + x^-1
         assert r.polynomial_part() == P(F2, 1, 0, 1)
-        s = series_from_prefix([1, 1], F2)
+        s = LaurentSeries.from_prefix([1, 1], F2)
         assert s.polynomial_part().is_zero
 
     def test_valuation_examples(self):
-        r = series_from_prefix([0, 1, 1], F2)
+        r = LaurentSeries.from_prefix([0, 1, 1], F2)
         assert r.valuation == -2
         x3 = LaurentSeries.from_poly(Poly.monomial(F2, 3), 0)
         xm1 = LaurentSeries.from_poly(Poly.one(F2), 0).shift(-1)
@@ -189,8 +175,8 @@ class TestLaurentSeries:
         assert (r + s).valuation == 3
 
     def test_mul_precision_is_pessimistic(self):
-        a = series_from_prefix([1, 0, 1, 1], F2)  # knows x^-1..x^-4
-        b = series_from_prefix([1, 1], F2)  # knows x^-1..x^-2
+        a = LaurentSeries.from_prefix([1, 0, 1, 1], F2)  # knows x^-1..x^-4
+        b = LaurentSeries.from_prefix([1, 1], F2)  # knows x^-1..x^-2
         prod = a * b
         prod.coeff(-3)
         with pytest.raises(PrecisionError):
@@ -201,7 +187,7 @@ class TestLaurentSeries:
 @given(data=st.data())
 def test_series_inverse_roundtrip_f5(p, data):
     xs = data.draw(st.lists(st.integers(min_value=0, max_value=p - 1), min_size=1, max_size=16))
-    r = series_from_prefix(xs, PrimeField(p))
+    r = LaurentSeries.from_prefix(xs, PrimeField(p))
     if r.is_zero:
         return
     prod = r * r.inverse()

@@ -247,3 +247,60 @@ def test_seed_flag_is_gone():
     with pytest.raises(SystemExit) as exc:
         cli.main(["generate", "--seq", "thue-morse", "--n", "4", "--seed", "1"])
     assert exc.value.code == 2
+
+
+class TestParserReuse:
+    """main builds its parser once per process; no call may see another's options."""
+
+    @staticmethod
+    def run(argv, capsys):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = ("exit", exc.code)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    def argvs(self, tmp_path):
+        conf_bm = tmp_path / "bm.conf"
+        conf_bm.write_text("seq=rudin-shapiro\nn-max=12\nmethod=bm\nformat=json\n")
+        conf_v = tmp_path / "v.conf"
+        conf_v.write_text("seq=thue-morse\nn-max=32\ncorrupt-index=5\n")
+        return [
+            ["profile", "--config", str(conf_bm)],
+            ["profile", "--seq", "thue-morse", "--n-max", "6"],
+            ["verify", "--config", str(conf_v)],
+            ["verify", "--seq", "thue-morse", "--n-max", "32"],
+            ["generate", "--seq", "pattern", "--p", "3", "--k", "2", "--a", "4", "--n", "9"],
+            ["generate", "--seq", "pattern", "--n", "9"],
+            ["profile", "--seq", "thue-morse", "--n-max", "6", "--method", "nope"],
+            ["expansion", "--seq", "perfect-profile", "--n", "8", "--d-max", "3"],
+            ["expansion", "--seq", "perfect-profile", "--n", "8"],
+            ["verify", "--suite", "all", "--n-max", "16", "--kmax", "2"],
+            ["profile", "--config", str(tmp_path / "missing.conf")],
+            ["profile", "--seq", "rudin-shapiro", "--n-max", "12"],
+        ]
+
+    def test_reused_parser_matches_fresh_parsers(self, capsys, tmp_path):
+        argvs = self.argvs(tmp_path)
+        cli._parser.cache_clear()
+        reused = [self.run(argv, capsys) for argv in argvs]
+        assert cli._parser.cache_info().misses == 1
+        fresh = []
+        for argv in argvs:
+            cli._parser.cache_clear()
+            fresh.append(self.run(argv, capsys))
+        assert reused == fresh
+        # config values, corrupt index and pattern parameters do not leak into
+        # the next call: defaults come back, the clean verify passes, and a
+        # pattern without --p/--k/--a is a usage error
+        assert [r[0] for r in reused] == [0, 0, 1, 0, 0, 2, ("exit", 2), 0, 0, 0, 2, 0]
+        assert reused[1][1].startswith("N,L_bm,L_cf")
+        assert json.loads(reused[0][1])[0]["L_cf"] is None
+
+    def test_import_builds_no_parser(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import seqc.cli as c; print(c._parser.cache_info().misses)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "0"

@@ -1,0 +1,136 @@
+"""Witness and functional-equation residuals against product-based references.
+
+``witness_residual`` and ``functional_equation_residual`` build powers of G
+by Frobenius spreads and take a full product only where an exponent has
+more than one base-p digit unit.  The references below are the plain
+schoolbook definitions, with every power and product taken in full.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from seqc import autoseq, theory
+from seqc.algebra import LaurentSeries, Poly, PrimeField
+from seqc.autoseq import AlgebraicWitness
+
+
+def reference_witness_residual(w, pref, n):
+    g = Poly(w.field, tuple(pref[:n]))
+    acc = Poly.zero(w.field)
+    gpow = Poly.one(w.field)
+    for i, h in enumerate(w.h_coeffs):
+        if i:
+            gpow = (gpow * g).truncate(n)
+        if not h.is_zero:
+            acc = acc + (h * gpow).truncate(n)
+    return acc.truncate(n)
+
+
+def reference_functional_equation(spec, n, pref):
+    field = spec.field
+    r = LaurentSeries.from_prefix(pref[:n], field)
+    u = LaurentSeries(field, 0, (1,) * (n + 1), -n)
+    u_pow = u
+    for _ in range(spec.k):
+        u_pow = u_pow * u_pow
+    one_plus_x = LaurentSeries.from_poly(Poly(field, (1, 1)), -(2 * n + 2))
+    return one_plus_x * (r * r) + r + u_pow.shift(-(2 ** spec.k))
+
+
+SPECS = {
+    2: [s for s in theory.suite_specs() if s.field.p == 2],
+    3: [autoseq.sum_of_digits(3), autoseq.pattern(3, 2, 4), autoseq.pattern(3, 1, 2)],
+    5: [autoseq.sum_of_digits(5), autoseq.pattern(5, 1, 2)],
+}
+
+
+def corrupt(pref, index, delta, p):
+    pref = list(pref)
+    pref[index % len(pref)] = (pref[index % len(pref)] + delta) % p
+    return pref
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.data(), st.integers(1, 300),
+       st.integers(0, 299), st.integers(0, 4))
+def test_builtin_residual_matches_reference(p, data, n, index, delta):
+    spec = data.draw(st.sampled_from(SPECS[p]))
+    w = autoseq.witness(spec)
+    pref = corrupt(autoseq.prefix(spec, n), index, delta, p)
+    assert autoseq.witness_residual(w, pref, n) == reference_witness_residual(w, pref, n)
+
+
+# exponents with several base-p digit units, so the product branch runs:
+# s^3 = s^(2+1) over F_2; s^4 = s^(3+1) and s^5 = s^(3+1+1) over F_3
+MULTI_DIGIT = [(2, 3), (3, 4), (3, 5), (5, 6), (5, 7)]
+
+
+@st.composite
+def multi_digit_witnesses(draw):
+    p, d = draw(st.sampled_from(MULTI_DIGIT))
+    field = PrimeField(p)
+    short = st.lists(st.integers(0, p - 1), max_size=5)
+    h = [Poly(field, tuple(draw(short))) for _ in range(d)]
+    h.append(Poly(field, tuple(draw(short)) + (draw(st.integers(1, p - 1)),)))
+    m = max(int(c.degree) - i for i, c in enumerate(h) if not c.is_zero)
+    return AlgebraicWitness(field, tuple(h), m=m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(multi_digit_witnesses(), st.data(), st.integers(1, 300))
+def test_multi_digit_residual_matches_reference(w, data, n):
+    p = w.field.p
+    pref = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=n))
+    assert autoseq.witness_residual(w, pref, n) == reference_witness_residual(w, pref, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 300), st.integers(0, 10),
+       st.integers(0, 299), st.booleans())
+def test_functional_equation_matches_reference(k, n, extra, index, flip):
+    spec = autoseq.pattern(2, k, 2 ** k - 1)
+    # the prefix may be longer or shorter than n: only pref[:n] is read
+    pref = autoseq.prefix(spec, max(1, n + extra - 5))
+    if flip:
+        pref[index % len(pref)] ^= 1
+    got = theory.functional_equation_residual(spec, n, pref)
+    want = reference_functional_equation(spec, n, pref)
+    assert (got.top, got.low, got.coeffs) == (want.top, want.low, want.coeffs)
+    assert got == want
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_functional_equation_zero_prefix_matches_reference(k):
+    spec = autoseq.pattern(2, k, 2 ** k - 1)
+    for n in (1, 2, 5, 16, 17):
+        pref = [0] * n
+        assert (theory.functional_equation_residual(spec, n, pref)
+                == reference_functional_equation(spec, n, pref))
+
+
+class TestEdgeControls:
+    N = 2048
+
+    @pytest.mark.parametrize("spec", theory.suite_specs(), ids=lambda s: s.canonical_name)
+    def test_last_index_corruption_fails_residual(self, spec):
+        # catches a mask or spread bound that stops one coefficient short
+        last = self.N - 1
+
+        def mutate(pref):
+            pref[last] = (pref[last] + 1) % spec.field.p
+            return pref
+
+        report = theory.verify(spec, self.N, mutate=mutate)
+        res = next(c for c in report.checks if c.name == "residual_zero")
+        assert not res.passed
+        assert res.first_fail_n == self.N
+
+    def test_paper_folding_u0_is_not_a_control(self):
+        # h(s+1) = h(s) over F_2 for paper-folding's witness, and flipping
+        # u_0 gives paper-folding(v0=0): the residual rightly vanishes
+        spec = autoseq.paper_folding(1)
+        pref = autoseq.prefix(spec, self.N)
+        pref[0] ^= 1
+        assert pref == autoseq.prefix(autoseq.paper_folding(0), self.N)
+        assert autoseq.witness_residual(autoseq.witness(spec), pref, self.N).is_zero
+        assert theory.verify(spec, self.N, mutate=lambda _: list(pref)).ok
