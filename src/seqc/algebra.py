@@ -78,9 +78,6 @@ class PrimeField:
         if not _is_prime(self.p):
             raise ValueError(f"modulus is not prime: {self.p}")
 
-    def reduce(self, a: int) -> int:
-        return a % self.p
-
     def inv(self, a: int) -> int:
         return pow(a % self.p, -1, self.p)
 
@@ -153,11 +150,6 @@ class Poly:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def leading(self) -> int:
-        if self.is_zero:
-            raise ZeroDivisionError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
 
     def coeff(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0

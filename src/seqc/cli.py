@@ -48,25 +48,16 @@ def spec_from_args(args) -> SequenceSpec:
     if name == "baum-sweet":
         return autoseq.baum_sweet()
     if name == "paper-folding":
-        return autoseq.paper_folding(args.v0 if args.v0 is not None else 1)
-    if name == "perfect-profile":
-        return autoseq.perfect_profile()
-    raise UsageError(f"unknown sequence name: {name}")
-
-
-def _open_out(path):
-    if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w"), True
+        return autoseq.paper_folding(args.v0)
+    return autoseq.perfect_profile()  # the last of argparse's SEQ_NAMES choices
 
 
 def _emit(path, text):
-    out, close = _open_out(path)
-    try:
+    if path in (None, "-"):
+        sys.stdout.write(text)
+        return
+    with open(path, "w") as out:
         out.write(text)
-    finally:
-        if close:
-            out.close()
 
 
 def cmd_generate(args) -> int:
@@ -127,9 +118,8 @@ def cmd_profile(args) -> int:
         return 0
     lines = [CSV_HEADER]
     for row in rows:
-        cells = [row["N"], row["L_bm"], row["L_cf"], row["L_formula"],
-                 row["lower_num"], row["lower_den"], row["upper_num"], row["upper_den"]]
-        lines.append(",".join("" if c is None else str(c) for c in cells))
+        lines.append(",".join("" if row[key] is None else str(row[key])
+                              for key in CSV_HEADER.split(",")))
     _emit(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -204,9 +194,9 @@ def cmd_bench(args) -> int:
     return 1 if over else 0
 
 
-def _load_config(path):
-    """key=value lines mirroring the long flag names."""
-    conf = {}
+def _config_tokens(path) -> list:
+    """A file of key=value lines, one per long flag name, as --key value tokens."""
+    tokens = []
     with open(path) as fh:
         for line in fh:
             line = line.strip()
@@ -215,24 +205,27 @@ def _load_config(path):
             if "=" not in line:
                 raise UsageError(f"bad config line: {line!r}")
             key, val = line.split("=", 1)
-            conf[key.strip().replace("-", "_")] = val.strip()
-    return conf
+            tokens += ["--" + key.strip().replace("_", "-"), val.strip()]
+    return tokens
 
 
-_INT_KEYS = {"n", "n_max", "p", "k", "a", "v0", "d_max", "kmax", "corrupt_index"}
+def _with_config(argv, args):
+    """Parse argv again with its config tokens after the subcommand.
 
-
-# parsed attributes that are not options of a subcommand
-_NOT_OPTIONS = {"command", "func", "required_args", "config"}
-
-
-def _apply_config(args, conf):
-    for key, val in conf.items():
-        if key not in vars(args) or key in _NOT_OPTIONS:
-            raise UsageError(f"config key {key.replace('_', '-')!r} is not an option of "
-                             f"seqc {args.command}")
-        if getattr(args, key) is None:
-            setattr(args, key, int(val) if key in _INT_KEYS else val)
+    The user's own flags come after the tokens, so they win; the tokens
+    go through the subcommand's parser, so a config value is checked
+    exactly as the same flag is.
+    """
+    at = argv.index(args.command) + 1
+    tokens = _config_tokens(args.config)
+    # argparse reads --help or a prefix of it as a request for usage, exit 0
+    extra = [key for key in tokens[::2] if "--help".startswith(key)]
+    if not extra:
+        args, extra = _parser().parse_known_args(argv[:at] + tokens + argv[at:])
+    if extra:
+        raise UsageError(f"config key {extra[0].lstrip('-')!r} is not an option of "
+                         f"seqc {args.command}")
+    return args
 
 
 def build_parser():
@@ -246,7 +239,7 @@ def build_parser():
         sp.add_argument("--p", type=int, default=None)
         sp.add_argument("--k", type=int, default=None)
         sp.add_argument("--a", type=int, default=None)
-        sp.add_argument("--v0", type=int, default=None, choices=(0, 1))
+        sp.add_argument("--v0", type=int, default=1, choices=(0, 1))
 
     def add_common(sp):
         sp.add_argument("--out", default=None, help="output path (default stdout)")
@@ -260,24 +253,24 @@ def build_parser():
 
     sp = sub.add_parser("profile", help="linear complexity profile with bounds")
     add_spec_args(sp)
-    sp.add_argument("--n-max", dest="n_max", type=int, default=None)
-    sp.add_argument("--method", choices=("bm", "cf", "both"), default=None)
-    sp.add_argument("--format", choices=("csv", "json"), default=None)
+    sp.add_argument("--n-max", dest="n_max", type=int, default=1024)
+    sp.add_argument("--method", choices=("bm", "cf", "both"), default="both")
+    sp.add_argument("--format", choices=("csv", "json"), default="csv")
     add_common(sp)
-    sp.set_defaults(func=cmd_profile, required_args=("seq", "n_max"))
+    sp.set_defaults(func=cmd_profile, required_args=("seq",))
 
     sp = sub.add_parser("expansion", help="Nth expansion complexity stream")
     add_spec_args(sp)
     sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--d-max", dest="d_max", type=int, default=None)
+    sp.add_argument("--d-max", dest="d_max", type=int, default=8)
     add_common(sp)
     sp.set_defaults(func=cmd_expansion, required_args=("seq", "n"))
 
     sp = sub.add_parser("verify", help="run the verification suite")
     add_spec_args(sp)
     sp.add_argument("--suite", choices=("all",), default=None)
-    sp.add_argument("--n-max", "--nmax", dest="n_max", type=int, default=None)
-    sp.add_argument("--kmax", type=int, default=None)
+    sp.add_argument("--n-max", "--nmax", dest="n_max", type=int, default=1024)
+    sp.add_argument("--kmax", type=int, default=4)
     sp.add_argument("--corrupt-index", dest="corrupt_index", type=int, default=None,
                     help="test fixture: corrupt the generator at this index")
     add_common(sp)
@@ -296,23 +289,18 @@ def build_parser():
 def _parser():
     """One parser per process, built on the first ``main`` call, not at import.
 
-    Parsing leaves the parser unchanged: every call gets a fresh namespace,
-    and config values and defaults are applied to that namespace only.
+    Parsing leaves the parser unchanged: every call, and every re-parse
+    with a config file's tokens, gets a fresh namespace.
     """
     return build_parser()
 
 
-_DEFAULTS = {"method": "both", "format": "csv", "d_max": 8, "kmax": 4, "n_max": 1024}
-
-
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = _parser().parse_args(argv)
     try:
-        if getattr(args, "config", None):
-            _apply_config(args, _load_config(args.config))
-        for key, val in _DEFAULTS.items():
-            if getattr(args, key, "missing") is None:
-                setattr(args, key, val)
+        if args.config:
+            args = _with_config(argv, args)
         if args.command == "verify" and args.suite is None and args.seq is None:
             raise UsageError("verify needs --suite all or --seq NAME")
         for key in args.required_args:

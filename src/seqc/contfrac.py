@@ -101,7 +101,8 @@ class CFExpansion:
 class _Backend:
     """Polynomial operations on one field's backend form.
 
-    ``from_symbols`` packs u_0..u_{n-1} as the coefficients of x^{n-1}..x^0.
+    ``from_symbols`` packs u_0..u_{n-1} as the coefficients of x^{n-1}..x^0,
+    and ``monomial(n)`` is x^n.
     """
 
     def __init__(self, field: PrimeField):
@@ -112,7 +113,8 @@ class _Backend:
             self.degree = gf2.degree
             self.native = gf2.from_poly
             self.to_poly = lambda bits: gf2.to_poly(bits, field)
-            self.from_symbols = lambda symbols: int("".join(map(str, symbols)), 2)
+            self.from_symbols = lambda symbols: gf2.from_bits(symbols[::-1])
+            self.monomial = lambda n: 1 << n
         else:
             lazy = _lazy_terms(p)
             self.mul_add = lambda a, b, c: _arr_mul_add(a, b, c, p, lazy)
@@ -121,6 +123,7 @@ class _Backend:
             self.native = lambda poly: np.array(poly.coeffs, dtype=np.int64)
             self.to_poly = lambda arr: Poly(field, tuple(arr.tolist()))
             self.from_symbols = lambda symbols: _arr_trim(np.array(symbols[::-1], dtype=np.int64))
+            self.monomial = lambda n: np.array([0] * n + [1], dtype=np.int64)
 
 
 def _euclid(backend: _Backend, r_prev, r_cur, n: int) -> list:
@@ -220,13 +223,12 @@ def cf_expand(r: LaurentSeries) -> CFExpansion:
     quots = [backend.native(a0)]
     if not b.is_zero:  # else purely polynomial: the expansion is A_0 alone
         symbols, n = _series_symbols(b)
-        x_n = backend.from_symbols([1] + [0] * n)
-        quots += _euclid(backend, x_n, backend.from_symbols(symbols), n)
+        quots += _euclid(backend, backend.monomial(n), backend.from_symbols(symbols), n)
     degs = tuple(accumulate(map(backend.degree, quots[1:]), initial=0))
     return CFExpansion(r, tuple(quots), degs)
 
 
-def cf_expand_series(r: LaurentSeries, max_quotients: int = None):
+def cf_expand_series(r: LaurentSeries):
     """Partial quotients via the Pol/inverse recursion on truncated series.
 
     Secondary differential-testing path: stops when the remaining precision
@@ -238,8 +240,6 @@ def cf_expand_series(r: LaurentSeries, max_quotients: int = None):
     quots = [r.polynomial_part()]
     b = r - LaurentSeries.from_poly(quots[0], r.low)
     while not b.is_zero:
-        if max_quotients is not None and len(quots) > max_quotients:
-            break
         inv = b.inverse()
         try:
             a = inv.polynomial_part()
@@ -320,7 +320,7 @@ def _last_convergent_ok(expansion: CFExpansion, prev, last) -> bool:
     if field.p == 2:
         (p_prev, q_prev), (p_last, q_last) = prev, last
         det_ok = gf2.mul(p_prev, q_last) ^ gf2.mul(p_last, q_prev) == 1
-        g = int("".join(map(str, coeffs)), 2)
+        g = gf2.from_bits(coeffs[::-1])
         res_deg = gf2.degree(gf2.mul(q_last, g) ^ (p_last << n))
     else:
         to_poly = _Backend(field).to_poly

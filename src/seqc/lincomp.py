@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import gf2
 from .algebra import PrimeField, _lazy_terms
 from .autoseq import Profile
 
@@ -50,7 +51,7 @@ def _bm_f2(bits, connection):
     when ``connection`` is set.
     """
     n_len = len(bits)
-    d = int("".join(map(str, reversed(bits))), 2)
+    d = gf2.from_bits(bits)
     e, e_sh = d << 1, 0
     c = b = 1
     m = -1
@@ -155,7 +156,7 @@ def bm_connection(prefix, field: PrimeField):
         raise ValueError("prefix must contain at least one symbol")
     _, c, ell = _synthesize(prefix, field, connection=True)
     p = field.p
-    cvec = list(map(int, format(c, f"0{ell + 1}b")[::-1])) if p == 2 else c.tolist()
+    cvec = gf2.to_bits(c) + (0,) * (ell + 1 - c.bit_length()) if p == 2 else c.tolist()
     return ell, tuple(-cvec[ell - i] % p for i in range(ell))
 
 

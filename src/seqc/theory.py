@@ -7,7 +7,6 @@ fractions and compared by cross-multiplication, never through floats.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -78,23 +77,25 @@ def cf_prediction(k: int, j: int) -> Poly:
     """Predicted partial quotient A_j of the all-one-pattern series."""
     if k < 1 or j < 1:
         raise ValueError("k and j must be >= 1")
-    # A_j depends on j only through j == 1, j even, j odd > 1
-    return _cf_prediction(k, j if j == 1 else 2 + j % 2)
+    return gf2.to_poly(_cf_prediction_bits(k, _quotient_shape(j)), PrimeField(2))
+
+
+def _quotient_shape(j: int) -> int:
+    """A_j depends on j only through j == 1, j even, j odd > 1."""
+    return j if j == 1 else 2 + j % 2
 
 
 @functools.lru_cache(maxsize=None)
-def _cf_prediction(k: int, j: int) -> Poly:
-    field = PrimeField(2)
+def _cf_prediction_bits(k: int, j: int) -> int:
+    """A_j for j = 1, 2 (every even j) or 3 (every odd j > 1), bit-packed
+    as the F_2 expansion stores its quotients."""
     if k == 1:
-        return Poly(field, (1, 1, 1)) if j == 1 else Poly(field, (1, 0, 1))
+        return 0b111 if j == 1 else 0b101  # x^2 + x + 1, then x^2 + 1
     if j == 1:
-        return Poly.monomial(field, 2 ** k) + Poly.x(field)
+        return 1 << 2 ** k | 0b10  # x^{2^k} + x
     if j % 2 == 0:
-        # x^{2^k - 2} + x^{2^k - 4} + ... + x^2 + 1
-        coeffs = [0] * (2 ** k - 1)
-        coeffs[::2] = [1] * (2 ** (k - 1))
-        return Poly(field, tuple(coeffs))
-    return Poly.monomial(field, 2 ** k) + Poly.one(field)
+        return sum(1 << i for i in range(0, 2 ** k - 1, 2))  # x^{2^k - 2} + ... + x^2 + 1
+    return 1 << 2 ** k | 1  # x^{2^k} + 1
 
 
 def exact_formula_for(spec: SequenceSpec):
@@ -152,8 +153,13 @@ class VerifyReport:
             "checks": [c.to_dict() for c in self.checks],
         }
 
-    def to_json(self, indent=None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+
+def _check(name, fail, expected=None) -> CheckResult:
+    """One check's result from ``fail``: None on a pass, else the triple
+    (first failing N, expected, actual).  ``expected`` is what a pass reports."""
+    if fail is None:
+        return CheckResult(name, True, expected=expected)
+    return CheckResult(name, False, *fail)
 
 
 def _first_divergence(seq_a, seq_b):
@@ -222,90 +228,49 @@ def verify(spec: SequenceSpec, n_max: int, mutate=None) -> VerifyReport:
     exp = None if r.is_zero else contfrac.cf_expand(r)
     prof_cf = (contfrac.profile_from_cf(r, n_max) if exp is None
                else contfrac.profile_from_expansion(exp, n_max))
-
-    div = _first_divergence(prof_bm, prof_cf)
-    report.checks.append(CheckResult(
-        "bm_cf_agree", div is None,
-        first_fail_n=None if div is None else div[0],
-        expected=None if div is None else div[1],
-        actual=None if div is None else div[2]))
+    checks = report.checks
+    checks.append(_check("bm_cf_agree", _first_divergence(prof_bm, prof_cf)))
 
     formula = exact_formula_for(spec)
     if formula is not None:
-        div = _first_divergence([formula(n) for n in range(1, n_max + 1)], prof_bm)
-        report.checks.append(CheckResult(
-            "exact_formula", div is None,
-            first_fail_n=None if div is None else div[0],
-            expected=None if div is None else div[1],
-            actual=None if div is None else div[2]))
+        checks.append(_check("exact_formula", _first_divergence(
+            [formula(n) for n in range(1, n_max + 1)], prof_bm)))
 
     w = autoseq.witness(spec)
     d, m = w.d, w.m
-    fail = next(((n, general_bounds(d, m, n), ell) for n, ell in enumerate(prof_bm, start=1)
-                 if not bounds_hold(d, m, n, ell)), None)
-    report.checks.append(CheckResult(
-        "theorem1_bounds", fail is None,
-        first_fail_n=None if fail is None else fail[0],
-        expected=None if fail is None else f"{fail[1].lower} <= L <= {fail[1].upper}",
-        actual=None if fail is None else fail[2]))
+    checks.append(_check("theorem1_bounds", next(
+        ((n, "{0.lower} <= L <= {0.upper}".format(general_bounds(d, m, n)), ell)
+         for n, ell in enumerate(prof_bm, start=1) if not bounds_hold(d, m, n, ell)), None)))
 
     if spec.is_all_one_pattern and spec.k == 1:
-        fail = None
-        for n in range(1, n_max + 1):
-            ell = prof_bm.at(n)
-            lower_hit = ell == n // 2  # ceil((N-1)/2)
-            upper_hit = ell == n // 2 + 1
-            want_lower = n % 4 in (0, 1)
-            if lower_hit != want_lower or upper_hit != (not want_lower):
-                fail = (n, "lower" if want_lower else "upper", ell)
-                break
-        report.checks.append(CheckResult(
-            "bound_attainment", fail is None,
-            first_fail_n=None if fail is None else fail[0],
-            expected=None if fail is None else fail[1],
-            actual=None if fail is None else fail[2]))
+        # the lower bound ceil((N-1)/2) is attained for N = 0, 1 mod 4, the upper one else
+        checks.append(_check("bound_attainment", next(
+            ((n, "lower" if n % 4 < 2 else "upper", ell)
+             for n, ell in enumerate(prof_bm, start=1) if ell != n // 2 + (n % 4 >= 2)), None)))
 
     if exp is not None:
         bad = contfrac.check_convergent_identities(exp)
-        report.checks.append(CheckResult(
-            "convergent_identities", bad is None,
-            first_fail_n=bad, expected=None, actual=None))
+        checks.append(_check("convergent_identities", None if bad is None else (bad, None, None)))
 
         if spec.is_all_one_pattern:
-            div = None
-            for j in range(1, exp.reliable_count + 1):
-                pred = cf_prediction(spec.k, j)
-                if exp.quotients[j] != pred:
-                    div = (j, list(pred.coeffs), list(exp.quotients[j].coeffs))
-                    break
-            report.checks.append(CheckResult(
-                "cf_predictions", div is None,
-                first_fail_n=None if div is None else div[0],
-                expected=None if div is None else div[1],
-                actual=None if div is None else div[2]))
+            k = spec.k
+            quotients = exp.raw_quotients[1:exp.reliable_count + 1]
+            checks.append(_check("cf_predictions", next(
+                ((j, list(cf_prediction(k, j).coeffs), list(gf2.to_bits(a)))
+                 for j, a in enumerate(quotients, start=1)
+                 if a != _cf_prediction_bits(k, _quotient_shape(j))), None)))
 
-            q_rep = contfrac.q_congruences(exp, spec.k)
-            bad = q_rep.congruence_failures[0] if q_rep.congruence_failures else None
-            report.checks.append(CheckResult(
-                "q_congruences", q_rep.ok,
-                first_fail_n=None if bad is None else bad[0],
-                expected=None if bad is None else bad[1],
-                actual=None if bad is None else bad[2]))
+            q_rep = contfrac.q_congruences(exp, k)
+            checks.append(_check("q_congruences", next(iter(q_rep.congruence_failures), None)))
 
             feq = functional_equation_residual(spec, n_max, pref=pref)
-            report.checks.append(CheckResult(
-                "functional_equation", feq.is_zero,
-                first_fail_n=None if feq.is_zero else -int(feq.valuation),
-                expected=0,
-                actual=None if feq.is_zero else list(feq.coeffs[:8])))
+            checks.append(_check("functional_equation", None if feq.is_zero else (
+                -int(feq.valuation), 0, list(feq.coeffs[:8])), expected=0))
 
     res = autoseq.witness_residual(w, pref, n_max)
-    first = None if res.is_zero else next(i for i, c in enumerate(res.coeffs) if c) + 1
-    report.checks.append(CheckResult(
-        "residual_zero", res.is_zero,
-        first_fail_n=first,
-        expected=0,
-        actual=None if res.is_zero else list(res.coeffs)[first - 1]))
+    first = next((n for n, c in enumerate(res.coeffs, start=1) if c), None)
+    checks.append(_check("residual_zero", None if first is None else (
+        first, 0, res.coeffs[first - 1]), expected=0))
 
     return report
 

@@ -1,5 +1,6 @@
 """Command-line interface: output formats, determinism, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -199,6 +200,49 @@ class TestConfigFile:
         assert code == 2
 
 
+
+class TestConfigValues:
+    """A config value goes through argparse exactly as the same flag does."""
+
+    @staticmethod
+    def run(capsys, tmp_path, text, *flags):
+        conf = tmp_path / "run.conf"
+        conf.write_text(text)
+        try:
+            code = cli.main(["profile", "--config", str(conf), *flags])
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    @pytest.mark.parametrize("line", ["method=bogus", "format=xml", "seq=nonsense",
+                                      "n-max=abc"])
+    def test_bad_value_is_usage_error(self, capsys, tmp_path, line):
+        code, out, err = self.run(capsys, tmp_path, f"seq=thue-morse\nn-max=4\n{line}\n")
+        assert code == 2
+        assert out == ""
+        assert line.split("=")[0] in err
+
+    @pytest.mark.parametrize("line", ["help=1", "h=1", "=1"])
+    def test_help_key_is_usage_error(self, capsys, tmp_path, line):
+        code, out, err = self.run(capsys, tmp_path, f"seq=thue-morse\n{line}\n")
+        assert code == 2
+        assert out == ""
+        assert "usage error" in err
+
+    def test_underscore_key(self, capsys, tmp_path):
+        code, out, _ = self.run(capsys, tmp_path, "seq=thue-morse\nn_max=4\n")
+        assert code == 0
+        assert out.splitlines()[4] == "4,2,2,2,3,2,3,1"
+
+    def test_flag_beats_config_choice(self, capsys, tmp_path):
+        code, out, _ = self.run(capsys, tmp_path, "seq=thue-morse\nn-max=4\nmethod=bm\n",
+                                "--method", "cf")
+        assert code == 0
+        row = out.splitlines()[4].split(",")
+        assert row[1] == "" and row[2] == "2"
+
+
 class TestOutFile:
     def test_writes_file(self, capsys, tmp_path):
         target = tmp_path / "tm.csv"
@@ -304,3 +348,37 @@ class TestParserReuse:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.strip() == "0"
+
+
+class TestVerifyOutputPin:
+    """The verify reports, byte for byte, pinned by one digest.
+
+    The digest covers stdout, stderr and the exit code of
+    ``verify --suite all --n-max 512`` and of ``--corrupt-index`` 0, 300
+    and 511 on each suite spec, run through ``cli.main``.  A refactor of
+    the CLI or of ``theory.verify`` must leave it unchanged.  ROADMAP item
+    5, which adds fields to every check, changes the reports on purpose and
+    re-pins it.
+    """
+
+    SPECS = [
+        ["--seq", "thue-morse"],
+        ["--seq", "rudin-shapiro"],
+        ["--seq", "pattern", "--p", "2", "--k", "3", "--a", "7"],
+        ["--seq", "sum-of-digits", "--p", "3"],
+        ["--seq", "baum-sweet"],
+        ["--seq", "paper-folding", "--v0", "1"],
+        ["--seq", "perfect-profile"],
+        ["--seq", "pattern", "--p", "2", "--k", "4", "--a", "15"],
+    ]
+    DIGEST = "637c8013eb50f01c0f0325e6abbbe72233f2bc2f150235e432cd47b6a2c18da6"
+
+    def test_reports_match_pinned_digest(self, capsys):
+        runs = [["verify", "--suite", "all", "--n-max", "512"]]
+        runs += [["verify", *spec, "--n-max", "512", "--corrupt-index", index]
+                 for spec in self.SPECS for index in ("0", "300", "511")]
+        digest = hashlib.sha256()
+        for argv in runs:
+            code, out, err = run_cli(argv, capsys)
+            digest.update(f"{out}\0{err}\0{code}\n".encode())
+        assert digest.hexdigest() == self.DIGEST
