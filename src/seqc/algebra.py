@@ -93,14 +93,30 @@ class PrimeField:
                 self.validate_symbol(u)
 
 
-def _lazy_terms(p: int) -> int:
-    """Products c*v (c, v in [0, p)) an int64 entry absorbs before a reduction.
+INT64_MAX = 2**63 - 1
 
-    An entry starts in [0, p); adding (or subtracting) k such products
-    and one more value below p keeps it below (p-1) + k (p-1)^2 + (p-1),
-    which must stay under 2^63.  k is 2 at p = 2^31 - 1.
+
+def _make_room(x, mx, y, my, p: int):
+    """Bounds of x and y after reducing them so that x can take one more c*y.
+
+    The odd-p kernels keep unreduced int64 coefficient arrays, each with
+    an int bound M on its entries: |x_i| <= mx, |y_i| <= my.  Adding (or
+    subtracting) a product c*y, c in [0, p), raises x's bound to
+    mx + (p-1) my, and the caller adds that after the product.  Only if
+    it could pass INT64_MAX is each operand whose bound is above p - 1
+    reduced mod p in place, so that both start again from p - 1 and the
+    next reduction is as far off as it can be.  Both reduced, the sum is
+    at most (p-1) + (p-1)^2 < 2^63 for every p <= 2^31 - 1, so one product
+    always fits.
     """
-    return (2**63 - 1 - 2 * (p - 1)) // (p - 1) ** 2
+    if mx + (p - 1) * my > INT64_MAX:
+        if my >= p:
+            y %= p
+            my = p - 1
+        if mx >= p:
+            x %= p
+            mx = p - 1
+    return mx, my
 
 
 def _check_same_field(a, b):

@@ -244,7 +244,24 @@ class AlgebraicWitness:
         return max(int(h.degree) + i for i, h in enumerate(self.h_coeffs) if not h.is_zero)
 
 
+# largest total degree of a witness that ``witness`` builds
+WITNESS_DEGREE_CAP = 2**16
+
+
 def witness(spec: SequenceSpec) -> AlgebraicWitness:
+    """h(s,t) for a built-in spec, with dense coefficients in s and in t.
+
+    Its total degree is p^k + 2p - 1 for pattern(p,k,a) and 2p + 1 for
+    sum-of-digits(p), so it grows with p.  Above WITNESS_DEGREE_CAP
+    (2^16; p up to 32749 for sum-of-digits and p^k + 2p - 1 <= 65536
+    for a pattern) a ValueError is raised before anything is allocated.
+    """
+    if spec.kind in (PATTERN, SUM_OF_DIGITS):
+        p = spec.p
+        degree = p ** spec.k + 2 * p - 1 if spec.kind == PATTERN else 2 * p + 1
+        if degree > WITNESS_DEGREE_CAP:
+            raise ValueError(f"witness degree {degree} of {spec.canonical_name} exceeds "
+                             f"the cap {WITNESS_DEGREE_CAP}")
     field = spec.field
     t = Poly.x(field)
     one = Poly.one(field)

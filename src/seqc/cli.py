@@ -72,6 +72,7 @@ def cmd_generate(args) -> int:
 
 
 def _profile_rows(spec, n_max, method):
+    w = autoseq.witness(spec)  # first: a spec over its witness cap fails before any work
     field = spec.field
     pref = autoseq.prefix(spec, n_max)
     prof_bm = prof_cf = None
@@ -86,7 +87,6 @@ def _profile_rows(spec, n_max, method):
                 raise RuntimeError(
                     f"method disagreement at N={n}: bm={prof_bm.at(n)} cf={prof_cf.at(n)}")
     formula = theory.exact_formula_for(spec)
-    w = autoseq.witness(spec)
     rows = []
     for n in range(1, n_max + 1):
         b = theory.general_bounds(w.d, w.m, n)
@@ -141,6 +141,8 @@ def cmd_expansion(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.kmax < 1:
+        raise UsageError(f"--kmax must be >= 1, got {args.kmax}")
     mutate = None
     if args.corrupt_index is not None:
         idx = args.corrupt_index
@@ -176,7 +178,7 @@ def cmd_bench(args) -> int:
     sizes = args.n or [4096, 16384, 65536]
     spec = autoseq.thue_morse()
     field = spec.field
-    print("kernel,N,seconds,budget,ok")
+    lines = ["kernel,N,seconds,budget,ok"]
     over = False
     for n in sizes:
         pref = autoseq.prefix(spec, n)
@@ -190,7 +192,8 @@ def cmd_bench(args) -> int:
             budget = BENCH_BUDGETS.get((kernel, n))
             ok = "" if budget is None else str(elapsed < budget).lower()
             over = over or (budget is not None and elapsed >= budget)
-            print(f"{kernel},{n},{elapsed:.3f},{'' if budget is None else budget},{ok}")
+            lines.append(f"{kernel},{n},{elapsed:.3f},{'' if budget is None else budget},{ok}")
+    _emit(args.out, "\n".join(lines) + "\n")
     return 1 if over else 0
 
 

@@ -12,10 +12,14 @@ The polynomial-part/inverse recursion on truncated series is kept as a
 secondary path for differential testing.
 
 Over F_2 polynomials are bit-packed ints (``gf2``).  For odd p they are
-numpy int64 coefficient arrays, low to high, with entries in [0, p) and
-no trailing zeros; products accumulate in int64 and are reduced mod p
-before a sum can pass 2^63 (``_lazy_terms``), so every step is exact at
-every p <= 2^31 - 1.
+numpy int64 coefficient arrays, low to high.  A quotient has entries in
+[0, p).  A Euclid remainder and a convergent from the recurrence are
+kept unreduced, as a term [coeffs, M] with |coeffs_i| <= M, whose top
+entry alone is reduced and nonzero, so its degree is its length less
+one; a reduction in place lowers M in place.  Each product c*y (c in [0, p)) added to x raises x's bound by
+(p-1) M_y, and ``algebra._make_room`` reduces an operand mod p only when
+the next product could pass 2^63 - 1.  So every step is exact at every
+p <= 2^31 - 1, and at small p a reduction is rare.
 
 Reliability is two-tiered.  Convergent degrees are determined by the
 first N coefficients whenever deg Q_{j-1} + deg Q_j <= N (the profile
@@ -41,7 +45,7 @@ from itertools import accumulate, islice
 import numpy as np
 
 from . import gf2
-from .algebra import LaurentSeries, Poly, PrecisionError, PrimeField, _lazy_terms
+from .algebra import LaurentSeries, Poly, PrecisionError, PrimeField, _make_room
 from .autoseq import Profile
 
 
@@ -73,7 +77,7 @@ class CFExpansion:
         """N: the number of known coefficients below x^0."""
         return -self.series.low
 
-    @property
+    @cached_property
     def reliable_count(self) -> int:
         """Largest j such that A_1..A_j are certified for the input precision."""
         return _value_certified_count(self.q_degrees, self.precision)
@@ -102,12 +106,19 @@ class _Backend:
     """Polynomial operations on one field's backend form.
 
     ``from_symbols`` packs u_0..u_{n-1} as the coefficients of x^{n-1}..x^0,
-    and ``monomial(n)`` is x^n.
+    and ``monomial(n)`` is x^n.  The Euclid remainders and the recurrence
+    terms travel as terms: over F_2 the value itself, for odd p a list
+    [coeffs, bound] (module docstring).  ``term`` makes one from a value
+    with entries in [0, p) and ``value`` gives back its polynomial.
+    ``divmod(a, b)`` takes two terms and ``mul_add(a, b, c)`` a quotient
+    a and two terms; for odd p either may reduce b in place, lowering its
+    bound with it.
     """
 
     def __init__(self, field: PrimeField):
         p = field.p
         if p == 2:
+            self.term = self.value = lambda v: v
             self.mul_add = lambda a, b, c: gf2.mul(a, b) ^ c
             self.divmod = gf2.divmod_
             self.degree = gf2.degree
@@ -116,31 +127,36 @@ class _Backend:
             self.from_symbols = lambda symbols: gf2.from_bits(symbols[::-1])
             self.monomial = lambda n: 1 << n
         else:
-            lazy = _lazy_terms(p)
-            self.mul_add = lambda a, b, c: _arr_mul_add(a, b, c, p, lazy)
-            self.divmod = lambda a, b: _arr_divmod(a, b, p, lazy)
+            self.term = lambda arr: [arr, p - 1]
+            self.value = lambda term: term[0]
+            self.mul_add = lambda a, b, c: _arr_mul_add(a, b, c, p)
+            self.divmod = lambda a, b: _arr_divmod(a, b, p)
             self.degree = _arr_degree
             self.native = lambda poly: np.array(poly.coeffs, dtype=np.int64)
             self.to_poly = lambda arr: Poly(field, tuple(arr.tolist()))
-            self.from_symbols = lambda symbols: _arr_trim(np.array(symbols[::-1], dtype=np.int64))
+            self.from_symbols = lambda symbols: _arr_trim(np.array(symbols[::-1], dtype=np.int64), p)
             self.monomial = lambda n: np.array([0] * n + [1], dtype=np.int64)
 
 
 def _euclid(backend: _Backend, r_prev, r_cur, n: int) -> list:
     """A_1, A_2, ... of r_cur / r_prev while deg Q_{j-1} + deg Q_j <= n.
 
-    Only remainders are carried; deg Q_j is the running sum of the
-    quotient degrees.
+    Only remainders are carried, as terms; deg Q_j is the running sum of
+    the quotient degrees.  deg A_j = deg r_{j-2} - deg r_{j-1} is known
+    before the division, so the quotient past the last one is never
+    computed.
     """
+    divmod_, degree, value = backend.divmod, backend.degree, backend.value
     quotients = []
     deg_q = 0
-    while backend.degree(r_cur) >= 0:
-        a, r_next = backend.divmod(r_prev, r_cur)
-        if 2 * deg_q + backend.degree(a) > n:
-            break
+    r_prev, r_cur = backend.term(r_prev), backend.term(r_cur)
+    deg_prev, deg_cur = degree(value(r_prev)), degree(value(r_cur))
+    while deg_cur >= 0 and 2 * deg_q + deg_prev - deg_cur <= n:
+        a, r_next = divmod_(r_prev, r_cur)
         quotients.append(a)
-        deg_q += backend.degree(a)
+        deg_q += deg_prev - deg_cur
         r_prev, r_cur = r_cur, r_next
+        deg_prev, deg_cur = deg_cur, degree(value(r_cur))
     return quotients
 
 
@@ -148,56 +164,60 @@ def _arr_degree(a) -> int:
     return len(a) - 1
 
 
-def _arr_trim(a):
-    """Drop zero coefficients from the top."""
+def _arr_trim(a, p):
+    """Drop entries that vanish mod p from the top; reduce the new top in place."""
     top = len(a)
-    while top and not a[top - 1]:
+    while top and not int(a[top - 1]) % p:
         top -= 1
+    if top:
+        a[top - 1] %= p
     return a[:top]
 
 
-def _arr_divmod(a, b, p, lazy):
-    """(quotient, remainder) of a by b over F_p, reusing a's storage.
+def _arr_divmod(a, b, p):
+    """(quotient, remainder) for terms a, b over F_p, reusing a's storage.
 
-    a is overwritten and the remainder is a view of it.  Entries of a
-    below the current top absorb one product c*b per quotient coefficient
-    and are reduced mod p only every ``lazy`` products.
+    a's coefficients are overwritten and the remainder's are a view of
+    them.  Each nonzero quotient coefficient c subtracts c*b from the
+    window a[i-db:i] below the current top a[i].  ``ma`` bounds every
+    live entry a[:i] and ``m_below`` the entries below the window, which
+    no product has touched yet: a reduction covers all of a[:i] until
+    those are reduced once, and the window alone after that.  The
+    remainder keeps its bound; only its top entry is reduced.
     """
-    da, db = len(a) - 1, len(b) - 1
+    (av, ma), (bv, mb) = a, b
+    da, db = len(av) - 1, len(bv) - 1
     if da < db:
-        return a[:0], a
-    inv = pow(int(b[-1]), -1, p)
-    low = b[:-1]  # the top of each product cancels a[i] exactly
+        return av[:0], a
+    inv = pow(int(bv[-1]), -1, p)
+    low = bv[:-1]  # the top of each product cancels av[i] exactly
     q = np.zeros(da - db + 1, dtype=np.int64)
-    pending = 0
+    m_below = ma
     for i in range(da, db - 1, -1):
-        c = int(a[i]) % p * inv % p
+        c = int(av[i]) % p * inv % p
         if c:
             q[i - db] = c
-            if pending == lazy:
-                a[i - db:i] %= p  # every entry touched since the last reduction
-                pending = 0
-            a[i - db:i] -= c * low
-            pending += 1
-    r = a[:db]
-    r %= p
-    return q, _arr_trim(r)
+            window = av[i - db:i]
+            ma, mb = _make_room(av[:i] if m_below >= p else window, ma, low, mb, p)
+            m_below = min(m_below, ma)
+            window -= c * low
+            ma += (p - 1) * mb
+    b[1] = mb
+    return q, [_arr_trim(av[:db], p), ma]
 
 
-def _arr_mul_add(a, b, c, p, lazy):
-    """a*b + c over F_p, reduced mod p every ``lazy`` products."""
-    out = np.zeros(max(len(a) + len(b) - 1, len(c)), dtype=np.int64)
-    out[:len(c)] = c
-    pending = 0
+def _arr_mul_add(a, b, c, p):
+    """a*b + c over F_p for a quotient a and terms b, c."""
+    (bv, mb), (cv, m_out) = b, c
+    out = np.zeros(max(len(a) + len(bv) - 1, len(cv)), dtype=np.int64)
+    out[:len(cv)] = cv
     for i, ai in enumerate(a.tolist()):
         if ai:
-            if pending == lazy:
-                out %= p
-                pending = 0
-            out[i:i + len(b)] += ai * b
-            pending += 1
-    out %= p
-    return _arr_trim(out)
+            m_out, mb = _make_room(out, m_out, bv, mb, p)
+            out[i:i + len(bv)] += ai * bv
+            m_out += (p - 1) * mb
+    b[1] = mb
+    return [_arr_trim(out, p), m_out]
 
 
 def _value_certified_count(degs, n) -> int:
@@ -290,12 +310,13 @@ def _recurrence(expansion: CFExpansion, before, first):
 
     Holds two terms at a time, so memory stays linear in deg x_J.
     """
-    mul_add = _Backend(expansion.field).mul_add
-    prev, cur = before, first
-    yield cur
+    backend = _Backend(expansion.field)
+    mul_add, value = backend.mul_add, backend.value
+    prev, cur = backend.term(before), backend.term(first)
+    yield first
     for a in expansion.raw_quotients[1:]:
         prev, cur = cur, mul_add(a, cur, prev)
-        yield cur
+        yield value(cur)
 
 
 def _numerators(expansion: CFExpansion):

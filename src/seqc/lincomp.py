@@ -10,11 +10,14 @@ and a length change makes E the old D.  Coefficients of D below n are
 never read again, so neither D nor E needs them, and the profile needs
 no connection vector at all; only ``bm_connection`` asks for c.
 
-Over F_2, D and E are bit-packed ints; for odd p they are numpy int64
-arrays reduced lazily under the ``_lazy_terms`` bound, so every step is
-exact at every supported p.  The zero-prefix and 0...0!=0 boundary
-conventions fall out of the standard initialization and are asserted in
-tests rather than special-cased here.
+Over F_2, D and E are bit-packed ints.  For odd p they are numpy int64
+arrays under one invariant (``algebra._make_room``): every array carries
+an int bound M with |x_i| <= M, an update x -= c y with c in [0, p)
+raises x's bound by (p-1) M_y, and an operand is reduced mod p only when
+the update could otherwise pass 2^63 - 1.  So every step is exact at
+every supported p, and at p = 3 a reduction is rare.  The zero-prefix
+and 0...0!=0 boundary conventions fall out of the standard
+initialization and are asserted in tests rather than special-cased here.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import gf2
-from .algebra import PrimeField, _lazy_terms
+from .algebra import PrimeField, _make_room
 from .autoseq import Profile
 
 # steps per shift of D over F_2: D moves right once per block and the
@@ -83,10 +86,12 @@ def _bm_modp(seq, p, connection):
 
     ``res[i]`` holds coefficient i of D = c S for every i >= n; entries
     below n are stale and never read.  ``e[k]`` holds coefficient m + k
-    of E = b S, reduced, so the update at step n is
-    res[n:] -= (d/b_d) e[:N-n].  Each entry absorbs one product per
-    update and is reduced mod p every ``_lazy_terms(p)`` updates; so is
-    the live prefix c[:L+1] of the connection vector, when it is kept.
+    of E = b S, so the update at step n is res[n:] -= (d/b_d) e[:N-n].
+    None of them is reduced mod p as a rule: ``res``, ``e`` and, when
+    the connection is kept, its live prefix c[:L+1] and ``b`` each carry
+    a bound on their entries, and ``_make_room`` reduces an operand only
+    when the next update could pass int64.  A length change copies the
+    live residual and c[:L+1] as they stand, with their bounds.
 
     Start: c = b = 1 and m = -1, so res = S and e = [0] + S.
     """
@@ -94,12 +99,12 @@ def _bm_modp(seq, p, connection):
     res = np.array(seq, dtype=np.int64)
     e = np.concatenate((np.zeros(1, dtype=np.int64), res))
     tmp = np.empty(n_len, dtype=np.int64)
+    m_res = m_e = p - 1  # bounds on |res[n:]| and |e[:N-n]|
     if connection:
         c = np.zeros(n_len + 1, dtype=np.int64)
         c[0] = 1
         b = c[:1].copy()
-    lazy = _lazy_terms(p)
-    pending = 0  # updates since res and c were last reduced
+        m_c = m_b = 1  # bounds on |c[:L+1]| and |b|
     ell = 0
     m = -1
     bd_inv = 1  # inverse of the discrepancy at the last length change
@@ -109,24 +114,24 @@ def _bm_modp(seq, p, connection):
         if d:
             coef = d * bd_inv % p
             grow = 2 * ell <= n
-            live = res[n:]
-            step = np.multiply(e[:n_len - n], coef, out=tmp[:n_len - n])
-            if grow:
-                e = live % p
+            live, used = res[n:], e[:n_len - n]
+            m_res, m_e = _make_room(live, m_res, used, m_e, p)
+            if grow:  # E becomes the old D
+                e_next, m_e_next = live.copy(), m_res
                 bd_inv = pow(d, -1, p)
-            live -= step
+            live -= np.multiply(used, coef, out=tmp[:n_len - n])
+            m_res += (p - 1) * m_e
             if connection:
-                next_b = c[:ell + 1] % p if grow else b
+                m_c, m_b = _make_room(c[:ell + 1], m_c, b, m_b, p)
+                if grow:  # b becomes the old c
+                    b_next, m_b_next = c[:ell + 1].copy(), m_c
                 c[n - m:n - m + len(b)] -= np.multiply(b, coef, out=tmp[:len(b)])
-                b = next_b
+                m_c += (p - 1) * m_b
+                if grow:
+                    b, m_b = b_next, m_b_next
             if grow:
+                e, m_e = e_next, m_e_next
                 ell, m = n + 1 - ell, n
-            pending += 1
-            if pending == lazy:
-                live %= p
-                if connection:
-                    c[:ell + 1] %= p
-                pending = 0
         prof.append(ell)
     return prof, (c[:ell + 1] % p if connection else None), ell
 

@@ -216,6 +216,7 @@ def verify(spec: SequenceSpec, n_max: int, mutate=None) -> VerifyReport:
     """
     if n_max < 4:
         raise ValueError("n_max must be >= 4")
+    w = autoseq.witness(spec)  # first: a spec over its witness cap fails before any work
     field = spec.field
     report = VerifyReport(spec.canonical_name, n_max)
     pref = autoseq.prefix(spec, n_max)
@@ -236,7 +237,6 @@ def verify(spec: SequenceSpec, n_max: int, mutate=None) -> VerifyReport:
         checks.append(_check("exact_formula", _first_divergence(
             [formula(n) for n in range(1, n_max + 1)], prof_bm)))
 
-    w = autoseq.witness(spec)
     d, m = w.d, w.m
     checks.append(_check("theorem1_bounds", next(
         ((n, "{0.lower} <= L <= {0.upper}".format(general_bounds(d, m, n)), ell)

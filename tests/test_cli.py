@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from seqc import cli
+from seqc import autoseq, cli
 
 CSV_HEADER = "N,L_bm,L_cf,L_formula,lower_num,lower_den,upper_num,upper_den"
 
@@ -167,6 +167,38 @@ class TestVerify:
         assert out == ""
         assert "usage error" in err and "--corrupt-index" in err
 
+    @pytest.mark.parametrize("kmax", ["0", "-3"])
+    def test_kmax_below_1_is_usage_error(self, capsys, kmax):
+        code, out, err = run_cli(["verify", "--suite", "all", "--kmax", kmax], capsys)
+        assert code == 2
+        assert out == ""
+        assert "usage error" in err and "--kmax" in err
+
+
+class TestWitnessCap:
+    """A spec whose witness passes the degree cap exits 2 before allocating it."""
+
+    P31 = str(2**31 - 1)
+
+    @pytest.mark.parametrize("argv", [
+        ["profile", "--seq", "sum-of-digits", "--p", P31, "--n-max", "8"],
+        ["verify", "--seq", "sum-of-digits", "--p", P31, "--n-max", "8"],
+        ["profile", "--seq", "pattern", "--p", P31, "--k", "1", "--a", "1", "--n-max", "8"],
+        ["verify", "--seq", "pattern", "--p", P31, "--k", "1", "--a", "1", "--n-max", "8"],
+    ])
+    def test_over_the_cap_is_error_2(self, capsys, argv):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "witness degree" in err and str(autoseq.WITNESS_DEGREE_CAP) in err
+        assert "Traceback" not in err
+
+    def test_largest_sum_of_digits_under_the_cap_runs(self, capsys):
+        # 2p + 1 = 65499 <= 2^16 at p = 32749, the largest prime under the cap
+        code, _, _ = run_cli(
+            ["profile", "--seq", "sum-of-digits", "--p", "32749", "--n-max", "8"], capsys)
+        assert code == 0
+
 
 class TestConfigFile:
     def test_config_supplies_defaults(self, capsys, tmp_path):
@@ -285,6 +317,18 @@ class TestBench:
         code, out, _ = run_cli(["bench", "--kernel", "bm", "--n", "1"], capsys)
         assert code == 1
         assert out.splitlines()[1].endswith(",0.0,false")
+
+    @pytest.mark.parametrize("budget, expected", [(60.0, 0), (0.0, 1)])
+    def test_out_writes_the_table(self, capsys, monkeypatch, tmp_path, budget, expected):
+        monkeypatch.setattr(cli, "BENCH_BUDGETS", {("bm", 1): budget})
+        target = tmp_path / "bench.csv"
+        code, out, _ = run_cli(
+            ["bench", "--kernel", "bm", "--n", "1", "--out", str(target)], capsys)
+        assert code == expected
+        assert out == ""
+        lines = target.read_text().splitlines()
+        assert lines[0] == "kernel,N,seconds,budget,ok"
+        assert lines[1].startswith("bm,1,")
 
 
 def test_seed_flag_is_gone():

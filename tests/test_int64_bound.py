@@ -1,0 +1,178 @@
+"""The odd-p int64 bound invariant of ``algebra._make_room``.
+
+The odd-p kernels (Berlekamp-Massey, the Euclid of ``cf_expand`` and the
+convergent recurrence) keep unreduced int64 arrays, each with a tracked
+bound on its entries, and reduce mod p only when the next product could
+pass INT64_MAX.  Here that limit is lowered to (p-1) + j (p-1)^2: at
+j = 1, the least room one product needs, reductions fire on nearly every
+step, and at larger j some steps go unreduced, so an array can enter a
+step with a bound above p - 1.  Every helper call checks the tracked
+bounds against the arrays themselves, and the outputs must equal
+references on Python ints.
+"""
+
+import contextlib
+from itertools import accumulate
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from seqc import algebra, contfrac, lincomp
+from seqc.algebra import LaurentSeries, Poly, PrimeField
+from test_lincomp import schoolbook_bm
+
+P31 = 2**31 - 1
+PRIMES = (3, 5, 65521, P31)
+
+
+def _abs_max(a) -> int:
+    return int(np.abs(a).max(initial=0))
+
+
+@contextlib.contextmanager
+def low_limit(p, slack):
+    """INT64_MAX lowered to (p-1) + slack (p-1)^2 (or kept); yields the reductions seen.
+
+    Every ``_make_room`` call of the kernels checks, before and after the
+    real helper runs, that the arrays lie within their tracked bounds and
+    that the bounds leave room for one product under the lowered limit.
+    """
+    limit = min((p - 1) + slack * (p - 1) ** 2, algebra.INT64_MAX)
+    real = algebra._make_room
+    reductions = []
+
+    def checked(x, mx, y, my, q):
+        assert q == p
+        assert max(mx, my) <= limit
+        assert _abs_max(x) <= mx and _abs_max(y) <= my
+        new_mx, new_my = real(x, mx, y, my, q)
+        assert new_mx + (p - 1) * new_my <= limit
+        assert _abs_max(x) <= new_mx and _abs_max(y) <= new_my
+        reductions.append((new_mx < mx) + (new_my < my))
+        return new_mx, new_my
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra, "INT64_MAX", limit)
+        mp.setattr(contfrac, "_make_room", checked)
+        mp.setattr(lincomp, "_make_room", checked)
+        yield reductions
+
+
+def poly_euclid(symbols, field):
+    """A_1, A_2, ... of sum u_i x^(N-1-i) / x^N by Poly division, with cf_expand's stop rule."""
+    n = len(symbols)
+    r_prev, r_cur = Poly.monomial(field, n), Poly(field, tuple(symbols[::-1]))
+    quotients, deg_q = [], 0
+    while not r_cur.is_zero:
+        a, r_next = divmod(r_prev, r_cur)
+        if 2 * deg_q + a.degree > n:
+            break
+        quotients.append(a)
+        deg_q += a.degree
+        r_prev, r_cur = r_cur, r_next
+    return quotients
+
+
+def poly_convergent(quotients, field):
+    """(P_J, Q_J) of [0; A_1, ..., A_J] by the three-term recurrence on Poly."""
+    p_prev, p_cur = Poly.one(field), Poly.zero(field)
+    q_prev, q_cur = Poly.zero(field), Poly.one(field)
+    for a in quotients:
+        p_prev, p_cur = p_cur, a * p_cur + p_prev
+        q_prev, q_cur = q_cur, a * q_cur + q_prev
+    return p_cur, q_cur
+
+
+def check_kernels(symbols, p):
+    """Every odd-p kernel output on ``symbols`` against its reference."""
+    field = PrimeField(p)
+    prof, c, ell = schoolbook_bm(symbols, p)
+    assert list(lincomp.bm_profile(symbols, field)) == prof
+    assert lincomp.bm_connection(symbols, field) == (ell, tuple(-c[ell - i] % p for i in range(ell)))
+    if not any(symbols):
+        return
+    exp = contfrac.cf_expand(LaurentSeries.from_prefix(symbols, field))
+    ref = poly_euclid(symbols, field)
+    assert [q.tolist() for q in exp.raw_quotients[1:]] == [list(a.coeffs) for a in ref]
+    assert exp.q_degrees == tuple(accumulate((a.degree for a in ref), initial=0))
+    assert contfrac.check_convergent_identities(exp) is None
+    assert exp.convergent(exp.degree_count) == poly_convergent(ref, field)
+
+
+def _zero_run_stream(p, seed, n):
+    """Isolated nonzero symbols between zero runs of up to 60: high-degree quotients."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        out += [0] * int(rng.integers(0, 61)) + [int(rng.integers(1, p))]
+    return out[:n]
+
+
+def _random_stream(p, seed, n):
+    rng = np.random.default_rng(seed)
+    return [int(v) for v in rng.integers(0, p, n)]
+
+
+# a stream is a concatenation of chunks: a few symbols drawn from F_p, or
+# a run of zeros, so long zero runs (quotients of high degree) are common
+_streams = st.sampled_from(PRIMES).flatmap(lambda p: st.tuples(
+    st.just(p),
+    st.integers(1, 64),
+    st.lists(st.lists(st.integers(0, p - 1), min_size=1, max_size=6)
+             | st.integers(1, 70).map(lambda k: [0] * k),
+             min_size=1, max_size=24).map(lambda chunks: sum(chunks, []))))
+
+
+@given(_streams)
+@example((P31, 1, _zero_run_stream(P31, 1, 240)))
+@example((P31, 1, [0] * 150 + [1] + _random_stream(P31, 2, 80)))
+@example((65521, 1, [1] + [0] * 120 + _random_stream(65521, 3, 60)))
+@example((3, 1, _zero_run_stream(3, 4, 240)))
+@example((5, 40, _zero_run_stream(5, 7, 240)))
+# a Euclid dividend its step as divisor left unreduced, reduced part-way
+# through the next step: the entries below the window need it too
+@example((5, 9, [3, 3, 0, 2, 0, 0, 4]))
+@settings(max_examples=120, deadline=None)
+def test_kernels_exact_under_a_low_limit(case):
+    p, slack, symbols = case
+    with low_limit(p, slack):
+        check_kernels(symbols, p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("make", [_random_stream, _zero_run_stream])
+def test_reductions_fire_under_a_low_limit(p, make):
+    symbols = make(p, 5, 160)
+    with low_limit(p, 1) as reductions:
+        check_kernels(symbols, p)
+    assert len(reductions) > 100
+    assert sum(1 for r in reductions if r) > len(reductions) // 2
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("make", [_random_stream, _zero_run_stream])
+def test_kernels_exact_at_the_int64_limit(p, make):
+    check_kernels(make(p, 6, 400), p)
+
+
+class TestMakeRoom:
+    def test_no_reduction_while_a_product_fits(self):
+        x, y = np.array([7, -9]), np.array([11, 4])
+        assert algebra._make_room(x, 9, y, 11, 3) == (9, 11)
+        assert x.tolist() == [7, -9] and y.tolist() == [11, 4]
+
+    def test_reduces_each_operand_above_p_minus_1(self, monkeypatch):
+        monkeypatch.setattr(algebra, "INT64_MAX", 30)
+        x, y = np.array([7, -9]), np.array([11, 4])
+        assert algebra._make_room(x, 9, y, 11, 3) == (2, 2)
+        assert x.tolist() == [1, 0] and y.tolist() == [2, 1]
+
+    def test_leaves_a_reduced_operand_alone(self, monkeypatch):
+        monkeypatch.setattr(algebra, "INT64_MAX", 30)
+        x, y = np.array([2, 1]), np.array([11, -4])
+        assert algebra._make_room(x, 2, y, 20, 3) == (2, 2)
+        assert x.tolist() == [2, 1] and y.tolist() == [2, 2]
+
+    def test_one_product_fits_at_the_largest_prime(self):
+        assert (P31 - 1) + (P31 - 1) ** 2 <= algebra.INT64_MAX

@@ -162,10 +162,10 @@ P31 = 2**31 - 1
 @example((2, [0] * 63 + [1] + _bits(6, 100)))
 @example((2, [0] * 127 + [1] + _bits(7, 100)))
 @example((2, [1, 0] * 63 + [1, 1] + _bits(8, 60)))
-# at p = 2^31 - 1 res and c are reduced every two updates: 200 symbols
-# near p run about a hundred reductions of each
+# at p = 2^31 - 1 res and c are reduced about every other update: 200
+# symbols run about a hundred reductions of each
 @example((P31, [P31 - 1 - v for v in _bits(9, 200)]))
-@example((P31, [random.Random(10).randrange(P31) for _ in range(200)]))
+@example((P31, (lambda rng: [rng.randrange(P31) for _ in range(200)])(random.Random(10))))
 @settings(max_examples=80)
 def test_live_span_bm_matches_schoolbook(case):
     p, xs = case
