@@ -322,16 +322,6 @@ class LaurentSeries:
         """nu(R): the top exponent, or the -inf marker for the zero series."""
         return self.top if self.top is not None else NEG_INF
 
-    @property
-    def precision(self) -> int:
-        """Number of known coefficients counted from the leading term.
-
-        For a zero series built from an N-symbol prefix this equals N.
-        """
-        if self.top is None:
-            return max(0, -self.low)
-        return self.top - self.low + 1
-
     def coeff(self, e: int) -> int:
         """Coefficient of x^e; raises PrecisionError below the known range."""
         if e < self.low:

@@ -38,8 +38,7 @@ class SequenceSpec:
             if not (0 < self.a < self.p ** self.k):
                 raise ValueError("pattern value a must satisfy 0 < a < p**k")
         elif self.kind == SUM_OF_DIGITS:
-            if self.p < 2:
-                raise ValueError("digit base must be >= 2")
+            PrimeField(self.p)
         elif self.kind == PAPER_FOLDING:
             if self.v0 not in (0, 1):
                 raise ValueError("v0 must be an F_2 element")
@@ -48,11 +47,7 @@ class SequenceSpec:
 
     @property
     def field(self) -> PrimeField:
-        if self.kind == PATTERN:
-            return PrimeField(self.p)
-        if self.kind == SUM_OF_DIGITS:
-            return PrimeField(self.p)  # raises for composite bases
-        return PrimeField(2)
+        return PrimeField(self.p if self.kind in (PATTERN, SUM_OF_DIGITS) else 2)
 
     @property
     def canonical_name(self) -> str:

@@ -1,10 +1,9 @@
 """Command-line front-end.
 
-Subcommands: generate, profile, expansion, verify, bench.  Output is
+Subcommands: generate, profile, expansion, verify.  Output is
 deterministic for a fixed configuration; rationals are emitted as
 integer numerator/denominator pairs, never decimals.  Exit codes: 0 ok,
-1 verification failure / method disagreement / kernel over its bench
-budget, 2 usage error.
+1 verification failure / method disagreement, 2 usage error.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import argparse
 import functools
 import json
 import sys
-import time
 
 from . import autoseq, contfrac, expcomp, lincomp, theory
 from .algebra import LaurentSeries
@@ -62,7 +60,7 @@ def _emit(path, text):
 
 def cmd_generate(args) -> int:
     spec = spec_from_args(args)
-    p = spec.p if spec.kind in (autoseq.PATTERN, autoseq.SUM_OF_DIGITS) else 2
+    p = spec.field.p
     if p > 10:
         raise UsageError("sequence text format supports p <= 10 (one digit per symbol)")
     pref = autoseq.prefix(spec, args.n)
@@ -105,11 +103,8 @@ def _profile_rows(spec, n_max, method):
 
 def cmd_profile(args) -> int:
     spec = spec_from_args(args)
-    method = args.method
-    if method == "cf" and args.n_max < 4:
-        raise UsageError("method=cf requires --n-max >= 4")
     try:
-        rows = _profile_rows(spec, args.n_max, method)
+        rows = _profile_rows(spec, args.n_max, args.method)
     except RuntimeError as exc:
         print(str(exc), file=sys.stderr)
         return 1
@@ -141,6 +136,8 @@ def cmd_expansion(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if (args.suite is None) == (args.seq is None):
+        raise UsageError("verify needs exactly one of --suite all and --seq NAME")
     if args.kmax < 1:
         raise UsageError(f"--kmax must be >= 1, got {args.kmax}")
     mutate = None
@@ -169,32 +166,6 @@ def cmd_verify(args) -> int:
                 print(f"FAIL {r.spec_name}: check {fail.name} "
                       f"first failing N={fail.first_fail_n}", file=sys.stderr)
     return 0 if ok else 1
-
-
-BENCH_BUDGETS = {("bm", 16384): 10.0, ("cf", 65536): 30.0}
-
-
-def cmd_bench(args) -> int:
-    sizes = args.n or [4096, 16384, 65536]
-    spec = autoseq.thue_morse()
-    field = spec.field
-    lines = ["kernel,N,seconds,budget,ok"]
-    over = False
-    for n in sizes:
-        pref = autoseq.prefix(spec, n)
-        for kernel in (args.kernel,) if args.kernel else ("bm", "cf"):
-            start = time.perf_counter()
-            if kernel == "bm":
-                lincomp.bm_profile(pref, field)
-            else:
-                contfrac.cf_expand(LaurentSeries.from_prefix(pref, field))
-            elapsed = time.perf_counter() - start
-            budget = BENCH_BUDGETS.get((kernel, n))
-            ok = "" if budget is None else str(elapsed < budget).lower()
-            over = over or (budget is not None and elapsed >= budget)
-            lines.append(f"{kernel},{n},{elapsed:.3f},{'' if budget is None else budget},{ok}")
-    _emit(args.out, "\n".join(lines) + "\n")
-    return 1 if over else 0
 
 
 def _config_tokens(path) -> list:
@@ -279,12 +250,6 @@ def build_parser():
     add_common(sp)
     sp.set_defaults(func=cmd_verify, required_args=())
 
-    sp = sub.add_parser("bench", help="time the O(N^2) kernels")
-    sp.add_argument("--kernel", choices=("bm", "cf"), default=None)
-    sp.add_argument("--n", type=int, nargs="*", default=None)
-    add_common(sp)
-    sp.set_defaults(func=cmd_bench, required_args=())
-
     return parser
 
 
@@ -304,8 +269,6 @@ def main(argv=None) -> int:
     try:
         if args.config:
             args = _with_config(argv, args)
-        if args.command == "verify" and args.suite is None and args.seq is None:
-            raise UsageError("verify needs --suite all or --seq NAME")
         for key in args.required_args:
             if getattr(args, key) is None:
                 raise UsageError(f"missing required option --{key.replace('_', '-')}")

@@ -234,9 +234,10 @@ def _series_symbols(r: LaurentSeries):
 
 
 def cf_expand(r: LaurentSeries) -> CFExpansion:
-    """Certified continued-fraction expansion of a truncated series."""
-    if r.is_zero:
-        raise ZeroDivisionError("cannot expand the zero series")
+    """Certified continued-fraction expansion of a truncated series.
+
+    The zero series expands to A_0 = 0 alone, the continued fraction of 0.
+    """
     backend = _Backend(r.field)
     a0 = r.polynomial_part()
     b = r - LaurentSeries.from_poly(a0, r.low) if not a0.is_zero else r
@@ -253,10 +254,8 @@ def cf_expand_series(r: LaurentSeries):
 
     Secondary differential-testing path: stops when the remaining precision
     can no longer support another polynomial part.  Returns the quotient
-    list (A_0 first).
+    list (A_0 first); the zero series gives [0].
     """
-    if r.is_zero:
-        raise ZeroDivisionError("cannot expand the zero series")
     quots = [r.polynomial_part()]
     b = r - LaurentSeries.from_poly(quots[0], r.low)
     while not b.is_zero:
@@ -276,14 +275,8 @@ def profile_from_cf(r: LaurentSeries, n_max: int) -> Profile:
     """Linear complexity profile from the convergent denominators of r."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if r.is_zero:
-        if -r.low < n_max:
-            raise PrecisionError(f"series precision {-r.low} < n_max {n_max}")
-        return Profile((0,) * n_max)
     if r.valuation >= 0:
         raise ValueError("expected a sequence series with valuation < 0")
-    if -r.low < n_max:
-        raise PrecisionError(f"series precision {-r.low} < n_max {n_max}")
     return profile_from_expansion(cf_expand(r), n_max)
 
 

@@ -226,9 +226,8 @@ def verify(spec: SequenceSpec, n_max: int, mutate=None) -> VerifyReport:
     prof_bm = lincomp.bm_profile(pref, field)
     r = LaurentSeries.from_prefix(pref, field)
     # one expansion serves the CF profile and every convergent check
-    exp = None if r.is_zero else contfrac.cf_expand(r)
-    prof_cf = (contfrac.profile_from_cf(r, n_max) if exp is None
-               else contfrac.profile_from_expansion(exp, n_max))
+    exp = contfrac.cf_expand(r)
+    prof_cf = contfrac.profile_from_expansion(exp, n_max)
     checks = report.checks
     checks.append(_check("bm_cf_agree", _first_divergence(prof_bm, prof_cf)))
 
@@ -243,29 +242,32 @@ def verify(spec: SequenceSpec, n_max: int, mutate=None) -> VerifyReport:
          for n, ell in enumerate(prof_bm, start=1) if not bounds_hold(d, m, n, ell)), None)))
 
     if spec.is_all_one_pattern and spec.k == 1:
-        # the lower bound ceil((N-1)/2) is attained for N = 0, 1 mod 4, the upper one else
+        # Thue-Morse attains the lower bound ceil((N-M)/d) for N = 0, 1 mod 4
+        # and the upper bound floor(((d-1)N+M+1)/d) for N = 2, 3 mod 4
+        def attained(n):
+            return -((m - n) // d) if n % 4 < 2 else ((d - 1) * n + m + 1) // d
+
         checks.append(_check("bound_attainment", next(
             ((n, "lower" if n % 4 < 2 else "upper", ell)
-             for n, ell in enumerate(prof_bm, start=1) if ell != n // 2 + (n % 4 >= 2)), None)))
+             for n, ell in enumerate(prof_bm, start=1) if ell != attained(n)), None)))
 
-    if exp is not None:
-        bad = contfrac.check_convergent_identities(exp)
-        checks.append(_check("convergent_identities", None if bad is None else (bad, None, None)))
+    bad = contfrac.check_convergent_identities(exp)
+    checks.append(_check("convergent_identities", None if bad is None else (bad, None, None)))
 
-        if spec.is_all_one_pattern:
-            k = spec.k
-            quotients = exp.raw_quotients[1:exp.reliable_count + 1]
-            checks.append(_check("cf_predictions", next(
-                ((j, list(cf_prediction(k, j).coeffs), list(gf2.to_bits(a)))
-                 for j, a in enumerate(quotients, start=1)
-                 if a != _cf_prediction_bits(k, _quotient_shape(j))), None)))
+    if spec.is_all_one_pattern:
+        k = spec.k
+        quotients = exp.raw_quotients[1:exp.reliable_count + 1]
+        checks.append(_check("cf_predictions", next(
+            ((j, list(cf_prediction(k, j).coeffs), list(gf2.to_bits(a)))
+             for j, a in enumerate(quotients, start=1)
+             if a != _cf_prediction_bits(k, _quotient_shape(j))), None)))
 
-            q_rep = contfrac.q_congruences(exp, k)
-            checks.append(_check("q_congruences", next(iter(q_rep.congruence_failures), None)))
+        q_rep = contfrac.q_congruences(exp, k)
+        checks.append(_check("q_congruences", next(iter(q_rep.congruence_failures), None)))
 
-            feq = functional_equation_residual(spec, n_max, pref=pref)
-            checks.append(_check("functional_equation", None if feq.is_zero else (
-                -int(feq.valuation), 0, list(feq.coeffs[:8])), expected=0))
+        feq = functional_equation_residual(spec, n_max, pref=pref)
+        checks.append(_check("functional_equation", None if feq.is_zero else (
+            -int(feq.valuation), 0, list(feq.coeffs[:8])), expected=0))
 
     res = autoseq.witness_residual(w, pref, n_max)
     first = next((n for n, c in enumerate(res.coeffs, start=1) if c), None)

@@ -1,4 +1,4 @@
-"""Acceptance gate: the ten headline guarantees, one pass/fail line each.
+"""Acceptance gate: the eleven headline guarantees, one pass/fail line each.
 
 Every equality below is an exact integer check (tolerance zero).  Run
 with -s to see the per-criterion lines even on success.
@@ -186,3 +186,32 @@ def test_criterion_10_negative_control():
         capture_output=True, text=True)
     ok = proc.returncode == 1 and "first failing N=" in proc.stderr
     report("criterion 10: negative control", ok, proc.stderr.strip().splitlines()[-1] if proc.stderr else "")
+
+
+# seconds for one Thue-Morse run of each O(N^2) kernel at its N
+KERNEL_BUDGETS = {("bm", 16384): 10.0, ("cf", 65536): 30.0}
+
+
+def _kernel_seconds(kernel, n):
+    pref = autoseq.prefix(autoseq.thue_morse(), n)
+    start = time.perf_counter()
+    if kernel == "bm":
+        lincomp.bm_profile(pref, F2)
+    else:
+        contfrac.cf_expand(LaurentSeries.from_prefix(pref, F2))
+    return time.perf_counter() - start
+
+
+def _over_budget(seconds, budgets):
+    return sorted(key for key, budget in budgets.items() if seconds[key] >= budget)
+
+
+def test_criterion_11_kernel_budgets():
+    """BM at N=16384 under 10 s and CF at N=65536 under 30 s; a zero budget fails both."""
+    seconds = {key: _kernel_seconds(*key) for key in KERNEL_BUDGETS}
+    over = _over_budget(seconds, KERNEL_BUDGETS)
+    # negative control: the same comparison must report a miss at budget 0.0
+    control = _over_budget(seconds, dict.fromkeys(KERNEL_BUDGETS, 0.0))
+    report("criterion 11: kernel time budgets",
+           not over and control == sorted(KERNEL_BUDGETS),
+           ", ".join(f"{kernel} N={n} {seconds[kernel, n]:.3f}s" for kernel, n in KERNEL_BUDGETS))

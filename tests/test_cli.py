@@ -57,6 +57,16 @@ class TestGenerate:
             ["generate", "--seq", "sum-of-digits", "--p", "13", "--n", "4"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("command", [["generate", "--n", "8"], ["profile", "--n-max", "8"],
+                                         ["verify", "--n-max", "8"]])
+    @pytest.mark.parametrize("p", ["4", "1"])
+    def test_sum_of_digits_base_not_prime_is_usage_error(self, capsys, command, p):
+        code, out, err = run_cli(
+            [command[0], "--seq", "sum-of-digits", "--p", p, *command[1:]], capsys)
+        assert code == 2
+        assert out == ""
+        assert "modulus" in err
+
 
 class TestProfile:
     def test_csv_header_and_thue_morse_row4(self, capsys):
@@ -89,6 +99,19 @@ class TestProfile:
             capsys)
         assert code == 0
         assert out.splitlines()[4].split(",")[2] == ""
+
+    @pytest.mark.parametrize("n_max", ["1", "2", "3"])
+    @pytest.mark.parametrize("seq", [["thue-morse"], ["sum-of-digits", "--p", "3"],
+                                     ["baum-sweet"]])
+    def test_cf_alone_matches_both_at_short_n(self, capsys, seq, n_max):
+        def l_cf(method):
+            code, out, _ = run_cli(["profile", "--seq", *seq, "--n-max", n_max,
+                                    "--method", method], capsys)
+            assert code == 0
+            return [line.split(",")[2] for line in out.splitlines()[1:]]
+        cf = l_cf("cf")
+        assert cf == l_cf("both")
+        assert len(cf) == int(n_max)
 
     def test_deterministic(self, capsys):
         args = ["profile", "--seq", "baum-sweet", "--n-max", "32"]
@@ -157,6 +180,16 @@ class TestVerify:
     def test_requires_target(self, capsys):
         code, _, _ = run_cli(["verify"], capsys)
         assert code == 2
+
+    def test_suite_with_seq_is_usage_error(self, capsys, tmp_path):
+        conf = tmp_path / "v.conf"
+        conf.write_text("seq=thue-morse\n")
+        for argv in (["verify", "--suite", "all", "--seq", "thue-morse", "--n-max", "8"],
+                     ["verify", "--config", str(conf), "--suite", "all", "--n-max", "8"]):
+            code, out, err = run_cli(argv, capsys)
+            assert code == 2
+            assert out == ""
+            assert "usage error" in err and "--suite" in err
 
     @pytest.mark.parametrize("index", ["64", "1000", "-1"])
     def test_corrupt_index_outside_prefix_is_usage_error(self, capsys, index):
@@ -304,36 +337,15 @@ class TestSubprocess:
         assert "first failing N=" in proc.stderr
 
 
-class TestBench:
-    def test_sanity_row_small_n(self, capsys):
-        code, out, _ = run_cli(["bench", "--kernel", "bm", "--n", "1"], capsys)
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[0] == "kernel,N,seconds,budget,ok"
-        assert lines[1].startswith("bm,1,")
-
-    def test_budget_miss_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "BENCH_BUDGETS", {("bm", 1): 0.0})
-        code, out, _ = run_cli(["bench", "--kernel", "bm", "--n", "1"], capsys)
-        assert code == 1
-        assert out.splitlines()[1].endswith(",0.0,false")
-
-    @pytest.mark.parametrize("budget, expected", [(60.0, 0), (0.0, 1)])
-    def test_out_writes_the_table(self, capsys, monkeypatch, tmp_path, budget, expected):
-        monkeypatch.setattr(cli, "BENCH_BUDGETS", {("bm", 1): budget})
-        target = tmp_path / "bench.csv"
-        code, out, _ = run_cli(
-            ["bench", "--kernel", "bm", "--n", "1", "--out", str(target)], capsys)
-        assert code == expected
-        assert out == ""
-        lines = target.read_text().splitlines()
-        assert lines[0] == "kernel,N,seconds,budget,ok"
-        assert lines[1].startswith("bm,1,")
-
-
 def test_seed_flag_is_gone():
     with pytest.raises(SystemExit) as exc:
         cli.main(["generate", "--seq", "thue-morse", "--n", "4", "--seed", "1"])
+    assert exc.value.code == 2
+
+
+def test_bench_subcommand_is_gone():
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bench"])
     assert exc.value.code == 2
 
 

@@ -47,10 +47,6 @@ class TestQuotients:
         assert exp.reliable_count == 1
         assert exp.quotients[1] == P(F2, 1, 1)
 
-    def test_zero_series_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            contfrac.cf_expand(LaurentSeries.from_prefix([0, 0], F2))
-
     def test_quotient_degrees_positive(self):
         exp = contfrac.cf_expand(series_for(autoseq.baum_sweet(), 128))
         assert all(q.degree >= 1 for q in exp.quotients[1:])
@@ -183,6 +179,35 @@ class TestConvergentIdentityControls:
                                   q_degrees=exp.q_degrees[:-1])
         assert contfrac.check_convergent_identities(exp) is None
         assert contfrac.check_convergent_identities(bad) == exp.degree_count - 1
+
+
+class TestZeroSeries:
+    """The zero series expands to [0], the continued fraction of 0."""
+
+    @pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
+    @pytest.mark.parametrize("n", [1, 4, 64])
+    def test_expansion_is_zero_quotient(self, p, n):
+        field = PrimeField(p)
+        r = LaurentSeries.from_prefix([0] * n, field)
+        exp = contfrac.cf_expand(r)
+        assert exp.quotients == (Poly.zero(field),)
+        assert exp.q_degrees == (0,)
+        assert contfrac.cf_expand_series(r) == [Poly.zero(field)]
+        assert contfrac.check_convergent_identities(exp) is None
+        assert list(contfrac.profile_from_cf(r, n)) == [0] * n
+
+    @pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
+    def test_corrupted_zero_expansion_fails(self, p):
+        field = PrimeField(p)
+        exp = contfrac.cf_expand(LaurentSeries.from_prefix([0] * 16, field))
+        a0 = exp.raw_quotients[0]
+        bumped = dataclasses.replace(exp, raw_quotients=(_bump(a0, field, 0),))
+        assert contfrac.check_convergent_identities(bumped) == 0
+        # A_1 = x with deg Q_1 = 1 passes the degree checks; the
+        # approximation property at the last convergent rejects it
+        appended = dataclasses.replace(exp, raw_quotients=(a0, _bump(a0, field, 1)),
+                                       q_degrees=(0, 1))
+        assert contfrac.check_convergent_identities(appended) == 1
 
 
 P31 = 2**31 - 1

@@ -1,5 +1,6 @@
 """Closed-form formulas, bounds, structural predictions, and verify()."""
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -207,6 +208,26 @@ class TestVerify:
         feq = next(c for c in report.checks if c.name == "functional_equation")
         assert not feq.passed
         assert feq.first_fail_n > 1024
+
+    def test_bound_attainment_reads_the_witness(self, monkeypatch):
+        # M one higher moves both Theorem 1 bounds, not the profile: the
+        # upper bound floor((N+3)/2) = 3 misses L(3) = 2 first
+        spec = autoseq.thue_morse()
+        assert theory.verify(spec, 64).ok
+        w = copy.copy(autoseq.witness(spec))
+        object.__setattr__(w, "m", w.m + 1)
+        monkeypatch.setattr(autoseq, "witness", lambda _spec: w)
+        checks = {c.name: c for c in theory.verify(spec, 64).checks}
+        assert checks["exact_formula"].passed
+        attain = checks["bound_attainment"]
+        assert not attain.passed
+        assert (attain.first_fail_n, attain.expected, attain.actual) == (3, "upper", 2)
+
+    def test_zero_series_gets_the_certificate(self):
+        # pattern 1111 first occurs at index 15, so the prefix of 8 is all zero
+        report = theory.verify(autoseq.pattern(2, 4, 15), 8)
+        assert report.ok
+        assert "convergent_identities" in [c.name for c in report.checks]
 
     def test_verify_suite_contains_all_one_patterns(self):
         reports = theory.verify_suite(64, k_max=3)
