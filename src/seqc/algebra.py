@@ -12,26 +12,44 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add
 
+import numpy as np
+
 NEG_INF = float("-inf")
 
 
-def _kron_mul(a, b, p: int) -> list:
-    """Exact coefficients of a*b mod p, for sequences with entries in [0, p).
+def _kron_mul(a, b, p: int):
+    """Exact coefficients of a*b mod p as an int64 array, for a, b with entries in [0, p).
 
-    Kronecker substitution: each sequence is packed into one Python int,
+    Kronecker substitution: each operand is packed into one Python int,
     one coefficient per slot wide enough for a full convolution sum, so a
     single big-int multiply yields every coefficient with no carry between
-    slots and no overflow at any p.
+    slots and no overflow at any p.  Slots are packed from and unpacked
+    to byte views of uint64 words.  A slot's sum is below
+    min(len a, len b) (p-1)^2, under 2^126 at p <= 2^31 - 1 for any length
+    an array can have, so a slot fits in two words; one wider than 8
+    bytes, low word lo and high word hi, is reduced in uint64 as
+    lo + hi (2^64 mod p), each term below 2^62.
     """
-    if not a or not b:
-        return []
+    a, b = np.asarray(a, dtype=np.uint64), np.asarray(b, dtype=np.uint64)
+    if not len(a) or not len(b):
+        return np.zeros(0, dtype=np.int64)
     width = max(1, ((min(len(a), len(b)) * (p - 1) ** 2).bit_length() + 7) // 8)
-    pa = int.from_bytes(b"".join(int(v).to_bytes(width, "little") for v in a), "little")
-    pb = int.from_bytes(b"".join(int(v).to_bytes(width, "little") for v in b), "little")
     count = len(a) + len(b) - 1
-    data = (pa * pb).to_bytes(count * width, "little")
-    return [int.from_bytes(data[k:k + width], "little") % p
-            for k in range(0, count * width, width)]
+    product = _kron_pack(a, width) * _kron_pack(b, width)
+    words = np.zeros((count, -(-width // 8)), dtype="<u8")  # the slots, zero-padded to words
+    words.view(np.uint8)[:, :width] = np.frombuffer(
+        product.to_bytes(count * width, "little"), dtype=np.uint8).reshape(count, width)
+    out = words[:, 0] % p
+    if width > 8:
+        out = (out + words[:, 1] % p * (2**64 % p)) % p
+    return out.astype(np.int64)
+
+
+def _kron_pack(a, width: int) -> int:
+    """The uint64 entries of a, each in ``width`` little-endian bytes, as one int."""
+    words = np.zeros((len(a), -(-width // 8)), dtype="<u8")
+    words[:, 0] = a  # an entry below p needs no more bytes than its slot has
+    return int.from_bytes(words.view(np.uint8)[:, :width].tobytes(), "little")
 
 
 class FieldMismatchError(ValueError):
@@ -96,20 +114,22 @@ class PrimeField:
 INT64_MAX = 2**63 - 1
 
 
-def _make_room(x, mx, y, my, p: int):
-    """Bounds of x and y after reducing them so that x can take one more c*y.
+def _make_room(x, mx, y, my, p: int, k: int = 1):
+    """Bounds of x and y after reducing them so that x can take k more c*y.
 
     The odd-p kernels keep unreduced int64 coefficient arrays, each with
     an int bound M on its entries: |x_i| <= mx, |y_i| <= my.  Adding (or
     subtracting) a product c*y, c in [0, p), raises x's bound to
-    mx + (p-1) my, and the caller adds that after the product.  Only if
+    mx + (p-1) my, and k of them (a convolution with k coefficients c)
+    to mx + k (p-1) my; the caller adds that after the products.  Only if
     it could pass INT64_MAX is each operand whose bound is above p - 1
     reduced mod p in place, so that both start again from p - 1 and the
-    next reduction is as far off as it can be.  Both reduced, the sum is
-    at most (p-1) + (p-1)^2 < 2^63 for every p <= 2^31 - 1, so one product
-    always fits.
+    next reduction is as far off as it can be.  Both reduced, the sum for
+    one product is at most (p-1) + (p-1)^2 < 2^63 for every
+    p <= 2^31 - 1, so one product always fits; k of them may not, and the
+    caller then takes as many as fit.
     """
-    if mx + (p - 1) * my > INT64_MAX:
+    if mx + k * (p - 1) * my > INT64_MAX:
         if my >= p:
             y %= p
             my = p - 1
@@ -196,7 +216,7 @@ class Poly:
         _check_same_field(self, other)
         if self.is_zero or other.is_zero:
             return Poly.zero(self.field)
-        return Poly(self.field, tuple(_kron_mul(self.coeffs, other.coeffs, self.field.p)))
+        return Poly(self.field, tuple(_kron_mul(self.coeffs, other.coeffs, self.field.p).tolist()))
 
     def __pow__(self, e: int):
         if e < 0:
@@ -372,7 +392,7 @@ class LaurentSeries:
         # the top `known` coefficients of the product need only the top
         # `known` coefficients of each factor
         known = min(len(self.coeffs), len(other.coeffs))
-        out = _kron_mul(self.coeffs[:known], other.coeffs[:known], self.field.p)[:known]
+        out = _kron_mul(self.coeffs[:known], other.coeffs[:known], self.field.p)[:known].tolist()
         top = self.top + other.top
         return LaurentSeries(self.field, top, out, top - known + 1)
 

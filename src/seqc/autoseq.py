@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import gf2
 from .algebra import Poly, PrimeField, _kron_mul
 
@@ -330,22 +332,23 @@ def witness_residual(w: AlgebraicWitness, pref, n: int) -> Poly:
             acc ^= gf2.mul(gf2.from_poly(h), 1 if power is None else power)
         acc &= mask
         return Poly(w.field, gf2.to_bits(acc))
-    g += [0] * (n - len(g))
-    acc = [0] * n
+    g = np.array(g + [0] * (n - len(g)), dtype=np.int64)
+    acc = np.zeros(n, dtype=np.int64)
     for i, h in enumerate(w.h_coeffs):
         if h.is_zero:
             continue
         power = None
         for stride in _frobenius_strides(i, p):
-            f = [0] * n
+            f = np.zeros(n, dtype=np.int64)
             f[::stride] = g[:-(-n // stride)]
             power = f if power is None else _kron_mul(power, f, p)[:n]
-        power = [1] if power is None else power
+        power = np.ones(1, dtype=np.int64) if power is None else power
         for e, c in enumerate(h.coeffs[:n]):
             if c:
                 seg = acc[e:e + len(power)]
-                acc[e:e + len(seg)] = [a + c * v for a, v in zip(seg, power)]
-    return Poly(w.field, tuple(acc))
+                seg += c * power[:len(seg)]  # below (p-1) + (p-1)^2 < 2^63
+                seg %= p
+    return Poly(w.field, tuple(acc.tolist()))
 
 
 def _frobenius_strides(i: int, p: int) -> list:

@@ -25,12 +25,23 @@ SEQ_NAMES = (
 )
 
 
+# the spec options each sequence takes; giving any other is a usage error
+SPEC_OPTIONS = {"pattern": ("p", "k", "a"), "sum-of-digits": ("p",), "paper-folding": ("v0",)}
+
+
 class UsageError(Exception):
     pass
 
 
+def _reject_spec_options(args, what, takes=()):
+    for key in ("p", "k", "a", "v0"):
+        if key not in takes and getattr(args, key) is not None:
+            raise UsageError(f"{what} takes no --{key}")
+
+
 def spec_from_args(args) -> SequenceSpec:
     name = args.seq
+    _reject_spec_options(args, name, SPEC_OPTIONS.get(name, ()))
     if name == "thue-morse":
         return autoseq.thue_morse()
     if name == "rudin-shapiro":
@@ -46,7 +57,7 @@ def spec_from_args(args) -> SequenceSpec:
     if name == "baum-sweet":
         return autoseq.baum_sweet()
     if name == "paper-folding":
-        return autoseq.paper_folding(args.v0)
+        return autoseq.paper_folding(1 if args.v0 is None else args.v0)
     return autoseq.perfect_profile()  # the last of argparse's SEQ_NAMES choices
 
 
@@ -152,6 +163,7 @@ def cmd_verify(args) -> int:
             return pref
 
     if args.suite == "all":
+        _reject_spec_options(args, "verify --suite all")
         reports = theory.verify_suite(args.n_max, k_max=args.kmax, mutate=mutate)
     else:
         spec = spec_from_args(args)
@@ -213,7 +225,7 @@ def build_parser():
         sp.add_argument("--p", type=int, default=None)
         sp.add_argument("--k", type=int, default=None)
         sp.add_argument("--a", type=int, default=None)
-        sp.add_argument("--v0", type=int, default=1, choices=(0, 1))
+        sp.add_argument("--v0", type=int, default=None, choices=(0, 1))
 
     def add_common(sp):
         sp.add_argument("--out", default=None, help="output path (default stdout)")

@@ -16,10 +16,16 @@ numpy int64 coefficient arrays, low to high.  A quotient has entries in
 [0, p).  A Euclid remainder and a convergent from the recurrence are
 kept unreduced, as a term [coeffs, M] with |coeffs_i| <= M, whose top
 entry alone is reduced and nonzero, so its degree is its length less
-one; a reduction in place lowers M in place.  Each product c*y (c in [0, p)) added to x raises x's bound by
-(p-1) M_y, and ``algebra._make_room`` reduces an operand mod p only when
-the next product could pass 2^63 - 1.  So every step is exact at every
-p <= 2^31 - 1, and at small p a reduction is rare.
+one; a reduction in place lowers M in place.  Each product c*y
+(c in [0, p)) added to x raises x's bound by (p-1) M_y, and
+``algebra._make_room`` reduces an operand mod p only when the next
+products could pass 2^63 - 1.  So every step is exact at every
+p <= 2^31 - 1, and at small p a reduction is rare.  The recurrence
+multiplies by a whole quotient at once: A_j y is one ``np.convolve`` per
+chunk of A_j, a chunk of k coefficients raises the bound by k (p-1) M_y,
+and a chunk is as long as the room left under 2^63 - 1 allows, so at
+small p a quotient is one convolution and at p = 2^31 - 1 a chunk is one
+or two coefficients.
 
 Reliability is two-tiered.  Convergent degrees are determined by the
 first N coefficients whenever deg Q_{j-1} + deg Q_j <= N (the profile
@@ -33,7 +39,8 @@ coefficients and are not emitted as ``quotients``.
 cost of one Euclid pass: it streams the recurrence, checks the quotient
 and denominator degrees at every j, and takes full products at the last
 convergent only, for the determinant and for the approximation property
-that ties the quotients to the input.
+that ties the quotients to the input.  For odd p those are exact
+Kronecker products (``algebra._kron_mul``) of the reduced arrays.
 """
 
 from __future__ import annotations
@@ -44,8 +51,8 @@ from itertools import accumulate, islice
 
 import numpy as np
 
-from . import gf2
-from .algebra import LaurentSeries, Poly, PrecisionError, PrimeField, _make_room
+from . import algebra, gf2
+from .algebra import LaurentSeries, Poly, PrecisionError, PrimeField, _kron_mul, _make_room
 from .autoseq import Profile
 
 
@@ -207,17 +214,36 @@ def _arr_divmod(a, b, p):
 
 
 def _arr_mul_add(a, b, c, p):
-    """a*b + c over F_p for a quotient a and terms b, c."""
+    """a*b + c over F_p for a quotient a and terms b, c, one convolution per chunk of a.
+
+    A chunk of k coefficients of a adds ``np.convolve(chunk, b)`` to the
+    output, each of whose entries sums at most k products of bound
+    (p-1) M_b, so it raises the output's bound by at most k (p-1) M_b.
+    ``_make_room`` reduces the output and b only when the rest of a would
+    not fit under ``algebra.INT64_MAX``, and the chunk is then as long as
+    fits: at small p a whole quotient is one convolution, and at
+    p = 2^31 - 1 a chunk is one or two coefficients.
+    """
     (bv, mb), (cv, m_out) = b, c
     out = np.zeros(max(len(a) + len(bv) - 1, len(cv)), dtype=np.int64)
     out[:len(cv)] = cv
-    for i, ai in enumerate(a.tolist()):
-        if ai:
-            m_out, mb = _make_room(out, m_out, bv, mb, p)
-            out[i:i + len(bv)] += ai * bv
-            m_out += (p - 1) * mb
+    i = 0
+    while len(bv) and i < len(a):
+        m_out, mb = _make_room(out, m_out, bv, mb, p, len(a) - i)
+        k = min(len(a) - i, (algebra.INT64_MAX - m_out) // ((p - 1) * mb))
+        out[i:i + k + len(bv) - 1] += np.convolve(a[i:i + k], bv)
+        m_out += k * (p - 1) * mb
+        i += k
     b[1] = mb
     return [_arr_trim(out, p), m_out]
+
+
+def _arr_sub(x, y, shift, p):
+    """x - y x^shift over F_p, trimmed, for x, y with entries in [0, p)."""
+    out = np.zeros(max(len(x), shift + len(y)), dtype=np.int64)
+    out[:len(x)] = x
+    out[shift:shift + len(y)] -= y
+    return np.trim_zeros(out % p, "b")
 
 
 def _value_certified_count(degs, n) -> int:
@@ -337,11 +363,12 @@ def _last_convergent_ok(expansion: CFExpansion, prev, last) -> bool:
         g = gf2.from_bits(coeffs[::-1])
         res_deg = gf2.degree(gf2.mul(q_last, g) ^ (p_last << n))
     else:
-        to_poly = _Backend(field).to_poly
-        (p_prev, q_prev), (p_last, q_last) = (tuple(map(to_poly, pair)) for pair in (prev, last))
-        det_ok = p_prev * q_last - p_last * q_prev == Poly(field, ((-1) ** j_last,))
-        g = Poly(field, coeffs[::-1])
-        res_deg = (q_last * g - p_last.shift(n)).degree
+        p = field.p
+        (p_prev, q_prev), (p_last, q_last) = ((v % p for v in pair) for pair in (prev, last))
+        det = _arr_sub(_kron_mul(p_prev, q_last, p), _kron_mul(p_last, q_prev, p), 0, p)
+        det_ok = det.tolist() == [(-1) ** j_last % p]
+        g = np.array(coeffs[::-1], dtype=np.int64)
+        res_deg = len(_arr_sub(_kron_mul(q_last, g, p), p_last, n, p)) - 1
     dq = expansion.q_degrees[j_last]
     # J = 0: (P_{-1}, Q_{-1}) = (1, 0) and the determinant is Q_0 = 1, checked already
     return (j_last == 0 or det_ok) and res_deg < min(n - dq, dq)

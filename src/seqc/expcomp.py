@@ -88,7 +88,7 @@ def expansion_profile(prefix, field: PrimeField, d_max: int = 8):
         while not basis and d < d_max:
             d += 1
             mons = monomials(d)
-            pows.append(_kron_mul(pows[-1], g, p)[:n_total])
+            pows.append(_kron_mul(pows[-1], g, p)[:n_total].tolist())
             basis = _unit_basis(len(mons))
             for r in range(k + 1):
                 basis = _shrink(basis, row(r), p)

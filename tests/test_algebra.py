@@ -1,7 +1,8 @@
 """Polynomial and truncated Laurent series arithmetic over prime fields."""
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from seqc.algebra import (
     NEG_INF,
@@ -10,6 +11,7 @@ from seqc.algebra import (
     Poly,
     PrecisionError,
     PrimeField,
+    _kron_mul,
 )
 
 F2 = PrimeField(2)
@@ -98,6 +100,39 @@ def test_poly_mul_matches_schoolbook(p, data):
         prod = LaurentSeries.from_prefix(xs, field) * LaurentSeries.from_prefix(ys, field)
         n = min(len(xs), len(ys))
         assert [prod.coeff(-i) for i in range(2, n + 2)] == [v % p for v in want[:n]]
+
+
+P31 = 2**31 - 1
+
+
+@st.composite
+def kron_operands(draw):
+    p = draw(st.sampled_from([2, 3, 5, 65521, P31]))
+    coeffs = st.lists(st.integers(0, p - 1) | st.just(p - 1), max_size=300)
+    return p, draw(coeffs), draw(coeffs), draw(st.booleans())
+
+
+# a slot holds min(len a, len b) (p-1)^2: 1 byte at p = 2, 2 bytes at p = 3
+# and length 100, 8 bytes at p = 2^31 - 1 and length 1, 9 bytes from length 5
+@given(kron_operands())
+@example((2, [1] * 7, [1, 0, 1], False))
+@example((3, [2] * 100, [2] * 300, True))
+@example((P31, [P31 - 1], [P31 - 1, 5], False))
+@example((P31, [P31 - 1] * 300, [P31 - 1] * 300, True))
+@example((65521, [65520] * 300, [65520] * 7, False))
+@example((5, [], [1, 2], True))
+@settings(max_examples=80, deadline=None)
+def test_kron_mul_matches_schoolbook_mod_p(case):
+    p, xs, ys, as_array = case
+    want = [0] * (len(xs) + len(ys) - 1) if xs and ys else []
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            want[i + j] += x * y
+    if as_array:
+        xs, ys = np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)
+    got = _kron_mul(xs, ys, p)
+    assert got.dtype == np.int64
+    assert got.tolist() == [v % p for v in want]
 
 
 @given(coeff_lists, coeff_lists)

@@ -191,6 +191,31 @@ class TestVerify:
             assert out == ""
             assert "usage error" in err and "--suite" in err
 
+    @pytest.mark.parametrize("argv,option", [
+        (["generate", "--seq", "thue-morse", "--n", "4"], "p=3"),
+        (["profile", "--seq", "baum-sweet", "--n-max", "2"], "k=9"),
+        (["verify", "--suite", "all", "--n-max", "8"], "p=7"),
+        (["verify", "--suite", "all", "--n-max", "8"], "v0=1"),
+        (["expansion", "--seq", "sum-of-digits", "--p", "3", "--n", "4"], "v0=0"),
+        (["profile", "--seq", "paper-folding", "--n-max", "2"], "a=1"),
+        (["generate", "--seq", "pattern", "--p", "2", "--k", "2", "--a", "3", "--n", "4"], "v0=1"),
+    ])
+    def test_spec_option_not_taken_is_usage_error(self, capsys, tmp_path, argv, option):
+        key, val = option.split("=")
+        conf = tmp_path / "s.conf"
+        conf.write_text(option + "\n")
+        for full in (argv + ["--" + key, val], argv[:1] + ["--config", str(conf)] + argv[1:]):
+            code, out, err = run_cli(full, capsys)
+            assert code == 2
+            assert out == ""
+            assert "usage error" in err and f"takes no --{key}" in err
+
+    def test_paper_folding_v0_defaults_to_1(self, capsys):
+        outs = [run_cli(["generate", "--seq", "paper-folding", "--n", "16", *extra], capsys)
+                for extra in ([], ["--v0", "1"])]
+        assert outs[0] == outs[1] and outs[0][0] == 0
+        assert outs[0][1].startswith("# p=2 spec=paper-folding(v0=1)\n")
+
     @pytest.mark.parametrize("index", ["64", "1000", "-1"])
     def test_corrupt_index_outside_prefix_is_usage_error(self, capsys, index):
         code, out, err = run_cli(

@@ -118,6 +118,9 @@ CONTROL_STREAMS = {
     "f2 random": (F2, _random_stream(2, 96, 5)),
     "f3 sum-of-digits": (F3, autoseq.prefix(autoseq.sum_of_digits(3), 96)),
     "f3 random": (F3, _random_stream(3, 96, 6)),
+    "f2147483647 random": (PrimeField(2**31 - 1), _random_stream(2**31 - 1, 96, 7)),
+    # 1024 symbols: quotients of degree up to 242
+    "f3 long sum-of-digits": (F3, autoseq.prefix(autoseq.sum_of_digits(3), 1024)),
 }
 
 
@@ -134,14 +137,15 @@ class TestConvergentIdentityControls:
     """Every corruption of a stored expansion must be caught."""
 
     @pytest.mark.parametrize("name", sorted(CONTROL_STREAMS))
-    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("where", ["first", "middle", "last", "longest"])
     @pytest.mark.parametrize("which", [0, 1])  # 0: A_j, 1: deg Q_j
     def test_perturbed_convergent(self, name, where, which):
         # (P_j, Q_j) is rebuilt from A_j; the profile reads deg Q_j
         field, stream, exp = _control(name)
         last = exp.degree_count
         assert last >= 4
-        j = {"first": 1, "middle": last // 2, "last": last}[where]
+        longest = max(range(1, last + 1), key=lambda i: _native_degree(exp.raw_quotients[i]))
+        j = {"first": 1, "middle": last // 2, "last": last, "longest": longest}[where]
         if which == 0:
             # a coefficient below the leading one, so the degree stays put
             a = exp.raw_quotients[j]

@@ -6,12 +6,16 @@ bound on its entries, and reduce mod p only when the next product could
 pass INT64_MAX.  Here that limit is lowered to (p-1) + j (p-1)^2: at
 j = 1, the least room one product needs, reductions fire on nearly every
 step, and at larger j some steps go unreduced, so an array can enter a
-step with a bound above p - 1.  Every helper call checks the tracked
-bounds against the arrays themselves, and the outputs must equal
-references on Python ints.
+step with a bound above p - 1.  The convergent recurrence multiplies by
+a quotient in convolution chunks as long as the room allows, so under a
+low limit a quotient of degree 8 or more takes several chunks with
+reductions between them.  Every helper call checks the tracked bounds
+against the arrays themselves, and the outputs must equal references on
+Python ints.
 """
 
 import contextlib
+import dataclasses
 from itertools import accumulate
 
 import numpy as np
@@ -42,11 +46,11 @@ def low_limit(p, slack):
     real = algebra._make_room
     reductions = []
 
-    def checked(x, mx, y, my, q):
-        assert q == p
+    def checked(x, mx, y, my, q, k=1):
+        assert q == p and k >= 1
         assert max(mx, my) <= limit
         assert _abs_max(x) <= mx and _abs_max(y) <= my
-        new_mx, new_my = real(x, mx, y, my, q)
+        new_mx, new_my = real(x, mx, y, my, q, k)
         assert new_mx + (p - 1) * new_my <= limit
         assert _abs_max(x) <= new_mx and _abs_max(y) <= new_my
         reductions.append((new_mx < mx) + (new_my < my))
@@ -97,7 +101,14 @@ def check_kernels(symbols, p):
     assert [q.tolist() for q in exp.raw_quotients[1:]] == [list(a.coeffs) for a in ref]
     assert exp.q_degrees == tuple(accumulate((a.degree for a in ref), initial=0))
     assert contfrac.check_convergent_identities(exp) is None
-    assert exp.convergent(exp.degree_count) == poly_convergent(ref, field)
+    last = exp.degree_count
+    for j in sorted({0, 1, last // 2, last}):
+        assert exp.convergent(j) == poly_convergent(ref[:j], field)
+    # a bumped constant term of A_J changes Q_J: the certificate must see it
+    bumped = exp.raw_quotients[-1].copy()
+    bumped[0] = (bumped[0] + 1) % p
+    bad = dataclasses.replace(exp, raw_quotients=exp.raw_quotients[:-1] + (bumped,))
+    assert contfrac.check_convergent_identities(bad) is not None
 
 
 def _zero_run_stream(p, seed, n):
@@ -154,6 +165,34 @@ def test_reductions_fire_under_a_low_limit(p, make):
 @pytest.mark.parametrize("make", [_random_stream, _zero_run_stream])
 def test_kernels_exact_at_the_int64_limit(p, make):
     check_kernels(make(p, 6, 400), p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("slack", [1, 3])
+def test_mul_add_chunks_under_a_low_limit(p, slack):
+    """Quotients of degree 8-12 through the Q recurrence, in chunks of at most ``slack``.
+
+    A chunk of k coefficients needs room for k products, so under the
+    lowered limit each quotient takes several chunks with reductions
+    between them; ``low_limit`` checks the bounds before and after each
+    reduction, and so after each chunk, and the returned terms are
+    checked here.
+    """
+    field = PrimeField(p)
+    rng = np.random.default_rng(p + slack)
+    quotients = [np.append(rng.integers(0, p, int(rng.integers(8, 13))), rng.integers(1, p))
+                 for _ in range(6)]
+    q_prev, q_cur = Poly.zero(field), Poly.one(field)
+    prev, cur = [np.zeros(0, dtype=np.int64), p - 1], [np.ones(1, dtype=np.int64), p - 1]
+    with low_limit(p, slack) as reductions:
+        for a in quotients:
+            prev, cur = cur, contfrac._arr_mul_add(a, cur, prev, p)
+            q_prev, q_cur = q_cur, Poly(field, tuple(a.tolist())) * q_cur + q_prev
+            for (arr, bound), want in ((prev, q_prev), (cur, q_cur)):
+                assert _abs_max(arr) <= bound <= algebra.INT64_MAX
+                assert Poly(field, tuple(arr.tolist())) == want
+    assert len(reductions) >= 3 * len(quotients)
+    assert sum(reductions) >= 2 * len(quotients)
 
 
 class TestMakeRoom:
