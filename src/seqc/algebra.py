@@ -29,6 +29,9 @@ def _kron_mul(a, b, p: int):
     an array can have, so a slot fits in two words; one wider than 8
     bytes, low word lo and high word hi, is reduced in uint64 as
     lo + hi (2^64 mod p), each term below 2^62.
+
+    It is the one Kronecker product in seqc: at p = 2 it serves
+    ``gf2.mul`` above that module's shift-and-XOR size, on bit arrays.
     """
     a, b = np.asarray(a, dtype=np.uint64), np.asarray(b, dtype=np.uint64)
     if not len(a) or not len(b):

@@ -9,6 +9,7 @@ digit-counting oracle is provided for pattern sequences.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -37,7 +38,8 @@ class SequenceSpec:
             PrimeField(self.p)
             if self.k < 1:
                 raise ValueError("pattern length k must be >= 1")
-            if not (0 < self.a < self.p ** self.k):
+            # a < 2^k <= p^k once k >= a.bit_length(), with no p^k built
+            if not (0 < self.a and (self.k >= self.a.bit_length() or self.a < self.p ** self.k)):
                 raise ValueError("pattern value a must satisfy 0 < a < p**k")
         elif self.kind == SUM_OF_DIGITS:
             PrimeField(self.p)
@@ -67,7 +69,8 @@ class SequenceSpec:
 
     @property
     def is_all_one_pattern(self) -> bool:
-        return self.kind == PATTERN and self.p == 2 and self.a == 2 ** self.k - 1
+        return (self.kind == PATTERN and self.p == 2
+                and self.a.bit_length() == self.k and self.a & (self.a + 1) == 0)
 
 
 def pattern(p: int, k: int, a: int) -> SequenceSpec:
@@ -113,12 +116,21 @@ def builtin_specs():
 
 # -- term generation (iterative digit peeling, no recursion) ------------
 
+def _pattern_modulus(spec: SequenceSpec, n: int) -> int:
+    """A modulus m with i mod m == a exactly when i mod p^k == a, for 0 <= i <= n.
+
+    p^min(k, n.bit_length()) exceeds n once k is cut, so then both tests
+    read i == a; p^k itself is never built for a huge k.
+    """
+    return spec.p ** min(spec.k, n.bit_length())
+
+
 def term(spec: SequenceSpec, n: int) -> int:
     if n < 0:
         raise ValueError("index must be >= 0")
     kind = spec.kind
     if kind == PATTERN:
-        p, pk, a = spec.p, spec.p ** spec.k, spec.a
+        p, pk, a = spec.p, _pattern_modulus(spec, n), spec.a
         count = 0
         while n:
             if n % pk == a:
@@ -163,7 +175,7 @@ def prefix(spec: SequenceSpec, n: int):
         raise ValueError("prefix length must be >= 1")
     kind = spec.kind
     if kind == PATTERN:
-        p, pk, a = spec.p, spec.p ** spec.k, spec.a
+        p, pk, a = spec.p, _pattern_modulus(spec, n - 1), spec.a
         out = [0] * n
         for i in range(1, n):
             out[i] = (out[i // p] + (1 if i % pk == a else 0)) % p
@@ -245,6 +257,7 @@ class AlgebraicWitness:
 WITNESS_DEGREE_CAP = 2**16
 
 
+@cache
 def witness(spec: SequenceSpec) -> AlgebraicWitness:
     """h(s,t) for a built-in spec, with dense coefficients in s and in t.
 
@@ -252,11 +265,16 @@ def witness(spec: SequenceSpec) -> AlgebraicWitness:
     sum-of-digits(p), so it grows with p.  Above WITNESS_DEGREE_CAP
     (2^16; p up to 32749 for sum-of-digits and p^k + 2p - 1 <= 65536
     for a pattern) a ValueError is raised before anything is allocated.
+    Specs are frozen and witnesses immutable, so each is built once per
+    process; a spec over the cap raises on every call.
     """
     if spec.kind in (PATTERN, SUM_OF_DIGITS):
-        p = spec.p
-        degree = p ** spec.k + 2 * p - 1 if spec.kind == PATTERN else 2 * p + 1
-        if degree > WITNESS_DEGREE_CAP:
+        p, k = spec.p, spec.k
+        if spec.kind == SUM_OF_DIGITS:
+            degree = 2 * p + 1
+        else:  # over the cap for every k > 16; past k = 64, p^k is written, not built
+            degree = p ** k + 2 * p - 1 if k <= 64 else f"{p}^{k} + {2 * p - 1}"
+        if isinstance(degree, str) or degree > WITNESS_DEGREE_CAP:
             raise ValueError(f"witness degree {degree} of {spec.canonical_name} exceeds "
                              f"the cap {WITNESS_DEGREE_CAP}")
     field = spec.field

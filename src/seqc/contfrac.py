@@ -39,8 +39,11 @@ coefficients and are not emitted as ``quotients``.
 cost of one Euclid pass: it streams the recurrence, checks the quotient
 and denominator degrees at every j, and takes full products at the last
 convergent only, for the determinant and for the approximation property
-that ties the quotients to the input.  For odd p those are exact
-Kronecker products (``algebra._kron_mul``) of the reduced arrays.
+that ties the quotients to the input.  Every such product is one exact
+Kronecker product (``algebra._kron_mul``) in both fields: for odd p of the
+reduced arrays, and over F_2 through ``gf2.mul``, which unpacks its
+operands to digit arrays for it once the shorter has more than
+``gf2.SHIFT_XOR_BITS`` bits and is shift-and-XOR below that.
 """
 
 from __future__ import annotations

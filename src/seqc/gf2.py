@@ -1,19 +1,24 @@
 """Bit-packed polynomials over GF(2).
 
 A polynomial is a plain int whose bit i is the coefficient of x^i, so xor
-is addition and shifts are monomial multiplications.  Large products go
-through one integer multiplication with the coefficients spread into byte
-slots wide enough to count the shorter operand's bits, so no carry crosses
-a slot.  Spreading and collapsing go through binary strings and
-``bytes.translate``, in linear time, which keeps the O(N^2) kernels inside
-CPython's bignum code.
+is addition and shifts are monomial multiplications.  A product is
+shift-and-XOR while its shorter operand has at most SHIFT_XOR_BITS bits:
+one shifted XOR per set bit, in CPython's bignum code, which on random
+operands beats substitution at those sizes, as Brent, Gaudry, Thome and
+Zimmermann also found ("Faster multiplication in GF(2)[x]", ANTS 2008).
+Above that size both operands are unpacked to digit arrays for the
+Kronecker product that serves every field (``algebra._kron_mul``), and the
+product is packed back.  Conversions go through binary strings and
+``bytes.translate``, or numpy's bit packing, in linear time.
 """
 
 from __future__ import annotations
 
-from .algebra import Poly
+import numpy as np
 
-# ASCII binary digit -> coefficient byte, and slot byte -> ASCII digit of its parity
+from .algebra import Poly, _kron_mul
+
+# ASCII binary digit -> coefficient byte, and coefficient byte -> ASCII digit of its parity
 _DIGIT = bytes.maketrans(b"01", b"\x00\x01")
 _PARITY = bytes(48 + (v & 1) for v in range(256))
 
@@ -21,20 +26,6 @@ _PARITY = bytes(48 + (v & 1) for v in range(256))
 def degree(a: int) -> int:
     """Degree of a; -1 for the zero polynomial."""
     return a.bit_length() - 1
-
-
-def _spread(a: int, w: int) -> int:
-    """a with coefficient i moved to the low bit of the i-th w-byte slot."""
-    digits = format(a, "b").encode().translate(_DIGIT)
-    slots = bytearray(len(digits) * w)
-    slots[w - 1::w] = digits
-    return int.from_bytes(slots, "big")
-
-
-def _collapse(prod: int, w: int) -> int:
-    """The parity of every w-byte slot of prod, slot i as coefficient i."""
-    data = prod.to_bytes(-(-prod.bit_length() // (8 * w)) * w, "big")
-    return int(data[w - 1::w].translate(_PARITY) or b"0", 2)
 
 
 def from_bits(bits) -> int:
@@ -63,9 +54,11 @@ def stretch(a: int, stride: int, n: int) -> int:
     return int(out, 2)
 
 
-def _slot_bytes(terms: int) -> int:
-    """Bytes per slot that hold a sum of ``terms`` products of bits."""
-    return max(1, (terms.bit_length() + 7) // 8)
+# bits of the shorter operand up to which ``mul`` is shift-and-XOR.  It
+# costs one XOR per set bit of that operand, so where the Kronecker product
+# overtakes it depends on density: random operands still favour shifts at
+# 8192 x 16384 bits, all-ones operands favour Kronecker from 4096 x 8192 bits.
+SHIFT_XOR_BITS = 4096
 
 
 def mul(a: int, b: int) -> int:
@@ -75,28 +68,26 @@ def mul(a: int, b: int) -> int:
     la, lb = a.bit_length(), b.bit_length()
     if la < lb:
         a, b, la, lb = b, a, lb, la
-    if lb <= 256:
+    if lb <= SHIFT_XOR_BITS:
         out = 0
         while b:
             low = b & -b
             out ^= a << (low.bit_length() - 1)
             b ^= low
         return out
-    w = _slot_bytes(lb)
-    return _collapse(_spread(a, w) * _spread(b, w), w)
+    a, b = (np.unpackbits(np.frombuffer(v.to_bytes(-(-n // 8), "little"), dtype=np.uint8),
+                          count=n, bitorder="little") for v, n in ((a, la), (b, lb)))
+    prod = _kron_mul(a, b, 2).astype(np.uint8)
+    return int.from_bytes(np.packbits(prod, bitorder="little").tobytes(), "little")
 
 
 def mul_add_is_one(a1: int, b1: int, a2: int, b2: int) -> bool:
     """Whether a1*b1 + a2*b2 == 1 in GF(2)[x].
 
-    Evaluated in the spread domain so only one big-int multiply per product
-    is needed; the final test reads the slot parities.  No seqc code calls
-    it.  It stays defined because perfbench/spans.py looks it up by name to
-    time it; it goes together with that lookup.
+    No seqc code calls it.  It stays defined because perfbench/spans.py
+    looks it up by name to time it; it goes together with that lookup.
     """
-    w = _slot_bytes(min(a1.bit_length(), b1.bit_length()) + min(a2.bit_length(), b2.bit_length()))
-    s = _spread(a1, w) * _spread(b1, w) + _spread(a2, w) * _spread(b2, w)
-    return _collapse(s, w) == 1
+    return mul(a1, b1) ^ mul(a2, b2) == 1
 
 
 def divmod_(a: int, b: int):

@@ -89,6 +89,8 @@ class TestSpecs:
         assert autoseq.pattern(2, 3, 7).is_all_one_pattern
         assert not autoseq.pattern(2, 3, 5).is_all_one_pattern
         assert not autoseq.sum_of_digits(3).is_all_one_pattern
+        assert not autoseq.pattern(2, 4, 7).is_all_one_pattern
+        assert not autoseq.pattern(2, 10**8, 1).is_all_one_pattern
 
 
 class TestWitness:
@@ -107,6 +109,9 @@ class TestWitness:
         assert w.d == 2
         assert w.m == 0
         assert w.total_degree == 4
+
+    def test_built_once(self):
+        assert autoseq.witness(autoseq.thue_morse()) is autoseq.witness(autoseq.pattern(2, 1, 1))
 
     def test_pattern_witness_m(self):
         # M = p^k - 1 for the pattern witness
@@ -173,3 +178,22 @@ def test_rudin_shapiro_counts_adjacent_ones(n):
     b = bin(n)[2:]
     count = sum(1 for i in range(len(b) - 1) if b[i] == b[i + 1] == "1")
     assert autoseq.term(spec, n) == count % 2
+
+
+def _pattern_term_full_power(p, k, a, n):
+    """The pattern recurrence read with the full modulus p^k."""
+    count = 0
+    while n:
+        count += n % p ** k == a
+        n //= p
+    return count % p
+
+
+@given(st.sampled_from([2, 3, 5]), st.integers(min_value=1, max_value=12), st.data())
+def test_pattern_terms_match_full_power(p, k, data):
+    a = data.draw(st.integers(min_value=1, max_value=p ** k - 1))
+    n = data.draw(st.integers(min_value=1, max_value=400))
+    spec = autoseq.pattern(p, k, a)
+    want = [_pattern_term_full_power(p, k, a, i) for i in range(n)]
+    assert autoseq.prefix(spec, n) == want
+    assert autoseq.term(spec, n - 1) == want[-1]

@@ -243,13 +243,31 @@ class TestWitnessCap:
         ["verify", "--seq", "sum-of-digits", "--p", P31, "--n-max", "8"],
         ["profile", "--seq", "pattern", "--p", P31, "--k", "1", "--a", "1", "--n-max", "8"],
         ["verify", "--seq", "pattern", "--p", P31, "--k", "1", "--a", "1", "--n-max", "8"],
+        ["verify", "--seq", "pattern", "--p", "2", "--k", "17", "--a", "1", "--n-max", "8"],
     ])
     def test_over_the_cap_is_error_2(self, capsys, argv):
-        code, out, err = run_cli(argv, capsys)
-        assert code == 2
-        assert out == ""
-        assert "witness degree" in err and str(autoseq.WITNESS_DEGREE_CAP) in err
-        assert "Traceback" not in err
+        for _ in range(2):  # witnesses are cached, a failure is not
+            code, out, err = run_cli(argv, capsys)
+            assert code == 2
+            assert out == ""
+            assert "witness degree" in err and str(autoseq.WITNESS_DEGREE_CAP) in err
+            assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, code, out, err", [
+        (["generate", "--n", "4"], 0, "0101", ""),
+        (["profile", "--n-max", "4"], 2, "",
+         "witness degree 3^100000000 + 5 of pattern(p=3,k=100000000,a=1) exceeds the cap 65536"),
+        (["verify", "--n-max", "4"], 2, "",
+         "witness degree 3^100000000 + 5 of pattern(p=3,k=100000000,a=1) exceeds the cap 65536"),
+    ])
+    def test_huge_k_answers_at_once(self, argv, code, out, err):
+        # 3^(10^8) is never built: validation, the prefix and the cap read k alone
+        spec = ["--seq", "pattern", "--p", "3", "--k", str(10**8), "--a", "1"]
+        proc = subprocess.run([sys.executable, "-m", "seqc.cli", *argv[:1], *spec, *argv[1:]],
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == code
+        assert proc.stdout.splitlines()[1:] == ([out] if out else [])
+        assert err in proc.stderr and "Traceback" not in proc.stderr
 
     def test_largest_sum_of_digits_under_the_cap_runs(self, capsys):
         # 2p + 1 = 65499 <= 2^16 at p = 32749, the largest prime under the cap
