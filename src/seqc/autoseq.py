@@ -366,7 +366,7 @@ def witness_residual(w: AlgebraicWitness, pref, n: int) -> Poly:
                 seg = acc[e:e + len(power)]
                 seg += c * power[:len(seg)]  # below (p-1) + (p-1)^2 < 2^63
                 seg %= p
-    return Poly(w.field, tuple(acc.tolist()))
+    return Poly(w.field, tuple(np.trim_zeros(acc, "b").tolist()))
 
 
 def _frobenius_strides(i: int, p: int) -> list:

@@ -5,15 +5,17 @@ packs the N known coefficients; it is integer-exact and needs no
 precision bookkeeping inside the loop.  It works on the remainders only:
 each step records the partial quotient A_j and adds deg A_j to the
 running sum deg Q_j = deg A_1 + ... + deg A_j, which is all a profile
-reads.  The convergents (P_j, Q_j) are never stored; ``convergent(j)``,
-``check_convergent_identities`` and ``q_congruences`` rebuild them from
-the quotients by the three-term recurrence, holding two pairs at a time.
-The polynomial-part/inverse recursion on truncated series is kept as a
+reads.  The convergents (P_j, Q_j) are never stored.  The denominators
+are the one convergent stream: ``convergent(j)``,
+``check_convergent_identities`` and ``q_congruences`` rebuild Q_j from
+the quotients by the three-term recurrence, holding two at a time, and a
+numerator is read off one product, P_j = Pol(Q_j R).  The
+polynomial-part/inverse recursion on truncated series is kept as a
 secondary path for differential testing.
 
 Over F_2 polynomials are bit-packed ints (``gf2``).  For odd p they are
 numpy int64 coefficient arrays, low to high.  A quotient has entries in
-[0, p).  A Euclid remainder and a convergent from the recurrence are
+[0, p).  A Euclid remainder and a denominator from the recurrence are
 kept unreduced, as a term [coeffs, M] with |coeffs_i| <= M, whose top
 entry alone is reduced and nonzero, so its degree is its length less
 one; a reduction in place lowers M in place.  Each product c*y
@@ -36,14 +38,17 @@ past that index can pick up truncation noise in their low-order
 coefficients and are not emitted as ``quotients``.
 
 ``check_convergent_identities`` certifies an expansion for about the
-cost of one Euclid pass: it streams the recurrence, checks the quotient
-and denominator degrees at every j, and takes full products at the last
-convergent only, for the determinant and for the approximation property
-that ties the quotients to the input.  Every such product is one exact
-Kronecker product (``algebra._kron_mul``) in both fields: for odd p of the
-reduced arrays, and over F_2 through ``gf2.mul``, which unpacks its
-operands to digit arrays for it once the shorter has more than
-``gf2.SHIFT_XOR_BITS`` bits and is shift-and-XOR below that.
+cost of one Euclid pass: it streams the denominator recurrence, checks
+the quotient and denominator degrees at every j, and takes full products
+at the last two denominators only.  One product Q_J G gives both P_J and
+the residual of the approximation property that ties the quotients to
+the input; one of Q_{J-1} with G's coefficients from x^(N - deg Q_{J-1})
+up, about half of them, gives P_{J-1}; two more give the determinant.
+Every such product is one exact Kronecker product (``algebra._kron_mul``)
+in both fields: for odd p of the arrays reduced mod p, and over F_2
+through ``gf2.mul``, which unpacks its operands to digit arrays for it
+once the shorter has more than ``gf2.SHIFT_XOR_BITS`` bits and is
+shift-and-XOR below that.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, islice
+from operator import xor
 
 import numpy as np
 
@@ -70,8 +76,12 @@ class CFExpansion:
     deg Q_0..deg Q_J, the running sums of the quotient degrees, which the
     profile walk reads.  ``quotients`` converts only the value-certified
     quotients (2 deg Q_j <= N) to Poly, on first use.  No convergent pair
-    is stored: ``convergent(j)`` rebuilds (P_j, Q_j) by the three-term
-    recurrence in memory linear in deg Q_j.
+    is stored: ``convergent(j)`` rebuilds Q_j by the three-term recurrence
+    in memory linear in deg Q_j, and reads P_j = Pol(Q_j R) off one
+    product.  P_j is the numerator of the j-th convergent because
+    |Q_j R - P_j| = 1 / |Q_{j+1}| < 1 (or 0 at the last convergent of a
+    rational R); ``check_convergent_identities`` proves that the stored
+    quotients make these the input's convergents.
     """
 
     series: LaurentSeries
@@ -104,12 +114,13 @@ class CFExpansion:
         return tuple(map(to_poly, self.raw_quotients[:self.reliable_count + 1]))
 
     def convergent(self, j: int):
-        """(P_j, Q_j) as Poly pairs, rebuilt from A_0..A_j."""
+        """(P_j, Q_j) as Poly pairs: Q_j rebuilt from A_1..A_j, P_j = Pol(Q_j R)."""
         if not 0 <= j < len(self.raw_quotients):
             raise IndexError(f"convergent index {j} outside [0, {len(self.raw_quotients)})")
-        to_poly = _Backend(self.field).to_poly
-        pp, qq = next(islice(zip(_numerators(self), _denominators(self)), j, None))
-        return to_poly(pp), to_poly(qq)
+        backend = _Backend(self.field)
+        q = next(islice(_denominators(self), j, None))
+        g = backend.from_symbols(self.series.coeffs)  # G = x^N R cut below x^0
+        return backend.to_poly(_numerator(backend, g, self.precision, q)), backend.to_poly(q)
 
 
 class _Backend:
@@ -122,13 +133,19 @@ class _Backend:
     with entries in [0, p) and ``value`` gives back its polynomial.
     ``divmod(a, b)`` takes two terms and ``mul_add(a, b, c)`` a quotient
     a and two terms; for odd p either may reduce b in place, lowering its
-    bound with it.
+    bound with it.  ``mul`` (the exact full product), ``sub`` and
+    ``split(a, n)`` = (a div x^n, a mod x^n) take values; for odd p
+    ``mul`` reduces its operands mod p first, and the parts of ``split``
+    are trimmed.
     """
 
     def __init__(self, field: PrimeField):
         p = field.p
         if p == 2:
             self.term = self.value = lambda v: v
+            self.mul = gf2.mul
+            self.sub = xor
+            self.split = lambda a, n: (a >> n, a & ((1 << n) - 1))
             self.mul_add = lambda a, b, c: gf2.mul(a, b) ^ c
             self.divmod = gf2.divmod_
             self.degree = gf2.degree
@@ -139,6 +156,9 @@ class _Backend:
         else:
             self.term = lambda arr: [arr, p - 1]
             self.value = lambda term: term[0]
+            self.mul = lambda a, b: _kron_mul(a % p, b % p, p)
+            self.sub = lambda a, b: _arr_sub(a, b, p)
+            self.split = lambda a, n: (a[n:], np.trim_zeros(a[:n], "b"))
             self.mul_add = lambda a, b, c: _arr_mul_add(a, b, c, p)
             self.divmod = lambda a, b: _arr_divmod(a, b, p)
             self.degree = _arr_degree
@@ -241,11 +261,11 @@ def _arr_mul_add(a, b, c, p):
     return [_arr_trim(out, p), m_out]
 
 
-def _arr_sub(x, y, shift, p):
-    """x - y x^shift over F_p, trimmed, for x, y with entries in [0, p)."""
-    out = np.zeros(max(len(x), shift + len(y)), dtype=np.int64)
+def _arr_sub(x, y, p):
+    """x - y over F_p, trimmed, for x, y with entries in [0, p)."""
+    out = np.zeros(max(len(x), len(y)), dtype=np.int64)
     out[:len(x)] = x
-    out[shift:shift + len(y)] -= y
+    out[:len(y)] -= y
     return np.trim_zeros(out % p, "b")
 
 
@@ -327,86 +347,89 @@ def profile_from_expansion(expansion: CFExpansion, n_max: int) -> Profile:
     return Profile(tuple(vals))
 
 
-def _recurrence(expansion: CFExpansion, before, first):
-    """x_0, x_1, ..., x_J with x_j = A_j x_{j-1} + x_{j-2}, from x_{-1}, x_0.
+def _denominators(expansion: CFExpansion):
+    """Q_0 = 1, Q_1, ..., Q_J in backend form, Q_j = A_j Q_{j-1} + Q_{j-2} from Q_{-1} = 0.
 
-    Holds two terms at a time, so memory stays linear in deg x_J.
+    Holds two terms at a time, so memory stays linear in deg Q_J.
     """
     backend = _Backend(expansion.field)
     mul_add, value = backend.mul_add, backend.value
-    prev, cur = backend.term(before), backend.term(first)
-    yield first
+    prev, cur = (backend.term(backend.native(c(expansion.field))) for c in (Poly.zero, Poly.one))
+    yield value(cur)
     for a in expansion.raw_quotients[1:]:
         prev, cur = cur, mul_add(a, cur, prev)
         yield value(cur)
 
 
-def _numerators(expansion: CFExpansion):
-    """P_0 = A_0, P_1, ..., P_J in backend form (P_{-1} = 1)."""
-    native = _Backend(expansion.field).native
-    return _recurrence(expansion, native(Poly.one(expansion.field)), expansion.raw_quotients[0])
+def _numerator(backend: _Backend, g, n: int, q):
+    """Pol(Q R) for a polynomial Q, from G = x^N R cut below x^0.
+
+    Q times a coefficient of R below x^-deg Q lands below x^0, so only
+    R's coefficients down to x^-deg Q, G's from x^(N - deg Q) up, take
+    part (all of G when deg Q > N, which only a corrupted expansion has).
+    """
+    k = min(backend.degree(q), n)
+    return backend.split(backend.mul(q, backend.split(g, n - k)[0]), k)[0]
 
 
-def _denominators(expansion: CFExpansion):
-    """Q_0 = 1, Q_1, ..., Q_J in backend form (Q_{-1} = 0)."""
-    native = _Backend(expansion.field).native
-    field = expansion.field
-    return _recurrence(expansion, native(Poly.zero(field)), native(Poly.one(field)))
-
-
-def _last_convergent_ok(expansion: CFExpansion, prev, last) -> bool:
-    """Determinant and approximation property at J, with exact full products."""
-    field, n = expansion.field, expansion.precision
+def _last_convergent_ok(expansion: CFExpansion, q_prev, q_last) -> bool:
+    """Determinant and approximation property at J, from Q_{J-1} and Q_J alone."""
+    backend = _Backend(expansion.field)
+    n, dq = expansion.precision, expansion.q_degrees[-1]
     j_last = len(expansion.raw_quotients) - 1
     # G = x^N R cut below x^0: the N known symbols plus A_0 x^N
-    coeffs = expansion.series.coeffs  # from the top exponent down to x^-N
-    if field.p == 2:
-        (p_prev, q_prev), (p_last, q_last) = prev, last
-        det_ok = gf2.mul(p_prev, q_last) ^ gf2.mul(p_last, q_prev) == 1
-        g = gf2.from_bits(coeffs[::-1])
-        res_deg = gf2.degree(gf2.mul(q_last, g) ^ (p_last << n))
-    else:
-        p = field.p
-        (p_prev, q_prev), (p_last, q_last) = ((v % p for v in pair) for pair in (prev, last))
-        det = _arr_sub(_kron_mul(p_prev, q_last, p), _kron_mul(p_last, q_prev, p), 0, p)
-        det_ok = det.tolist() == [(-1) ** j_last % p]
-        g = np.array(coeffs[::-1], dtype=np.int64)
-        res_deg = len(_arr_sub(_kron_mul(q_last, g, p), p_last, n, p)) - 1
-    dq = expansion.q_degrees[j_last]
+    g = backend.from_symbols(expansion.series.coeffs)  # from the top exponent down to x^-N
+    p_last, residual = backend.split(backend.mul(q_last, g), n)  # Q_J G = P_J x^N + residual
     # J = 0: (P_{-1}, Q_{-1}) = (1, 0) and the determinant is Q_0 = 1, checked already
-    return (j_last == 0 or det_ok) and res_deg < min(n - dq, dq)
+    if j_last:
+        p_prev = _numerator(backend, g, n, q_prev)
+        det = backend.sub(backend.mul(p_prev, q_last), backend.mul(p_last, q_prev))
+        if backend.to_poly(det) != Poly(expansion.field, ((-1) ** j_last,)):
+            return False
+    return backend.degree(residual) < min(n - dq, dq)
 
 
 def check_convergent_identities(expansion: CFExpansion):
     """Certify the stored quotients and degrees as the expansion of the stored series.
 
-    The convergents are rebuilt from the stored quotients by the
-    three-term recurrence P_j = A_j P_{j-1} + P_{j-2} (and the same for
-    Q), from (P_{-1}, Q_{-1}) = (1, 0) and (P_0, Q_0) = (A_0, 1).  A_0 must
-    be the polynomial part of the series, and at every j >= 1 deg A_j >= 1
-    and deg Q_j = q_degrees[j] must hold, so the degrees the profile walk
-    reads are those of the rebuilt denominators.  By induction the
-    recurrence gives the determinant P_{j-1} Q_j - P_j Q_{j-1} = (-1)^j at
-    every j (1 over F_2).
+    The denominators are rebuilt from the stored quotients by the
+    three-term recurrence Q_j = A_j Q_{j-1} + Q_{j-2} from
+    (Q_{-1}, Q_0) = (0, 1).  A_0 must be the polynomial part of the series,
+    and at every j >= 1 deg A_j >= 1 and deg Q_j = q_degrees[j] must hold,
+    so the degrees the profile walk reads are those of the rebuilt
+    denominators.
 
-    Last convergent J, with full products: the determinant itself, which
-    also checks the rebuilt pair's arithmetic, and the approximation
-    property against the input.  With G = x^N R cut below x^0 (the N known
-    symbols plus A_0 x^N), Q_J G - P_J x^N is up to sign the remainder r_J
-    that the Euclid loop holds at J, whose degree is N - deg Q_{J+1}
-    (-inf when r_J = 0).  So the exact bound is
+    Last convergent J, with full products.  Let G = x^N R cut below x^0
+    (the N known symbols plus A_0 x^N).  The numerators are read off the
+    denominators: P_j = Pol(Q_j R), so Q_J G = P_J x^N + r with
+    deg r < N, where r is up to sign the remainder r_J that the Euclid loop
+    holds at J, of degree N - deg Q_{J+1} (-inf when r_J = 0); and
+    P_{J-1} = Pol(Q_{J-1} R) needs R only down to x^-deg Q_{J-1}.  Two
+    checks follow.
 
-        deg(Q_J G - P_J x^N) < min(N - deg Q_J, deg Q_J).
+    The determinant P_{J-1} Q_J - P_J Q_{J-1} = (-1)^J.  Let T be the
+    product of the quotient matrices [[A_j, 1], [1, 0]], j = 0..J, which
+    is [[P*_J, P*_{J-1}], [Q_J, Q_{J-1}]] with P*_j the numerators of the
+    recurrence.  The derived matrix [[P_J, P_{J-1}], [Q_J, Q_{J-1}]] has
+    T's bottom row and, by this check, T's determinant (-1)^(J+1), so it
+    is [[1, c], [0, 1]] T for a polynomial c: P_J / Q_J, in lowest terms
+    by the determinant, is [A_0 + c; A_1, ..., A_J].
+
+    The approximation property, with the exact bound
+
+        deg r < min(N - deg Q_J, deg Q_J).
 
     N - deg Q_J holds because deg Q_{J+1} > deg Q_J; it is Legendre's
-    criterion, which makes P_J / Q_J (in lowest terms by the determinant)
-    a convergent of G / x^N.  A continued fraction whose quotients past
-    A_0 all have degree >= 1 is unique, so A_0..A_J, the expansion of
-    P_J / Q_J, are the first J+1 partial quotients of the input: every
-    stored quotient is certified, not only the last.  deg Q_J holds
-    because the expansion stops at the first J with
-    deg Q_J + deg Q_{J+1} > N (or at r_J = 0); it rejects an expansion cut
-    short.  Returns the index of the first failing convergent or None.
+    criterion, which makes P_J / Q_J a convergent of G / x^N.  A continued
+    fraction whose quotients past the first all have degree >= 1 is
+    unique, so A_0 + c, A_1, ..., A_J are the first J+1 partial quotients
+    of the input; the A_0 check above then forces c = 0, and every stored
+    quotient is certified, not only the last (W. M. Schmidt, "On continued
+    fractions and Diophantine approximation in power series fields", Acta
+    Arith. 2000).  deg Q_J holds because the expansion stops at the first
+    J with deg Q_J + deg Q_{J+1} > N (or at r_J = 0); it rejects an
+    expansion cut short.  Returns the index of the first failing
+    convergent or None.
     """
     backend = _Backend(expansion.field)
     quots, degs = expansion.raw_quotients, expansion.q_degrees
@@ -414,13 +437,13 @@ def check_convergent_identities(expansion: CFExpansion):
         return min(len(degs), len(quots))
     if backend.to_poly(quots[0]) != expansion.series.polynomial_part() or degs[0] != 0:
         return 0
-    pairs = zip(_numerators(expansion), _denominators(expansion))
-    prev = last = next(pairs)
-    for j, pair in enumerate(pairs, 1):
-        if backend.degree(quots[j]) < 1 or backend.degree(pair[1]) != degs[j]:
+    denominators = _denominators(expansion)
+    q_prev = q_last = next(denominators)
+    for j, q in enumerate(denominators, 1):
+        if backend.degree(quots[j]) < 1 or backend.degree(q) != degs[j]:
             return j
-        prev, last = last, pair
-    return None if _last_convergent_ok(expansion, prev, last) else len(quots) - 1
+        q_prev, q_last = q_last, q
+    return None if _last_convergent_ok(expansion, q_prev, q_last) else len(quots) - 1
 
 
 @dataclass(frozen=True)

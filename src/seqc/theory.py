@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from itertools import chain
 
 from . import autoseq, contfrac, gf2, lincomp
 from .algebra import LaurentSeries, Poly, PrimeField
@@ -278,15 +279,21 @@ def verify(spec: SequenceSpec, n_max: int, mutate=None) -> VerifyReport:
 
 
 def suite_specs(k_max: int = 4) -> list:
-    """Every built-in plus the all-one patterns k = 1..k_max, in order, once each."""
-    specs = list(autoseq.builtin_specs())
-    for k in range(1, k_max + 1):
-        s = autoseq.pattern(2, k, 2 ** k - 1)
+    """Every built-in plus the all-one patterns k = 1..k_max, in order, once each.
+
+    Each spec's witness is built as the spec is added, so the first spec
+    over ``autoseq.WITNESS_DEGREE_CAP`` raises ValueError and no later one
+    is built: 2^k is never formed for a k past the cap.
+    """
+    patterns = (autoseq.pattern(2, k, 2 ** k - 1) for k in range(1, k_max + 1))
+    specs = []
+    for s in chain(autoseq.builtin_specs(), patterns):
         if s not in specs:
+            autoseq.witness(s)
             specs.append(s)
     return specs
 
 
 def verify_suite(n_max: int, k_max: int = 4, mutate=None):
-    """Verify every spec of ``suite_specs(k_max)``, in order."""
+    """Verify every spec of ``suite_specs(k_max)``, in order, all witnesses checked first."""
     return [verify(s, n_max, mutate=mutate) for s in suite_specs(k_max)]

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from seqc import autoseq, cli
+from seqc import autoseq, cli, theory
 
 CSV_HEADER = "N,L_bm,L_cf,L_formula,lower_num,lower_den,upper_num,upper_den"
 
@@ -268,6 +268,29 @@ class TestWitnessCap:
         assert proc.returncode == code
         assert proc.stdout.splitlines()[1:] == ([out] if out else [])
         assert err in proc.stderr and "Traceback" not in proc.stderr
+
+    SUITE_CAP_ERROR = "witness degree 65539 of pattern(p=2,k=16,a=65535) exceeds the cap 65536"
+
+    @pytest.mark.parametrize("kmax, n_max", [("16", "16384"), (str(10**8), "8")])
+    def test_suite_over_the_cap_answers_at_once(self, kmax, n_max):
+        # pattern(2,16,2^16-1) is the first suite spec over the cap; no
+        # spec past it is built, so 2^k is never formed for k up to 10^8
+        proc = subprocess.run(
+            [sys.executable, "-m", "seqc.cli", "verify", "--suite", "all",
+             "--kmax", kmax, "--n-max", n_max], capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert self.SUITE_CAP_ERROR in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_suite_checks_every_witness_before_verifying(self, capsys, monkeypatch):
+        def verify(*args, **kwargs):
+            raise AssertionError("a spec was verified before every witness was checked")
+
+        monkeypatch.setattr(theory, "verify", verify)
+        code, out, err = run_cli(
+            ["verify", "--suite", "all", "--kmax", "16", "--n-max", "16384"], capsys)
+        assert (code, out) == (2, "")
+        assert self.SUITE_CAP_ERROR in err
 
     def test_largest_sum_of_digits_under_the_cap_runs(self, capsys):
         # 2p + 1 = 65499 <= 2^16 at p = 32749, the largest prime under the cap

@@ -13,6 +13,7 @@ from seqc.algebra import LaurentSeries, Poly, PrecisionError, PrimeField
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
+P31 = 2**31 - 1
 
 
 def P(field, *coeffs):
@@ -184,6 +185,37 @@ class TestConvergentIdentityControls:
         assert contfrac.check_convergent_identities(exp) is None
         assert contfrac.check_convergent_identities(bad) == exp.degree_count - 1
 
+    @staticmethod
+    def _negated_fails(exp, p):
+        # A_j -> -A_j for j >= 1 gives Q_j -> (-1)^j Q_j, so every deg Q_j
+        # holds and, at even J, Q_J itself; P_j = Pol(Q_j R) follows Q_j,
+        # so the residual keeps its degree.  Only the sign of the derived
+        # determinant P_{J-1} Q_J - P_J Q_{J-1}, now -(-1)^J, rejects it.
+        last = exp.degree_count
+        assert last % 2 == 0
+        negated = (exp.raw_quotients[0],) + tuple((-a) % p for a in exp.raw_quotients[1:])
+        bad = dataclasses.replace(exp, raw_quotients=negated)
+        assert bad.convergent(last) == exp.convergent(last)
+        assert contfrac.check_convergent_identities(exp) is None
+        assert contfrac.check_convergent_identities(bad) == last
+
+    @pytest.mark.parametrize("name", [n for n in sorted(CONTROL_STREAMS) if n[:3] != "f2 "])
+    def test_negated_quotients_fail_the_determinant(self, name):
+        field, stream, exp = _control(name)
+        self._negated_fails(exp, field.p)
+
+    @pytest.mark.parametrize("p", [3, P31])
+    @pytest.mark.parametrize("count", [2, 4, 8])
+    def test_negated_rational_quotients_fail_the_determinant(self, p, count):
+        # an exact expansion: the residual is 0 before and after
+        field = PrimeField(p)
+        rng = random.Random(p + count)
+        quots = [Poly(field, tuple(rng.randrange(1, p) for _ in range(rng.randrange(2, 5))))
+                 for _ in range(count)]
+        exp = contfrac.cf_expand(LaurentSeries.from_prefix(_rational_prefix(quots, field), field))
+        assert exp.degree_count == count
+        self._negated_fails(exp, p)
+
 
 class TestZeroSeries:
     """The zero series expands to [0], the continued fraction of 0."""
@@ -207,14 +239,17 @@ class TestZeroSeries:
         a0 = exp.raw_quotients[0]
         bumped = dataclasses.replace(exp, raw_quotients=(_bump(a0, field, 0),))
         assert contfrac.check_convergent_identities(bumped) == 0
-        # A_1 = x with deg Q_1 = 1 passes the degree checks; the
-        # approximation property at the last convergent rejects it
+        # A_1 = x with deg Q_1 = 1 passes the degree checks and, as G = 0,
+        # the approximation property; the determinant, P_0 Q_1 - P_1 Q_0 = 0
+        # with P_1 = Pol(Q_1 R) = 0, rejects it
         appended = dataclasses.replace(exp, raw_quotients=(a0, _bump(a0, field, 1)),
                                        q_degrees=(0, 1))
         assert contfrac.check_convergent_identities(appended) == 1
-
-
-P31 = 2**31 - 1
+        # deg Q_1 = 17 > N: P_1 = Pol(Q_1 R) reads all of R, and the
+        # certificate answers with an index instead of raising
+        past_n = dataclasses.replace(exp, q_degrees=(0, 17, 18), raw_quotients=(
+            a0, _bump(a0, field, 17), _bump(a0, field, 1)))
+        assert contfrac.check_convergent_identities(past_n) == 2
 
 
 def _rational_prefix(quotients, field):
@@ -243,25 +278,38 @@ class TestRationalSeries:
         assert exp.q_degrees == tuple(range(0, 17, 2))
 
 
+def _to_poly(a, field):
+    """A stored (backend-native) polynomial as Poly."""
+    return gf2.to_poly(a, field) if field.p == 2 else Poly(field, tuple(a.tolist()))
+
+
 _quotient_cases = st.sampled_from([2, 3, 5, P31]).flatmap(lambda p: st.tuples(
     st.just(p),
     st.lists(st.lists(st.integers(0, p - 1), min_size=2, max_size=4).filter(lambda c: c[-1]),
-             min_size=1, max_size=8)))
+             min_size=1, max_size=8),
+    st.lists(st.integers(0, p - 1), max_size=3),  # A_0, often nonzero
+    st.integers(0, 6)))  # leading zero symbols: R's top below x^-deg Q_j for small j
 
 
 @given(_quotient_cases)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_convergents_match_poly_recurrence(case):
-    p, coeff_lists = case
+    # convergent(j) reads P_j = Pol(Q_j R) off Q_j; the Poly recurrence
+    # P_j = A_j P_{j-1} + P_{j-2} from (P_{-1}, P_0) = (1, A_0) is the reference
+    p, coeff_lists, a0, zeros = case
     field = PrimeField(p)
     quots = [Poly(field, tuple(c)) for c in coeff_lists]
-    exp = contfrac.cf_expand(LaurentSeries.from_prefix(_rational_prefix(quots, field), field))
-    assert exp.degree_count == len(quots)
-    prev, cur = (Poly.one(field), Poly.zero(field)), (Poly.zero(field), Poly.one(field))
-    assert exp.convergent(0) == cur
-    for j, a in enumerate(quots, 1):
+    r = LaurentSeries.from_prefix([0] * zeros + _rational_prefix(quots, field), field)
+    r = r + LaurentSeries.from_poly(Poly(field, tuple(a0)), r.low)
+    exp = contfrac.cf_expand(r)
+    if not zeros:
+        assert exp.quotients[1:] == tuple(quots)
+    prev, cur = (Poly.zero(field), Poly.one(field)), (Poly.one(field), Poly.zero(field))
+    for j, a in enumerate(exp.raw_quotients):
+        a = _to_poly(a, field)
         prev, cur = cur, (a * cur[0] + prev[0], a * cur[1] + prev[1])
         assert exp.convergent(j) == cur
+    assert exp.convergent(0) == (Poly(field, tuple(a0)), Poly.one(field))
 
 
 def test_profile_memory_grows_linearly():
