@@ -399,26 +399,6 @@ class LaurentSeries:
         top = self.top + other.top
         return LaurentSeries(self.field, top, out, top - known + 1)
 
-    def inverse(self):
-        """Multiplicative inverse, correct to the same number of coefficients.
-
-        Generalizes the F_2 convolution recursion to any prime p by dividing
-        through by the leading coefficient.
-        """
-        if self.is_zero:
-            raise ZeroDivisionError("cannot invert the zero series")
-        p = self.field.p
-        c = self.coeffs
-        n = len(c)
-        lead_inv = self.field.inv(c[0])
-        z = [0] * n
-        z[0] = lead_inv
-        for i in range(1, n):
-            s = sum(c[j] * z[i - j] for j in range(1, i + 1)) % p
-            z[i] = (-lead_inv * s) % p
-        top = -self.top
-        return LaurentSeries(self.field, top, tuple(z), top - n + 1)
-
     def shift(self, k: int):
         """Multiply by x^k."""
         if self.is_zero:

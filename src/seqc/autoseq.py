@@ -2,8 +2,7 @@
 
 Each built-in sequence comes with the bivariate polynomial h(s,t) whose
 root is the sequence's generating function, plus the derived parameters
-(d, M) that feed the general complexity bounds.  An independent
-digit-counting oracle is provided for pattern sequences.
+(d, M) that feed the general complexity bounds.
 """
 
 from __future__ import annotations
@@ -195,35 +194,6 @@ def prefix(spec: SequenceSpec, n: int):
     return [term(spec, i) for i in range(n)]
 
 
-def pattern_count_oracle(p: int, digits, n: int) -> int:
-    """Occurrences of the digit block ``digits`` in the base-p expansion of n.
-
-    ``digits`` may be a string of digit characters or a sequence of ints.
-    Patterns with a leading zero digit are rejected: the count at the
-    most-significant end is ambiguous there and the recurrence is the
-    normative definition.
-    """
-    if isinstance(digits, str):
-        digits = tuple(int(ch) for ch in digits)
-    else:
-        digits = tuple(digits)
-    if not digits:
-        raise ValueError("empty pattern")
-    if any(not (0 <= d < p) for d in digits):
-        raise ValueError("pattern digit outside base")
-    if digits[0] == 0:
-        raise ValueError("pattern with leading zero digit is not supported")
-    if n < 0:
-        raise ValueError("index must be >= 0")
-    rep = []
-    while n:
-        rep.append(n % p)
-        n //= p
-    rep.reverse()
-    k = len(digits)
-    return sum(1 for i in range(len(rep) - k + 1) if tuple(rep[i:i + k]) == digits)
-
-
 # -- algebraic witnesses -------------------------------------------------
 
 @dataclass(frozen=True)
@@ -233,7 +203,6 @@ class AlgebraicWitness:
     field: PrimeField
     h_coeffs: tuple  # Poly, index i = h_i(t)
     m: int
-    no_rational_zero: bool = True
 
     def __post_init__(self):
         if not self.h_coeffs or self.h_coeffs[-1].is_zero:
@@ -309,16 +278,6 @@ def witness(spec: SequenceSpec) -> AlgebraicWitness:
     # perfect-profile: t(t+1) s^2 + (t+1) s + 1
     tp1 = t + one
     return AlgebraicWitness(field, (one, tp1, t * tp1), m=0)
-
-
-def residual(spec: SequenceSpec, n: int) -> Poly:
-    """sum_i h_i(t) G(t)^i mod t^n, with G built from the sequence prefix.
-
-    The contract is that this is the zero polynomial; anything else
-    signals a generator/witness mismatch.
-    """
-    w = witness(spec)
-    return witness_residual(w, prefix(spec, n), n)
 
 
 def witness_residual(w: AlgebraicWitness, pref, n: int) -> Poly:

@@ -91,10 +91,9 @@ def _profile_rows(spec, n_max, method):
         r = LaurentSeries.from_prefix(pref, field)
         prof_cf = contfrac.profile_from_cf(r, n_max)
     if method == "both":
-        for n in range(1, n_max + 1):
-            if prof_bm.at(n) != prof_cf.at(n):
-                raise RuntimeError(
-                    f"method disagreement at N={n}: bm={prof_bm.at(n)} cf={prof_cf.at(n)}")
+        diverged = theory._first_divergence(prof_bm, prof_cf)
+        if diverged is not None:
+            raise RuntimeError("method disagreement at N={}: bm={} cf={}".format(*diverged))
     formula = theory.exact_formula_for(spec)
     rows = []
     for n in range(1, n_max + 1):

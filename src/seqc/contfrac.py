@@ -9,9 +9,9 @@ reads.  The convergents (P_j, Q_j) are never stored.  The denominators
 are the one convergent stream: ``convergent(j)``,
 ``check_convergent_identities`` and ``q_congruences`` rebuild Q_j from
 the quotients by the three-term recurrence, holding two at a time, and a
-numerator is read off one product, P_j = Pol(Q_j R).  The
-polynomial-part/inverse recursion on truncated series is kept as a
-secondary path for differential testing.
+numerator is read off one product, P_j = Pol(Q_j R).  The tests check
+the engine against an independent polynomial-part/inverse recursion on
+truncated series.
 
 Over F_2 polynomials are bit-packed ints (``gf2``).  For odd p they are
 numpy int64 coefficient arrays, low to high.  A quotient has entries in
@@ -298,28 +298,6 @@ def cf_expand(r: LaurentSeries) -> CFExpansion:
     return CFExpansion(r, tuple(quots), degs)
 
 
-def cf_expand_series(r: LaurentSeries):
-    """Partial quotients via the Pol/inverse recursion on truncated series.
-
-    Secondary differential-testing path: stops when the remaining precision
-    can no longer support another polynomial part.  Returns the quotient
-    list (A_0 first); the zero series gives [0].
-    """
-    quots = [r.polynomial_part()]
-    b = r - LaurentSeries.from_poly(quots[0], r.low)
-    while not b.is_zero:
-        inv = b.inverse()
-        try:
-            a = inv.polynomial_part()
-        except PrecisionError:
-            break
-        if a.degree < 1:
-            break  # truncation noise: a true partial quotient has degree >= 1
-        quots.append(a)
-        b = inv - LaurentSeries.from_poly(a, inv.low)
-    return quots
-
-
 def profile_from_cf(r: LaurentSeries, n_max: int) -> Profile:
     """Linear complexity profile from the convergent denominators of r."""
     if n_max < 1:
@@ -446,26 +424,14 @@ def check_convergent_identities(expansion: CFExpansion):
     return None if _last_convergent_ok(expansion, q_prev, q_last) else len(quots) - 1
 
 
-@dataclass(frozen=True)
-class QCongruenceReport:
-    """Outcome of the Q_j congruence check."""
-
-    k: int
-    checked: int
-    congruence_failures: tuple  # (j, expected bits, actual bits)
-
-    @property
-    def ok(self) -> bool:
-        return not self.congruence_failures
-
-
-def q_congruences(expansion: CFExpansion, k: int) -> QCongruenceReport:
+def q_congruences(expansion: CFExpansion, k: int) -> tuple:
     """Check the Q_j congruences of the all-one-pattern analysis.
 
     For k = 1 every Q_j must satisfy Q_j = 1 mod (x+1); for k >= 2 even
     indices give 1 and odd indices x+1 modulo x^{2^{k-1}} + 1.  Q_j is
     rebuilt from the stored quotients by the three-term recurrence, and
     each reduction XOR-folds its 2^{k-1}-bit chunks (``gf2.fold_mod``).
+    Returns the failures as (j, expected bits, actual bits), in order of j.
     """
     if expansion.field.p != 2:
         raise ValueError("congruence report is defined over F_2 only")
@@ -479,4 +445,4 @@ def q_congruences(expansion: CFExpansion, k: int) -> QCongruenceReport:
         actual = gf2.fold_mod(q, width)
         if actual != expected:
             cong_fail.append((j, expected, actual))
-    return QCongruenceReport(k, expansion.reliable_count + 1, tuple(cong_fail))
+    return tuple(cong_fail)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from .algebra import Poly, PrimeField, _kron_mul
+from .algebra import PrimeField, _kron_mul
 
 
 @dataclass(frozen=True)
@@ -103,22 +103,3 @@ def expansion_profile(prefix, field: PrimeField, d_max: int = 8):
         else:
             out.append(ExpansionResult(k + 1, d_max, capped=True))
     return out
-
-
-def expansion_complexity(prefix, field: PrimeField, d_max: int = 8) -> ExpansionResult:
-    """E_N for N = len(prefix); search capped at total degree d_max."""
-    return expansion_profile(prefix, field, d_max)[-1]
-
-
-def evaluate_witness(witness, prefix, field: PrimeField) -> Poly:
-    """Re-evaluate sum coeff * G^i * t^j mod t^N, independent of the solver."""
-    n = len(prefix)
-    g = Poly(field, tuple(prefix))
-    acc = Poly.zero(field)
-    for i, j, c in witness:
-        term = Poly(field, (c,)).shift(j)
-        gp = Poly.one(field)
-        for _ in range(i):
-            gp = (gp * g).truncate(n)
-        acc = acc + (term * gp).truncate(n)
-    return acc.truncate(n)

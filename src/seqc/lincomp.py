@@ -163,13 +163,3 @@ def bm_connection(prefix, field: PrimeField):
     p = field.p
     cvec = gf2.to_bits(c) + (0,) * (ell + 1 - c.bit_length()) if p == 2 else c.tolist()
     return ell, tuple(-cvec[ell - i] % p for i in range(ell))
-
-
-def replay_recurrence(coeffs, seed, n: int, field: PrimeField):
-    """First n terms of the order-L recurrence started from ``seed``."""
-    ell = len(coeffs)
-    p = field.p
-    out = list(seed[:min(ell, n)])
-    while len(out) < n:
-        out.append(sum(c * u for c, u in zip(coeffs, out[-ell:])) % p)
-    return out

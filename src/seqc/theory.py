@@ -22,9 +22,6 @@ class BoundPair:
 
     lower: Fraction
     upper: Fraction
-    d: int
-    m: int
-    n: int
 
 
 def general_bounds(d: int, m: int, n: int) -> BoundPair:
@@ -32,7 +29,7 @@ def general_bounds(d: int, m: int, n: int) -> BoundPair:
         raise ValueError("d must be >= 1")
     if n < 1:
         raise ValueError("N must be >= 1")
-    return BoundPair(Fraction(n - m, d), Fraction((d - 1) * n + m + 1, d), d, m, n)
+    return BoundPair(Fraction(n - m, d), Fraction((d - 1) * n + m + 1, d))
 
 
 def bounds_hold(d: int, m: int, n: int, ell: int) -> bool:
@@ -59,12 +56,6 @@ def allones_exact(k: int, n: int) -> int:
     if 2 ** k <= r <= 3 * w:
         return 2 * w * (n // (4 * w)) + 2 ** k
     return 2 * w * ((n + 2 ** k - 2) // (4 * w))
-
-
-def allones_branch(k: int, n: int) -> int:
-    """Which branch of the exact formula fires for this N (1 or 2)."""
-    w = 2 ** k - 1
-    return 1 if 2 ** k <= n % (4 * w) <= 3 * w else 2
 
 
 def perfect_profile_exact(n: int) -> int:
@@ -263,8 +254,7 @@ def verify(spec: SequenceSpec, n_max: int, mutate=None) -> VerifyReport:
              for j, a in enumerate(quotients, start=1)
              if a != _cf_prediction_bits(k, _quotient_shape(j))), None)))
 
-        q_rep = contfrac.q_congruences(exp, k)
-        checks.append(_check("q_congruences", next(iter(q_rep.congruence_failures), None)))
+        checks.append(_check("q_congruences", next(iter(contfrac.q_congruences(exp, k)), None)))
 
         feq = functional_equation_residual(spec, n_max, pref=pref)
         checks.append(_check("functional_equation", None if feq.is_zero else (

@@ -8,6 +8,35 @@ from seqc.algebra import PrimeField
 from seqc.autoseq import Profile
 
 
+def pattern_count_oracle(p: int, digits, n: int) -> int:
+    """Occurrences of the digit block ``digits`` in the base-p expansion of n.
+
+    ``digits`` may be a string of digit characters or a sequence of ints.
+    Patterns with a leading zero digit are rejected: the count at the
+    most-significant end is ambiguous there and the recurrence is the
+    normative definition.
+    """
+    if isinstance(digits, str):
+        digits = tuple(int(ch) for ch in digits)
+    else:
+        digits = tuple(digits)
+    if not digits:
+        raise ValueError("empty pattern")
+    if any(not (0 <= d < p) for d in digits):
+        raise ValueError("pattern digit outside base")
+    if digits[0] == 0:
+        raise ValueError("pattern with leading zero digit is not supported")
+    if n < 0:
+        raise ValueError("index must be >= 0")
+    rep = []
+    while n:
+        rep.append(n % p)
+        n //= p
+    rep.reverse()
+    k = len(digits)
+    return sum(1 for i in range(len(rep) - k + 1) if tuple(rep[i:i + k]) == digits)
+
+
 class TestTerm:
     def test_thue_morse_first8(self):
         spec = autoseq.thue_morse()
@@ -51,9 +80,9 @@ class TestPrefix:
 
 class TestPatternCountOracle:
     def test_paper_values(self):
-        assert autoseq.pattern_count_oracle(2, "11", 7) == 2
-        assert autoseq.pattern_count_oracle(2, "101", 21) == 2
-        assert autoseq.pattern_count_oracle(2, "11", 9) == 0
+        assert pattern_count_oracle(2, "11", 7) == 2
+        assert pattern_count_oracle(2, "101", 21) == 2
+        assert pattern_count_oracle(2, "11", 9) == 0
 
     def test_agrees_with_generator(self):
         # r_n = e_P(n) mod p for the pattern a written in base p with k digits
@@ -66,11 +95,11 @@ class TestPatternCountOracle:
                 v //= p
             pat = "".join(str(d) for d in reversed(digits))
             for n in range(200):
-                assert autoseq.term(spec, n) == autoseq.pattern_count_oracle(p, pat, n) % p
+                assert autoseq.term(spec, n) == pattern_count_oracle(p, pat, n) % p
 
     def test_rejects_leading_zero(self):
         with pytest.raises(ValueError):
-            autoseq.pattern_count_oracle(2, "011", 7)
+            pattern_count_oracle(2, "011", 7)
 
 
 class TestSpecs:
@@ -122,11 +151,13 @@ class TestWitness:
 
     def test_residual_vanishes(self):
         for spec in autoseq.builtin_specs():
-            assert autoseq.residual(spec, 64).is_zero
+            w = autoseq.witness(spec)
+            assert autoseq.witness_residual(w, autoseq.prefix(spec, 64), 64).is_zero
 
     def test_residual_single_coeff(self):
         for spec in autoseq.builtin_specs():
-            assert autoseq.residual(spec, 1).is_zero
+            w = autoseq.witness(spec)
+            assert autoseq.witness_residual(w, autoseq.prefix(spec, 1), 1).is_zero
 
     def test_residual_detects_corruption(self):
         spec = autoseq.thue_morse()

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from seqc import autoseq, cli, theory
+from seqc import autoseq, cli, contfrac, theory
 
 CSV_HEADER = "N,L_bm,L_cf,L_formula,lower_num,lower_den,upper_num,upper_den"
 
@@ -112,6 +112,26 @@ class TestProfile:
         cf = l_cf("cf")
         assert cf == l_cf("both")
         assert len(cf) == int(n_max)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_method_disagreement_exits_1(self, capsys, monkeypatch, fmt):
+        # the CF profile is bumped at one N: the run prints no rows and names that N
+        real = contfrac.profile_from_cf
+        bumped = {}
+
+        def profile_from_cf(r, n_max):
+            values = list(real(r, n_max).values)
+            bumped["L"] = values[36]
+            values[36] += 1
+            return autoseq.Profile(tuple(values))
+
+        monkeypatch.setattr(contfrac, "profile_from_cf", profile_from_cf)
+        code, out, err = run_cli(["profile", "--seq", "rudin-shapiro", "--n-max", "64",
+                                  "--format", fmt], capsys)
+        assert code == 1
+        assert out == ""
+        ell = bumped["L"]
+        assert err == f"method disagreement at N=37: bm={ell} cf={ell + 1}\n"
 
     def test_deterministic(self, capsys):
         args = ["profile", "--seq", "baum-sweet", "--n-max", "32"]

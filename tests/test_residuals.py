@@ -6,6 +6,8 @@ more than one base-p digit unit.  The references below are the plain
 schoolbook definitions, with every power and product taken in full.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -106,6 +108,41 @@ def test_functional_equation_zero_prefix_matches_reference(k):
         pref = [0] * n
         assert (theory.functional_equation_residual(spec, n, pref)
                 == reference_functional_equation(spec, n, pref))
+
+
+def _first_fail_functional_equation(spec, n, pref):
+    """The first failing N that ``verify`` reports for ``functional_equation``."""
+    feq = theory.functional_equation_residual(spec, n, pref)
+    return None if feq.is_zero else -int(feq.valuation)
+
+
+def _first_fail_witness_residual(spec, n, pref):
+    """The first failing N that ``verify`` reports for ``residual_zero``."""
+    res = autoseq.witness_residual(autoseq.witness(spec), pref, n)
+    return next((m for m, c in enumerate(res.coeffs, start=1) if c), None)
+
+
+@pytest.mark.parametrize("n", [64, 513, 2048])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_all_one_residuals_fail_at_the_same_n(k, n):
+    # over F_2, (1+t)^(2^k) F(G) = t h(G) and (1+t)^(2^k) is a unit, so the
+    # functional equation F and the witness h vanish to the same order
+    spec = autoseq.pattern(2, k, 2 ** k - 1)
+    base = autoseq.prefix(spec, n)
+    assert _first_fail_functional_equation(spec, n, base) is None
+    assert _first_fail_witness_residual(spec, n, base) is None
+    for seed in range(10):
+        rng = random.Random(seed)
+        flips = rng.sample(range(n), rng.randint(1, 3))
+        pref = list(base)
+        for i in flips:
+            pref[i] ^= 1
+        first = _first_fail_witness_residual(spec, n, pref)
+        assert _first_fail_functional_equation(spec, n, pref) == first, (seed, flips)
+        # h is additive and h_1 = (t+1)^(2^k) has constant term 1, so a flip
+        # at index i >= 1 shows at order i; at i = 0, h_1 and h_2 cancel
+        if min(flips) >= 1:
+            assert first == min(flips) + 1, (seed, flips)
 
 
 class TestEdgeControls:

@@ -16,6 +16,12 @@ def P(*coeffs):
     return Poly(F2, tuple(coeffs))
 
 
+def allones_branch(k: int, n: int) -> int:
+    """Which branch of the exact formula fires for this N (1 or 2)."""
+    w = 2 ** k - 1
+    return 1 if 2 ** k <= n % (4 * w) <= 3 * w else 2
+
+
 class TestThueMorseExact:
     def test_small_values(self):
         assert theory.thue_morse_exact(2) == 2
@@ -50,7 +56,7 @@ class TestAllOnesExact:
 
     def test_branches_both_fire(self):
         for k in (1, 2, 3, 4):
-            branches = {theory.allones_branch(k, n) for n in range(1, 4 * (2 ** k - 1) + 1)}
+            branches = {allones_branch(k, n) for n in range(1, 4 * (2 ** k - 1) + 1)}
             assert branches == {1, 2}
 
     def test_matches_bm_k_le_3(self):
