@@ -13,6 +13,8 @@ import functools
 import json
 import sys
 
+import numpy as np
+
 from . import autoseq, contfrac, expcomp, lincomp, theory
 from .algebra import LaurentSeries
 from .autoseq import SequenceSpec
@@ -95,6 +97,8 @@ def _profile_rows(spec, n_max, method):
         if diverged is not None:
             raise RuntimeError("method disagreement at N={}: bm={} cf={}".format(*diverged))
     formula = theory.exact_formula_for(spec)
+    # Python ints, which json.dumps takes and np.int64 is not
+    exact = formula(np.arange(1, n_max + 1, dtype=np.int64)).tolist() if formula else None
     rows = []
     for n in range(1, n_max + 1):
         b = theory.general_bounds(w.d, w.m, n)
@@ -102,7 +106,7 @@ def _profile_rows(spec, n_max, method):
             "N": n,
             "L_bm": prof_bm.at(n) if prof_bm else None,
             "L_cf": prof_cf.at(n) if prof_cf else None,
-            "L_formula": formula(n) if formula else None,
+            "L_formula": exact[n - 1] if exact else None,
             "lower_num": b.lower.numerator,
             "lower_den": b.lower.denominator,
             "upper_num": b.upper.numerator,

@@ -5,13 +5,15 @@ packs the N known coefficients; it is integer-exact and needs no
 precision bookkeeping inside the loop.  It works on the remainders only:
 each step records the partial quotient A_j and adds deg A_j to the
 running sum deg Q_j = deg A_1 + ... + deg A_j, which is all a profile
-reads.  The convergents (P_j, Q_j) are never stored.  The denominators
-are the one convergent stream: ``convergent(j)``,
-``check_convergent_identities`` and ``q_congruences`` rebuild Q_j from
-the quotients by the three-term recurrence, holding two at a time, and a
-numerator is read off one product, P_j = Pol(Q_j R).  The tests check
-the engine against an independent polynomial-part/inverse recursion on
-truncated series.
+reads.  The profile walk reads them once per run of equal L(N): one
+``itertools.repeat`` per quotient, sharing its int.  The convergents
+(P_j, Q_j) are never stored.  The denominators are the one convergent
+stream: ``convergent(j)`` and ``check_convergent_identities`` rebuild
+Q_j from the quotients by the three-term recurrence, holding two at a
+time, and a numerator is read off one product, P_j = Pol(Q_j R).
+``q_congruences`` runs the same recurrence on w-bit residues mod
+x^w + 1 and builds no full Q_j.  The tests check the engine against an
+independent polynomial-part/inverse recursion on truncated series.
 
 Over F_2 polynomials are bit-packed ints (``gf2``).  For odd p they are
 numpy int64 coefficient arrays, low to high.  A quotient has entries in
@@ -55,8 +57,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, islice
-from operator import xor
+from itertools import accumulate, chain, islice, repeat
+from operator import add, xor
 
 import numpy as np
 
@@ -312,16 +314,23 @@ def profile_from_expansion(expansion: CFExpansion, n_max: int) -> Profile:
 
     L(N) = deg Q_j for the unique j with
     deg Q_{j-1} + deg Q_j <= N < deg Q_j + deg Q_{j+1}.
+
+    The walk fills one run of N per j: deg Q_j from the current N up to
+    deg Q_j + deg Q_{j+1} - 1 (to n_max for the last j), sharing the int
+    deg Q_j across the run.  A run that ends at or before the current N is
+    empty, so at every N the j is the first whose run end lies past N,
+    whatever the degrees.
     """
     if expansion.precision < n_max:
         raise PrecisionError(f"series precision {expansion.precision} < n_max {n_max}")
     degs = expansion.q_degrees
     vals = []
-    j = 0
-    for n in range(1, n_max + 1):
-        while j + 1 < len(degs) and degs[j] + degs[j + 1] <= n:
-            j += 1
-        vals.append(degs[j])
+    n = 1  # the first N not yet filled
+    for deg, end in zip(degs, chain(map(add, degs, degs[1:]), (n_max + 1,))):
+        end = min(end, n_max + 1)
+        if end > n:
+            vals.extend(repeat(deg, end - n))
+            n = end
     return Profile(tuple(vals))
 
 
@@ -428,10 +437,15 @@ def q_congruences(expansion: CFExpansion, k: int) -> tuple:
     """Check the Q_j congruences of the all-one-pattern analysis.
 
     For k = 1 every Q_j must satisfy Q_j = 1 mod (x+1); for k >= 2 even
-    indices give 1 and odd indices x+1 modulo x^{2^{k-1}} + 1.  Q_j is
-    rebuilt from the stored quotients by the three-term recurrence, and
-    each reduction XOR-folds its 2^{k-1}-bit chunks (``gf2.fold_mod``).
-    Returns the failures as (j, expected bits, actual bits), in order of j.
+    indices give 1 and odd indices x+1 modulo x^w + 1, w = 2^{k-1}.  The
+    recurrence runs on the residues alone:
+
+        Q_j mod (x^w + 1) = fold(fold(A_j) * (Q_{j-1} mod x^w + 1)) + (Q_{j-2} mod x^w + 1)
+
+    with fold = ``gf2.fold_mod`` at width w, which is exact because
+    reduction mod x^w + 1 is a ring homomorphism.  Each step is a product
+    of two w-bit ints, whatever deg Q_j is.  Returns the failures as
+    (j, expected bits, actual bits), in order of j.
     """
     if expansion.field.p != 2:
         raise ValueError("congruence report is defined over F_2 only")
@@ -439,10 +453,11 @@ def q_congruences(expansion: CFExpansion, k: int) -> tuple:
         raise ValueError("k must be >= 1")
     width = 1 << (k - 1)  # x^width + 1 is x + 1 when k = 1
     cong_fail = []
-    denominators = islice(_denominators(expansion), expansion.reliable_count + 1)
-    for j, q in enumerate(denominators):
+    prev, cur = 0, 1  # Q_{-1}, Q_0 mod x^width + 1
+    for j, a in enumerate(expansion.raw_quotients[:expansion.reliable_count + 1]):
+        if j:
+            prev, cur = cur, gf2.fold_mod(gf2.mul(gf2.fold_mod(a, width), cur), width) ^ prev
         expected = 1 if (k == 1 or j % 2 == 0) else 0b11
-        actual = gf2.fold_mod(q, width)
-        if actual != expected:
-            cong_fail.append((j, expected, actual))
+        if cur != expected:
+            cong_fail.append((j, expected, cur))
     return tuple(cong_fail)

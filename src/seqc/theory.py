@@ -2,6 +2,13 @@
 
 Everything here is exact integer arithmetic: rational bounds are kept as
 fractions and compared by cross-multiplication, never through floats.
+
+``verify`` checks the profile against the closed forms and Theorem 1 on
+whole int64 arrays, N = 1..n_max in one expression each; the closed forms
+and ``bounds_hold`` take an int or such an array.  int64 is exact here:
+d and M are at most the witness's total degree, which ``autoseq.witness``
+caps at 2^16, and 0 <= L(N) <= N, so d L(N), d N and (d-1) N + M + 1 stay
+below 2^63 for every N < 2^46, far past any prefix that fits in memory.
 """
 
 from __future__ import annotations
@@ -10,6 +17,8 @@ import functools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import chain
+
+import numpy as np
 
 from . import autoseq, contfrac, gf2, lincomp
 from .algebra import LaurentSeries, Poly, PrimeField
@@ -32,36 +41,46 @@ def general_bounds(d: int, m: int, n: int) -> BoundPair:
     return BoundPair(Fraction(n - m, d), Fraction((d - 1) * n + m + 1, d))
 
 
-def bounds_hold(d: int, m: int, n: int, ell: int) -> bool:
-    """Cross-multiplied form of the general bounds, pure integer arithmetic."""
-    return n - m <= d * ell <= (d - 1) * n + m + 1
+def bounds_hold(d: int, m: int, n, ell):
+    """Cross-multiplied form of the general bounds, pure integer arithmetic.
+
+    ``n`` and ``ell`` are ints, or int64 arrays compared entry by entry.
+    """
+    return (n - m <= d * ell) & (d * ell <= (d - 1) * n + m + 1)
 
 
-def thue_morse_exact(n: int) -> int:
-    """L(t_n, N) = 2*floor((N+2)/4)."""
-    if n < 1:
+def _require_positive(n):
+    if np.any(np.less(n, 1)):
         raise ValueError("N must be >= 1")
+
+
+def thue_morse_exact(n):
+    """L(t_n, N) = 2*floor((N+2)/4), for an int N or an int64 array of them."""
+    _require_positive(n)
     return 2 * ((n + 2) // 4)
 
 
-def allones_exact(k: int, n: int) -> int:
+def allones_exact(k: int, n):
     """Exact profile of the binary all-one-pattern sequence of length k.
 
-    Two branches selected by N mod 4(2^k - 1).
+    Two branches selected by N mod 4(2^k - 1).  ``n`` is an int, giving an
+    int, or an int64 array, giving the array of values.  The branch is
+    selected by multiplying with the 0/1 condition, not by ``np.where``,
+    which would turn an int N into int64 and fail for k >= 61.
     """
-    if k < 1 or n < 1:
-        raise ValueError("k and N must be >= 1")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    _require_positive(n)
     w = 2 ** k - 1
     r = n % (4 * w)
-    if 2 ** k <= r <= 3 * w:
-        return 2 * w * (n // (4 * w)) + 2 ** k
-    return 2 * w * ((n + 2 ** k - 2) // (4 * w))
+    low = 2 * w * ((n + 2 ** k - 2) // (4 * w))
+    high = 2 * w * (n // (4 * w)) + 2 ** k
+    return low + ((2 ** k <= r) & (r <= 3 * w)) * (high - low)
 
 
-def perfect_profile_exact(n: int) -> int:
-    """L(w_n, N) = floor((N+1)/2): the perfect profile."""
-    if n < 1:
-        raise ValueError("N must be >= 1")
+def perfect_profile_exact(n):
+    """L(w_n, N) = floor((N+1)/2): the perfect profile, for an int or an int64 array."""
+    _require_positive(n)
     return (n + 1) // 2
 
 
@@ -155,10 +174,27 @@ def _check(name, fail, expected=None) -> CheckResult:
 
 
 def _first_divergence(seq_a, seq_b):
+    """(N, a_N, b_N) at the first N where the two differ, or None.
+
+    Equal sequences, the usual case, cost one tuple comparison in C; the
+    scan runs only on a mismatch.
+    """
+    if tuple(seq_a) == tuple(seq_b):
+        return None
     for n, (x, y) in enumerate(zip(seq_a, seq_b), start=1):
         if x != y:
             return n, x, y
     return None
+
+
+def _first_fail(bad, ell, expected):
+    """(N, expected(N), L(N)) at the first N where the bool array ``bad`` is set, or None.
+
+    Entry i of ``bad`` and of the int64 profile ``ell`` is N = i + 1; L(N)
+    is returned as an int.
+    """
+    i = int(bad.argmax())
+    return (i + 1, expected(i + 1), int(ell[i])) if bad[i] else None
 
 
 def functional_equation_residual(spec: SequenceSpec, n: int, pref=None) -> LaurentSeries:
@@ -223,25 +259,26 @@ def verify(spec: SequenceSpec, n_max: int, mutate=None) -> VerifyReport:
     checks = report.checks
     checks.append(_check("bm_cf_agree", _first_divergence(prof_bm, prof_cf)))
 
+    # Theorem 1 and the closed forms at every N = 1..n_max at once (module docstring)
+    ell = np.array(prof_bm.values, dtype=np.int64)
+    ns = np.arange(1, len(ell) + 1, dtype=np.int64)
     formula = exact_formula_for(spec)
     if formula is not None:
-        checks.append(_check("exact_formula", _first_divergence(
-            [formula(n) for n in range(1, n_max + 1)], prof_bm)))
+        exact = formula(ns)
+        checks.append(_check("exact_formula", _first_fail(
+            exact != ell, ell, lambda n: int(exact[n - 1]))))
 
     d, m = w.d, w.m
-    checks.append(_check("theorem1_bounds", next(
-        ((n, "{0.lower} <= L <= {0.upper}".format(general_bounds(d, m, n)), ell)
-         for n, ell in enumerate(prof_bm, start=1) if not bounds_hold(d, m, n, ell)), None)))
+    checks.append(_check("theorem1_bounds", _first_fail(
+        ~bounds_hold(d, m, ns, ell), ell,
+        lambda n: "{0.lower} <= L <= {0.upper}".format(general_bounds(d, m, n)))))
 
     if spec.is_all_one_pattern and spec.k == 1:
         # Thue-Morse attains the lower bound ceil((N-M)/d) for N = 0, 1 mod 4
         # and the upper bound floor(((d-1)N+M+1)/d) for N = 2, 3 mod 4
-        def attained(n):
-            return -((m - n) // d) if n % 4 < 2 else ((d - 1) * n + m + 1) // d
-
-        checks.append(_check("bound_attainment", next(
-            ((n, "lower" if n % 4 < 2 else "upper", ell)
-             for n, ell in enumerate(prof_bm, start=1) if ell != attained(n)), None)))
+        attained = np.where(ns % 4 < 2, -((m - ns) // d), ((d - 1) * ns + m + 1) // d)
+        checks.append(_check("bound_attainment", _first_fail(
+            attained != ell, ell, lambda n: "lower" if n % 4 < 2 else "upper")))
 
     bad = contfrac.check_convergent_identities(exp)
     checks.append(_check("convergent_identities", None if bad is None else (bad, None, None)))
@@ -261,9 +298,10 @@ def verify(spec: SequenceSpec, n_max: int, mutate=None) -> VerifyReport:
             -int(feq.valuation), 0, list(feq.coeffs[:8])), expected=0))
 
     res = autoseq.witness_residual(w, pref, n_max)
-    first = next((n for n, c in enumerate(res.coeffs, start=1) if c), None)
+    # a nonzero Poly's top coefficient is nonzero, so filter finds the lowest nonzero one
+    first = None if res.is_zero else res.coeffs.index(next(filter(None, res.coeffs)))
     checks.append(_check("residual_zero", None if first is None else (
-        first, 0, res.coeffs[first - 1]), expected=0))
+        first + 1, 0, res.coeffs[first]), expected=0))
 
     return report
 

@@ -3,6 +3,7 @@
 import dataclasses
 import random
 import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from seqc import autoseq, contfrac, gf2, lincomp
 from seqc.algebra import LaurentSeries, Poly, PrecisionError, PrimeField
+from seqc.autoseq import Profile
 from test_algebra import series_inverse
 
 F2 = PrimeField(2)
@@ -45,6 +47,31 @@ def cf_expand_series(r: LaurentSeries):
         quots.append(a)
         b = inv - LaurentSeries.from_poly(a, inv.low)
     return quots
+
+
+def profile_walk_oracle(expansion, n_max):
+    """``profile_from_expansion``'s former body: one step of the walk per N."""
+    degs = expansion.q_degrees
+    vals = []
+    j = 0
+    for n in range(1, n_max + 1):
+        while j + 1 < len(degs) and degs[j] + degs[j + 1] <= n:
+            j += 1
+        vals.append(degs[j])
+    return Profile(tuple(vals))
+
+
+def q_congruences_oracle(expansion, k):
+    """``q_congruences``' former body: each full Q_j from the recurrence, then folded."""
+    width = 1 << (k - 1)
+    cong_fail = []
+    denominators = islice(contfrac._denominators(expansion), expansion.reliable_count + 1)
+    for j, q in enumerate(denominators):
+        expected = 1 if (k == 1 or j % 2 == 0) else 0b11
+        actual = gf2.fold_mod(q, width)
+        if actual != expected:
+            cong_fail.append((j, expected, actual))
+    return tuple(cong_fail)
 
 
 class TestQuotients:
@@ -513,3 +540,83 @@ def test_convergent_identities_random_f3(xs):
 @given(st.integers(min_value=0, max_value=(1 << 300) - 1), st.sampled_from([1, 2, 3, 4, 8, 16]))
 def test_fold_mod_equals_division(q, w):
     assert gf2.fold_mod(q, w) == gf2.divmod_(q, (1 << w) | 1)[1]
+
+
+ALL_ONE_PATTERNS = [(k, autoseq.pattern(2, k, 2 ** k - 1)) for k in (1, 2, 3, 4)]
+
+
+def _expansion(source, n):
+    """The expansion of a built-in's prefix, or of a random F_2 stream from seed ``source``."""
+    if isinstance(source, int):
+        rng = random.Random(source)
+        return contfrac.cf_expand(LaurentSeries.from_prefix(
+            [rng.randrange(2) for _ in range(n)], F2))
+    return contfrac.cf_expand(series_for(source, n))
+
+
+class TestProfileWalk:
+    def test_n_max_below_the_first_run_end(self):
+        exp = contfrac.cf_expand(series_for(autoseq.thue_morse(), 64))
+        assert exp.q_degrees[:2] == (0, 2)  # L(1) = 0 and the first run ends at N = 2
+        assert list(contfrac.profile_from_expansion(exp, 1)) == [0]
+        assert list(contfrac.profile_from_expansion(exp, 2)) == [0, 2]
+
+    def test_zero_series(self):
+        exp = contfrac.cf_expand(LaurentSeries.from_prefix([0] * 40, F2))
+        assert exp.q_degrees == (0,)
+        for n in (1, 17, 40):
+            assert contfrac.profile_from_expansion(exp, n) == profile_walk_oracle(exp, n)
+            assert list(contfrac.profile_from_expansion(exp, n)) == [0] * n
+
+    def test_runs_share_the_degree_ints(self):
+        # one int object per run, not one per N: the profile costs its tuple alone
+        exp = contfrac.cf_expand(series_for(autoseq.pattern(2, 4, 15), 4096))
+        prof = contfrac.profile_from_expansion(exp, 4096)
+        assert len({id(v) for v in prof}) <= len(exp.q_degrees)
+
+
+@given(st.sampled_from([autoseq.thue_morse(), autoseq.rudin_shapiro(), autoseq.baum_sweet(),
+                        autoseq.sum_of_digits(3), 1, 2, 3]),
+       st.integers(min_value=1, max_value=160),
+       st.lists(st.tuples(st.integers(min_value=0, max_value=10 ** 6),
+                          st.integers(min_value=-4, max_value=4)), min_size=1, max_size=3),
+       st.integers(min_value=1, max_value=160))
+@settings(max_examples=120, deadline=None)
+def test_profile_walk_matches_per_n_walk(source, n, bumps, n_max):
+    exp = _expansion(source, n)
+    n_max = min(n_max, exp.precision)
+    assert contfrac.profile_from_expansion(exp, n_max) == profile_walk_oracle(exp, n_max)
+    degs = list(exp.q_degrees)
+    for i, delta in bumps:
+        degs[i % len(degs)] += delta
+    bad = dataclasses.replace(exp, q_degrees=tuple(degs))
+    assert contfrac.profile_from_expansion(bad, n_max) == profile_walk_oracle(bad, n_max)
+
+
+@given(st.sampled_from(ALL_ONE_PATTERNS + [(k, 7) for k in (1, 2, 3)]),
+       st.integers(min_value=8, max_value=300),
+       st.lists(st.tuples(st.integers(min_value=0, max_value=10 ** 6),
+                          st.integers(min_value=0, max_value=40)), min_size=1, max_size=3))
+@settings(max_examples=120, deadline=None)
+def test_q_congruences_match_full_denominators(case, n, flips):
+    k, source = case
+    exp = _expansion(source, n)
+    assert contfrac.q_congruences(exp, k) == q_congruences_oracle(exp, k)
+    quots = list(exp.raw_quotients)
+    for i, bit in flips:
+        quots[i % len(quots)] ^= 1 << bit
+    bad = dataclasses.replace(exp, raw_quotients=tuple(quots))
+    assert contfrac.q_congruences(bad, k) == q_congruences_oracle(bad, k)
+
+
+@pytest.mark.parametrize("k, spec", ALL_ONE_PATTERNS)
+def test_flipped_constant_coefficient_fails_q_congruences(k, spec):
+    # A_j + 1 adds Q_{j-1} to Q_j, whose residue is 1 or x + 1, never 0
+    exp = contfrac.cf_expand(series_for(spec, 2048))
+    assert not contfrac.q_congruences(exp, k)
+    j = exp.reliable_count // 2
+    bad = dataclasses.replace(exp, raw_quotients=_replaced(
+        exp.raw_quotients, j, exp.raw_quotients[j] ^ 1))
+    rep = contfrac.q_congruences(bad, k)
+    assert rep and rep[0][0] == j
+    assert rep == q_congruences_oracle(bad, k)

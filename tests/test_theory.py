@@ -2,12 +2,16 @@
 
 import copy
 from fractions import Fraction
+from itertools import groupby
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqc import autoseq, lincomp, theory
 from seqc.algebra import Poly, PrimeField
+from seqc.autoseq import Profile
 
 F2 = PrimeField(2)
 
@@ -20,6 +24,56 @@ def allones_branch(k: int, n: int) -> int:
     """Which branch of the exact formula fires for this N (1 or 2)."""
     w = 2 ** k - 1
     return 1 if 2 ** k <= n % (4 * w) <= 3 * w else 2
+
+
+# The per-N checks ``theory.verify`` ran before it took them on whole
+# int64 arrays, kept unchanged as references: each returns what verify
+# passes to ``theory._check``, None or (first failing N, expected, actual).
+
+def first_divergence_scan(seq_a, seq_b):
+    for n, (x, y) in enumerate(zip(seq_a, seq_b), start=1):
+        if x != y:
+            return n, x, y
+    return None
+
+
+def exact_formula_oracle(formula, prof_bm, n_max):
+    return first_divergence_scan([formula(n) for n in range(1, n_max + 1)], prof_bm)
+
+
+def theorem1_oracle(prof_bm, d, m):
+    return next(((n, "{0.lower} <= L <= {0.upper}".format(theory.general_bounds(d, m, n)), ell)
+                 for n, ell in enumerate(prof_bm, start=1)
+                 if not theory.bounds_hold(d, m, n, ell)), None)
+
+
+def attainment_oracle(prof_bm, d, m):
+    def attained(n):
+        return -((m - n) // d) if n % 4 < 2 else ((d - 1) * n + m + 1) // d
+
+    return next(((n, "lower" if n % 4 < 2 else "upper", ell)
+                 for n, ell in enumerate(prof_bm, start=1) if ell != attained(n)), None)
+
+
+def oracle_checks(spec, prof_bm, n_max):
+    """The three profile checks of ``verify`` from the per-N references."""
+    w = autoseq.witness(spec)
+    checks = {}
+    formula = theory.exact_formula_for(spec)
+    if formula is not None:
+        checks["exact_formula"] = theory._check(
+            "exact_formula", exact_formula_oracle(formula, prof_bm, n_max))
+    checks["theorem1_bounds"] = theory._check("theorem1_bounds", theorem1_oracle(prof_bm, w.d, w.m))
+    if spec.is_all_one_pattern and spec.k == 1:
+        checks["bound_attainment"] = theory._check(
+            "bound_attainment", attainment_oracle(prof_bm, w.d, w.m))
+    return checks
+
+
+def verify_with_profile(spec, n_max, values):
+    """verify's checks, by name, with BM's profile replaced by ``values``."""
+    with mock.patch.object(lincomp, "bm_profile", lambda pref, field: Profile(tuple(values))):
+        return {c.name: c for c in theory.verify(spec, n_max).checks}
 
 
 class TestThueMorseExact:
@@ -262,3 +316,131 @@ def test_allones_exact_within_theorem1_bounds(k, n):
 def test_thue_morse_exact_is_valid_profile_step(n):
     a, b = theory.thue_morse_exact(n), theory.thue_morse_exact(n + 1)
     assert a <= b <= a + 2
+
+
+class TestClosedFormsOnArrays:
+    @pytest.mark.parametrize("formula", [
+        theory.thue_morse_exact, theory.perfect_profile_exact,
+        *(lambda n, k=k: theory.allones_exact(k, n) for k in (1, 2, 3, 4)),
+    ])
+    def test_array_equals_ints(self, formula):
+        ns = np.arange(1, 1001, dtype=np.int64)
+        values = formula(ns)
+        assert values.dtype == np.int64
+        assert values.tolist() == [formula(n) for n in range(1, 1001)]
+        assert all(type(formula(n)) is int for n in (1, 7, 1000))
+
+    @pytest.mark.parametrize("call", [
+        lambda n: theory.thue_morse_exact(n), lambda n: theory.perfect_profile_exact(n),
+        lambda n: theory.allones_exact(2, n),
+    ])
+    @pytest.mark.parametrize("n", [0, -3, np.array([3, 0, 5]), np.array([-1])])
+    def test_rejects_n_below_one(self, call, n):
+        with pytest.raises(ValueError):
+            call(n)
+
+    def test_allones_ints_past_int64(self):
+        # k = 70: 2^k and 4(2^k - 1) are past int64, and an int N stays exact
+        k, w = 70, 2 ** 70 - 1
+        for n in (1, 2 ** 70, 3 * w, 3 * w + 1, 4 * w + 2 ** 70):
+            r = n % (4 * w)
+            want = (2 * w * (n // (4 * w)) + 2 ** k if 2 ** k <= r <= 3 * w
+                    else 2 * w * ((n + 2 ** k - 2) // (4 * w)))
+            assert theory.allones_exact(k, n) == want
+
+    def test_allones_rejects_k_below_one(self):
+        with pytest.raises(ValueError):
+            theory.allones_exact(0, np.arange(1, 9))
+
+    def test_bounds_hold_on_arrays(self):
+        ns = np.arange(1, 300, dtype=np.int64)
+        ell = (ns * 7) % 150
+        got = theory.bounds_hold(3, 2, ns, ell)
+        assert got.tolist() == [theory.bounds_hold(3, 2, int(n), int(v)) for n, v in zip(ns, ell)]
+
+
+class TestFirstDivergence:
+    def test_equal_is_none(self):
+        assert theory._first_divergence(Profile((0, 1, 1)), (0, 1, 1)) is None
+
+    @given(st.lists(st.integers(0, 3), max_size=40), st.lists(st.integers(0, 3), max_size=40))
+    def test_matches_scan(self, a, b):
+        assert theory._first_divergence(a, b) == first_divergence_scan(a, b)
+
+
+# specs with each combination of profile checks: exact formula and
+# attainment (Thue-Morse), exact formula alone, neither; over F_2 and F_3
+CHECKED_SPECS = [autoseq.thue_morse(), autoseq.rudin_shapiro(), autoseq.pattern(2, 3, 7),
+                 autoseq.perfect_profile(), autoseq.baum_sweet(), autoseq.sum_of_digits(3),
+                 autoseq.sum_of_digits(2)]
+
+
+@given(st.sampled_from(CHECKED_SPECS), st.integers(min_value=4, max_value=200),
+       st.lists(st.tuples(st.integers(min_value=0, max_value=10 ** 6),
+                          st.sampled_from([-2, -1, 1, 2])), min_size=1, max_size=3))
+@settings(max_examples=80, deadline=None)
+def test_array_checks_match_per_n_references(spec, n_max, bumps):
+    values = list(lincomp.bm_profile(autoseq.prefix(spec, n_max), spec.field))
+    for i, delta in bumps:
+        values[i % n_max] += delta
+    checks = verify_with_profile(spec, n_max, values)
+    for name, expected in oracle_checks(spec, values, n_max).items():
+        got = checks[name]
+        assert got == expected, name
+        assert all(type(v) in (int, str) for v in (got.first_fail_n, got.expected, got.actual)
+                   if v is not None), name
+
+
+@pytest.mark.parametrize("spec", CHECKED_SPECS)
+def test_array_checks_pass_where_references_pass(spec):
+    n_max = 1024
+    values = lincomp.bm_profile(autoseq.prefix(spec, n_max), spec.field)
+    checks = verify_with_profile(spec, n_max, values)
+    expected = oracle_checks(spec, values, n_max)
+    assert all(c.passed for c in expected.values())
+    assert {name: checks[name] for name in expected} == expected
+
+
+class TestProfileNegativeControls:
+    """A single-N bump inside a constant run of the profile is caught at that N.
+
+    Thue-Morse's profile is constant on N = 4j+2..4j+5 and sits on the upper
+    Theorem 1 bound at 4j+2, 4j+3 and on the lower one at 4j+4, 4j+5, so a
+    bump of +1 at 4j+3 or of -1 at 4j+4 leaves both bounds.
+    """
+
+    @pytest.mark.parametrize("n, delta", [(1203, 1), (1204, -1), (7, 1), (8, -1)])
+    def test_thue_morse_interior_bump(self, n, delta):
+        spec, n_max = autoseq.thue_morse(), 2048
+        values = list(lincomp.bm_profile(autoseq.prefix(spec, n_max), spec.field))
+        assert values[n - 2] == values[n - 1] == values[n]  # L(N-1) = L(N) = L(N+1)
+        values[n - 1] += delta
+        checks = verify_with_profile(spec, n_max, values)
+        for name in ("exact_formula", "theorem1_bounds", "bound_attainment"):
+            assert not checks[name].passed, name
+            assert checks[name].first_fail_n == n, name
+        assert checks == {**checks, **oracle_checks(spec, values, n_max)}
+
+    def test_long_run_of_pattern_2_4_15(self):
+        # runs of 30 equal L(N) from 2L(N) - N = M + 1 = 16 down: +1 at the
+        # run's second N passes the upper bound (N + M + 1)/2, and a bump in
+        # the middle is inside the bounds, so only the closed form sees it
+        spec, n_max = autoseq.pattern(2, 4, 15), 2048
+        clean = list(lincomp.bm_profile(autoseq.prefix(spec, n_max), spec.field))
+        runs, start = [], 1
+        for v, run in groupby(clean):
+            length = len(list(run))
+            runs.append((length, start, v))
+            start += length
+        length, start, v = max(runs)
+        assert length >= 30 and 2 * v - start == 16
+        for n, failing in ((start + 1, {"exact_formula", "theorem1_bounds"}),
+                           (start + length // 2, {"exact_formula"})):
+            values = list(clean)
+            values[n - 1] += 1
+            checks = verify_with_profile(spec, n_max, values)
+            assert checks == {**checks, **oracle_checks(spec, values, n_max)}
+            for name in ("exact_formula", "theorem1_bounds"):
+                assert checks[name].passed == (name not in failing), (n, name)
+                if name in failing:
+                    assert checks[name].first_fail_n == n, (n, name)
