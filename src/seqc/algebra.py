@@ -23,12 +23,9 @@ def _kron_mul(a, b, p: int):
     Kronecker substitution: each operand is packed into one Python int,
     one coefficient per slot wide enough for a full convolution sum, so a
     single big-int multiply yields every coefficient with no carry between
-    slots and no overflow at any p.  Slots are packed from and unpacked
-    to byte views of uint64 words.  A slot's sum is below
+    slots and no overflow at any p.  A slot's sum is below
     min(len a, len b) (p-1)^2, under 2^126 at p <= 2^31 - 1 for any length
-    an array can have, so a slot fits in two words; one wider than 8
-    bytes, low word lo and high word hi, is reduced in uint64 as
-    lo + hi (2^64 mod p), each term below 2^62.
+    an array can have, so a slot is at most 16 bytes wide.
 
     It is the one Kronecker product in seqc: at p = 2 it serves
     ``gf2.mul`` above that module's shift-and-XOR size, on bit arrays.
@@ -37,22 +34,43 @@ def _kron_mul(a, b, p: int):
     if not len(a) or not len(b):
         return np.zeros(0, dtype=np.int64)
     width = max(1, ((min(len(a), len(b)) * (p - 1) ** 2).bit_length() + 7) // 8)
-    count = len(a) + len(b) - 1
     product = _kron_pack(a, width) * _kron_pack(b, width)
-    words = np.zeros((count, -(-width // 8)), dtype="<u8")  # the slots, zero-padded to words
-    words.view(np.uint8)[:, :width] = np.frombuffer(
-        product.to_bytes(count * width, "little"), dtype=np.uint8).reshape(count, width)
+    return _kron_unpack(product, len(a) + len(b) - 1, width, p)
+
+
+# slot widths in bytes that are one numpy unsigned integer: a slot of
+# such a width is packed and unpacked as that integer, not padded to words
+_WORD_WIDTHS = (1, 2, 4, 8)
+
+
+def _kron_pack(a, width: int) -> int:
+    """The uint64 entries of a, each in ``width`` little-endian bytes, as one int.
+
+    An entry is below p, which needs no more bytes than its slot has.
+    """
+    if width in _WORD_WIDTHS:
+        return int.from_bytes(a.astype(f"<u{width}").tobytes(), "little")
+    words = np.zeros((len(a), -(-width // 8)), dtype="<u8")
+    words[:, 0] = a
+    return int.from_bytes(words.view(np.uint8)[:, :width].tobytes(), "little")
+
+
+def _kron_unpack(product: int, count: int, width: int, p: int):
+    """Slots 0..count-1 of ``width`` little-endian bytes each, mod p, as an int64 array.
+
+    Other widths are zero-padded to uint64 words; a slot wider than 8
+    bytes, low word lo and high word hi, is reduced in uint64 as
+    lo + hi (2^64 mod p), each term below 2^62.
+    """
+    raw = product.to_bytes(count * width, "little")
+    if width in _WORD_WIDTHS:  # p fits the slot's integer, which holds (p-1)^2
+        return (np.frombuffer(raw, dtype=f"<u{width}") % p).astype(np.int64)
+    words = np.zeros((count, -(-width // 8)), dtype="<u8")
+    words.view(np.uint8)[:, :width] = np.frombuffer(raw, dtype=np.uint8).reshape(count, width)
     out = words[:, 0] % p
     if width > 8:
         out = (out + words[:, 1] % p * (2**64 % p)) % p
     return out.astype(np.int64)
-
-
-def _kron_pack(a, width: int) -> int:
-    """The uint64 entries of a, each in ``width`` little-endian bytes, as one int."""
-    words = np.zeros((len(a), -(-width // 8)), dtype="<u8")
-    words[:, 0] = a  # an entry below p needs no more bytes than its slot has
-    return int.from_bytes(words.view(np.uint8)[:, :width].tobytes(), "little")
 
 
 class FieldMismatchError(ValueError):
@@ -124,13 +142,15 @@ def _make_room(x, mx, y, my, p: int, k: int = 1):
     an int bound M on its entries: |x_i| <= mx, |y_i| <= my.  Adding (or
     subtracting) a product c*y, c in [0, p), raises x's bound to
     mx + (p-1) my, and k of them (a convolution with k coefficients c)
-    to mx + k (p-1) my; the caller adds that after the products.  Only if
-    it could pass INT64_MAX is each operand whose bound is above p - 1
-    reduced mod p in place, so that both start again from p - 1 and the
-    next reduction is as far off as it can be.  Both reduced, the sum for
-    one product is at most (p-1) + (p-1)^2 < 2^63 for every
-    p <= 2^31 - 1, so one product always fits; k of them may not, and the
-    caller then takes as many as fit.
+    to mx + k (p-1) my; the caller adds that after the products.  An
+    update by c = 1 or c = p - 1 forms no product (``_sub_multiple``)
+    and raises it by my alone, within the room made here.  Only if
+    mx + k (p-1) my could pass INT64_MAX is each operand whose bound is
+    above p - 1 reduced mod p in place, so that both start again from
+    p - 1 and the next reduction is as far off as it can be.  Both
+    reduced, the sum for one product is at most (p-1) + (p-1)^2 < 2^63
+    for every p <= 2^31 - 1, so one product always fits; k of them may
+    not, and the caller then takes as many as fit.
     """
     if mx + k * (p - 1) * my > INT64_MAX:
         if my >= p:
@@ -140,6 +160,25 @@ def _make_room(x, mx, y, my, p: int, k: int = 1):
             x %= p
             mx = p - 1
     return mx, my
+
+
+def _sub_multiple(x, y, c: int, p: int) -> int:
+    """x -= c*y in place for c in [1, p); returns the factor that y's bound adds to x's.
+
+    c = 1 subtracts y, and c = p - 1 adds it, since -(p-1) y = y mod p:
+    neither forms a product, and x's bound rises by M_y.  At p = 3 every
+    c is one of them.  Any other c forms the product c*y and raises x's
+    bound by (p-1) M_y.  (A product written into a reused buffer saves
+    nothing: slicing the buffer costs more than numpy's allocation.)
+    """
+    if c == 1:
+        x -= y
+        return 1
+    if c == p - 1:
+        x += y
+        return 1
+    x -= c * y
+    return p - 1
 
 
 def _check_same_field(a, b):

@@ -113,7 +113,7 @@ def builtin_specs():
     )
 
 
-# -- term generation (iterative digit peeling, no recursion) ------------
+# -- prefix generation -------------------------------------------------
 
 def _pattern_modulus(spec: SequenceSpec, n: int) -> int:
     """A modulus m with i mod m == a exactly when i mod p^k == a, for 0 <= i <= n.
@@ -124,52 +124,8 @@ def _pattern_modulus(spec: SequenceSpec, n: int) -> int:
     return spec.p ** min(spec.k, n.bit_length())
 
 
-def term(spec: SequenceSpec, n: int) -> int:
-    if n < 0:
-        raise ValueError("index must be >= 0")
-    kind = spec.kind
-    if kind == PATTERN:
-        p, pk, a = spec.p, _pattern_modulus(spec, n), spec.a
-        count = 0
-        while n:
-            if n % pk == a:
-                count += 1
-            n //= p
-        return count % p
-    if kind == SUM_OF_DIGITS:
-        k = spec.p
-        s = 0
-        while n:
-            s += n % k
-            n //= k
-        return s % k
-    if kind == BAUM_SWEET:
-        if n == 0:
-            return 1
-        while True:
-            while n % 4 == 0:
-                n //= 4
-            if n % 2 == 0:
-                return 0
-            n = (n - 1) // 2
-            if n == 0:
-                return 1
-    if kind == PAPER_FOLDING:
-        if n == 0:
-            return spec.v0
-        while n % 2 == 0:
-            n //= 2
-        return 1 if n % 4 == 1 else 0
-    # perfect-profile: w_{2n} = 1, w_{2n+1} = w_n + 1
-    flips = 0
-    while n % 2 == 1:
-        flips += 1
-        n = (n - 1) // 2
-    return (1 + flips) % 2
-
-
 def prefix(spec: SequenceSpec, n: int):
-    """[term(0), ..., term(n-1)], filled breadth-first where a recurrence helps."""
+    """The first n terms u_0..u_(n-1), filled in one pass: u_i from terms below i."""
     if n < 1:
         raise ValueError("prefix length must be >= 1")
     kind = spec.kind
@@ -185,13 +141,22 @@ def prefix(spec: SequenceSpec, n: int):
         for i in range(1, n):
             out[i] = (out[i // k] + i) % k
         return out
-    if kind == PERFECT_PROFILE:
-        out = [0] * n
-        out[0] = 1
-        for i in range(1, n):
-            out[i] = 1 if i % 2 == 0 else (out[(i - 1) // 2] + 1) % 2
+    if kind == BAUM_SWEET:  # b(2i+1) = b(i), b(4i) = b(i), b(4i+2) = 0
+        out = [1] * n
+        for i in range(2, n):
+            out[i] = out[i >> 1] if i & 1 else (0 if i & 2 else out[i >> 2])
         return out
-    return [term(spec, i) for i in range(n)]
+    if kind == PAPER_FOLDING:  # v(2i) = v(i) for i >= 1, v(4i+1) = 1, v(4i+3) = 0
+        out = [spec.v0] * n
+        for i in range(1, n):
+            out[i] = out[i >> 1] if i % 2 == 0 else (1 if i % 4 == 1 else 0)
+        return out
+    # perfect-profile
+    out = [0] * n
+    out[0] = 1
+    for i in range(1, n):
+        out[i] = 1 if i % 2 == 0 else (out[(i - 1) // 2] + 1) % 2
+    return out
 
 
 # -- algebraic witnesses -------------------------------------------------

@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+from itertools import repeat
 
 import numpy as np
 
@@ -83,6 +84,11 @@ def cmd_generate(args) -> int:
 
 
 def _profile_rows(spec, n_max, method):
+    """One tuple per N = 1..n_max, its entries in CSV_HEADER's column order.
+
+    Entries are Python ints, which json.dumps takes and np.int64 is not,
+    or None for a method not run.
+    """
     w = autoseq.witness(spec)  # first: a spec over its witness cap fails before any work
     field = spec.field
     pref = autoseq.prefix(spec, n_max)
@@ -97,22 +103,26 @@ def _profile_rows(spec, n_max, method):
         if diverged is not None:
             raise RuntimeError("method disagreement at N={}: bm={} cf={}".format(*diverged))
     formula = theory.exact_formula_for(spec)
-    # Python ints, which json.dumps takes and np.int64 is not
-    exact = formula(np.arange(1, n_max + 1, dtype=np.int64)).tolist() if formula else None
-    rows = []
-    for n in range(1, n_max + 1):
-        b = theory.general_bounds(w.d, w.m, n)
-        rows.append({
-            "N": n,
-            "L_bm": prof_bm.at(n) if prof_bm else None,
-            "L_cf": prof_cf.at(n) if prof_cf else None,
-            "L_formula": exact[n - 1] if exact else None,
-            "lower_num": b.lower.numerator,
-            "lower_den": b.lower.denominator,
-            "upper_num": b.upper.numerator,
-            "upper_den": b.upper.denominator,
-        })
-    return rows
+    ns = np.arange(1, n_max + 1, dtype=np.int64)
+    return list(zip(ns.tolist(),
+                    prof_bm.values if prof_bm else repeat(None),
+                    prof_cf.values if prof_cf else repeat(None),
+                    formula(ns).tolist() if formula else repeat(None),
+                    *_bound_columns(w.d, w.m, ns)))
+
+
+def _bound_columns(d: int, m: int, ns):
+    """Numerators and denominators of ``theory.general_bounds`` at every N of ns, in lowest terms.
+
+    The lower bound is (N - M)/d and the upper ((d-1)N + M + 1)/d, each
+    divided through by its gcd with d > 0, as ``Fraction`` would; int64
+    is exact by the witness cap (``theory`` docstring).
+    """
+    columns = []
+    for num in (ns - m, (d - 1) * ns + m + 1):
+        g = np.gcd(num, d)
+        columns += [(num // g).tolist(), (d // g).tolist()]
+    return columns
 
 
 def cmd_profile(args) -> int:
@@ -122,13 +132,13 @@ def cmd_profile(args) -> int:
     except RuntimeError as exc:
         print(str(exc), file=sys.stderr)
         return 1
+    keys = CSV_HEADER.split(",")
     if args.format == "json":
-        _emit(args.out, json.dumps(rows, sort_keys=True) + "\n")
+        _emit(args.out, json.dumps([dict(zip(keys, row)) for row in rows], sort_keys=True) + "\n")
         return 0
     lines = [CSV_HEADER]
     for row in rows:
-        lines.append(",".join("" if row[key] is None else str(row[key])
-                              for key in CSV_HEADER.split(",")))
+        lines.append(",".join("" if v is None else str(v) for v in row))
     _emit(args.out, "\n".join(lines) + "\n")
     return 0
 

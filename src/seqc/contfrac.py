@@ -23,7 +23,10 @@ entry alone is reduced and nonzero, so its degree is its length less
 one; a reduction in place lowers M in place.  Each product c*y
 (c in [0, p)) added to x raises x's bound by (p-1) M_y, and
 ``algebra._make_room`` reduces an operand mod p only when the next
-products could pass 2^63 - 1.  So every step is exact at every
+products could pass 2^63 - 1.  A division step by a quotient
+coefficient c = 1 or c = p - 1 forms no product: it subtracts or adds
+the divisor (``algebra._sub_multiple``) and raises the bound by M_y
+alone, as every step does at p = 3.  So every step is exact at every
 p <= 2^31 - 1, and at small p a reduction is rare.  The recurrence
 multiplies by a whole quotient at once: A_j y is one ``np.convolve`` per
 chunk of A_j, a chunk of k coefficients raises the bound by k (p-1) M_y,
@@ -63,7 +66,8 @@ from operator import add, xor
 import numpy as np
 
 from . import algebra, gf2
-from .algebra import LaurentSeries, Poly, PrecisionError, PrimeField, _kron_mul, _make_room
+from .algebra import (LaurentSeries, Poly, PrecisionError, PrimeField, _kron_mul, _make_room,
+                      _sub_multiple)
 from .autoseq import Profile
 
 
@@ -211,11 +215,12 @@ def _arr_divmod(a, b, p):
 
     a's coefficients are overwritten and the remainder's are a view of
     them.  Each nonzero quotient coefficient c subtracts c*b from the
-    window a[i-db:i] below the current top a[i].  ``ma`` bounds every
-    live entry a[:i] and ``m_below`` the entries below the window, which
-    no product has touched yet: a reduction covers all of a[:i] until
-    those are reduced once, and the window alone after that.  The
-    remainder keeps its bound; only its top entry is reduced.
+    window a[i-db:i] below the current top a[i] (``_sub_multiple``: no
+    product at c = 1 or p - 1).  ``ma`` bounds every live entry a[:i]
+    and ``m_below`` the entries below the window, which no product has
+    touched yet: a reduction covers all of a[:i] until those are reduced
+    once, and the window alone after that.  The remainder keeps its
+    bound; only its top entry is reduced.
     """
     (av, ma), (bv, mb) = a, b
     da, db = len(av) - 1, len(bv) - 1
@@ -232,8 +237,7 @@ def _arr_divmod(a, b, p):
             window = av[i - db:i]
             ma, mb = _make_room(av[:i] if m_below >= p else window, ma, low, mb, p)
             m_below = min(m_below, ma)
-            window -= c * low
-            ma += (p - 1) * mb
+            ma += _sub_multiple(window, low, c, p) * mb
     b[1] = mb
     return q, [_arr_trim(av[:db], p), ma]
 

@@ -12,12 +12,15 @@ no connection vector at all; only ``bm_connection`` asks for c.
 
 Over F_2, D and E are bit-packed ints.  For odd p they are numpy int64
 arrays under one invariant (``algebra._make_room``): every array carries
-an int bound M with |x_i| <= M, an update x -= c y with c in [0, p)
+an int bound M with |x_i| <= M, an update x -= c y with c in [1, p)
 raises x's bound by (p-1) M_y, and an operand is reduced mod p only when
-the update could otherwise pass 2^63 - 1.  So every step is exact at
-every supported p, and at p = 3 a reduction is rare.  The zero-prefix
-and 0...0!=0 boundary conventions fall out of the standard
-initialization and are asserted in tests rather than special-cased here.
+the update could otherwise pass 2^63 - 1.  The updates by c = 1 and
+c = p - 1 are x -= y and x += y (``algebra._sub_multiple``): no product,
+and the bound rises by M_y alone.  At p = 3 every update is one of them.
+So every step is exact at every supported p, and at p = 3 a reduction
+is rare.  The zero-prefix and 0...0!=0 boundary conventions fall out of
+the standard initialization and are asserted in tests rather than
+special-cased here.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import gf2
-from .algebra import PrimeField, _make_room
+from .algebra import PrimeField, _make_room, _sub_multiple
 from .autoseq import Profile
 
 # steps per shift of D over F_2: D moves right once per block and the
@@ -98,7 +101,6 @@ def _bm_modp(seq, p, connection):
     n_len = len(seq)
     res = np.array(seq, dtype=np.int64)
     e = np.concatenate((np.zeros(1, dtype=np.int64), res))
-    tmp = np.empty(n_len, dtype=np.int64)
     m_res = m_e = p - 1  # bounds on |res[n:]| and |e[:N-n]|
     if connection:
         c = np.zeros(n_len + 1, dtype=np.int64)
@@ -119,14 +121,12 @@ def _bm_modp(seq, p, connection):
             if grow:  # E becomes the old D
                 e_next, m_e_next = live.copy(), m_res
                 bd_inv = pow(d, -1, p)
-            live -= np.multiply(used, coef, out=tmp[:n_len - n])
-            m_res += (p - 1) * m_e
+            m_res += _sub_multiple(live, used, coef, p) * m_e
             if connection:
                 m_c, m_b = _make_room(c[:ell + 1], m_c, b, m_b, p)
                 if grow:  # b becomes the old c
                     b_next, m_b_next = c[:ell + 1].copy(), m_c
-                c[n - m:n - m + len(b)] -= np.multiply(b, coef, out=tmp[:len(b)])
-                m_c += (p - 1) * m_b
+                m_c += _sub_multiple(c[n - m:n - m + len(b)], b, coef, p) * m_b
                 if grow:
                     b, m_b = b_next, m_b_next
             if grow:

@@ -12,6 +12,8 @@ from seqc.algebra import (
     PrecisionError,
     PrimeField,
     _kron_mul,
+    _kron_pack,
+    _kron_unpack,
 )
 
 F2 = PrimeField(2)
@@ -126,6 +128,14 @@ def test_poly_mul_matches_schoolbook(p, data):
 P31 = 2**31 - 1
 
 
+def schoolbook_mod_p(xs, ys, p):
+    want = [0] * (len(xs) + len(ys) - 1) if len(xs) and len(ys) else []
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            want[i + j] += int(x) * int(y)
+    return [v % p for v in want]
+
+
 @st.composite
 def kron_operands(draw):
     p = draw(st.sampled_from([2, 3, 5, 65521, P31]))
@@ -145,15 +155,31 @@ def kron_operands(draw):
 @settings(max_examples=80, deadline=None)
 def test_kron_mul_matches_schoolbook_mod_p(case):
     p, xs, ys, as_array = case
-    want = [0] * (len(xs) + len(ys) - 1) if xs and ys else []
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            want[i + j] += x * y
+    want = schoolbook_mod_p(xs, ys, p)
     if as_array:
         xs, ys = np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)
     got = _kron_mul(xs, ys, p)
     assert got.dtype == np.int64
-    assert got.tolist() == [v % p for v in want]
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("p, width", [(p, w) for p in (2, 3, P31) for w in (1, 2, 3, 4, 5, 8, 9, 16)
+                                      if 256**w > (p - 1) ** 2])
+def test_kron_slots_of_every_width(p, width):
+    """Packed, multiplied and unpacked at a forced slot width: the schoolbook product mod p.
+
+    Widths 1, 2, 4 and 8 go through one unsigned integer per slot, the
+    others through zero-padded uint64 words.  The shorter operand is as
+    long as the width allows, up to 40, and all p - 1, so the largest
+    slot sum fills the slot as far as it can.
+    """
+    n = min(40, (256**width - 1) // (p - 1) ** 2)
+    rng = np.random.default_rng(width)
+    a = np.full(n, p - 1, dtype=np.uint64)
+    b = rng.integers(0, p, n + 3).astype(np.uint64)
+    got = _kron_unpack(_kron_pack(a, width) * _kron_pack(b, width), 2 * n + 2, width, p)
+    assert got.dtype == np.int64
+    assert got.tolist() == schoolbook_mod_p(a, b, p)
 
 
 @given(coeff_lists, coeff_lists)

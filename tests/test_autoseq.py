@@ -37,41 +37,91 @@ def pattern_count_oracle(p: int, digits, n: int) -> int:
     return sum(1 for i in range(len(rep) - k + 1) if tuple(rep[i:i + k]) == digits)
 
 
+def term(spec, n: int) -> int:
+    """u_n of a built-in spec by digit peeling, from its definition, for one n.
+
+    The reference for ``autoseq.prefix``, which fills a whole prefix from
+    recurrences instead.
+    """
+    if n < 0:
+        raise ValueError("index must be >= 0")
+    kind = spec.kind
+    if kind == autoseq.PATTERN:
+        # p^k is cut to p^(bit length of n), which exceeds n: i mod p^k == a then reads i == a
+        p, pk, a = spec.p, spec.p ** min(spec.k, n.bit_length()), spec.a
+        count = 0
+        while n:
+            if n % pk == a:
+                count += 1
+            n //= p
+        return count % p
+    if kind == autoseq.SUM_OF_DIGITS:
+        k = spec.p
+        s = 0
+        while n:
+            s += n % k
+            n //= k
+        return s % k
+    if kind == autoseq.BAUM_SWEET:
+        if n == 0:
+            return 1
+        while True:
+            while n % 4 == 0:
+                n //= 4
+            if n % 2 == 0:
+                return 0
+            n = (n - 1) // 2
+            if n == 0:
+                return 1
+    if kind == autoseq.PAPER_FOLDING:
+        if n == 0:
+            return spec.v0
+        while n % 2 == 0:
+            n //= 2
+        return 1 if n % 4 == 1 else 0
+    # perfect-profile: w_{2n} = 1, w_{2n+1} = w_n + 1
+    flips = 0
+    while n % 2 == 1:
+        flips += 1
+        n = (n - 1) // 2
+    return (1 + flips) % 2
+
+
 class TestTerm:
     def test_thue_morse_first8(self):
         spec = autoseq.thue_morse()
-        assert [autoseq.term(spec, n) for n in range(8)] == [0, 1, 1, 0, 1, 0, 0, 1]
+        assert [term(spec, n) for n in range(8)] == [0, 1, 1, 0, 1, 0, 0, 1]
 
     def test_rudin_shapiro_first8(self):
         spec = autoseq.rudin_shapiro()
-        assert [autoseq.term(spec, n) for n in range(8)] == [0, 0, 0, 1, 0, 0, 1, 0]
+        assert [term(spec, n) for n in range(8)] == [0, 0, 0, 1, 0, 0, 1, 0]
 
     def test_baum_sweet_first8(self):
         spec = autoseq.baum_sweet()
-        assert [autoseq.term(spec, n) for n in range(8)] == [1, 1, 0, 1, 1, 0, 0, 1]
+        assert [term(spec, n) for n in range(8)] == [1, 1, 0, 1, 1, 0, 0, 1]
 
     def test_sum_of_digits_mod3_first9(self):
         spec = autoseq.sum_of_digits(3)
-        assert [autoseq.term(spec, n) for n in range(9)] == [0, 1, 2, 1, 2, 0, 2, 0, 1]
+        assert [term(spec, n) for n in range(9)] == [0, 1, 2, 1, 2, 0, 2, 0, 1]
 
     def test_perfect_profile_first8(self):
         spec = autoseq.perfect_profile()
-        assert [autoseq.term(spec, n) for n in range(8)] == [1, 0, 1, 1, 1, 0, 1, 0]
+        assert [term(spec, n) for n in range(8)] == [1, 0, 1, 1, 1, 0, 1, 0]
 
     def test_paper_folding_first8(self):
         spec = autoseq.paper_folding(1)
-        assert [autoseq.term(spec, n) for n in range(8)] == [1, 1, 1, 0, 1, 1, 0, 0]
+        assert [term(spec, n) for n in range(8)] == [1, 1, 1, 0, 1, 1, 0, 0]
 
 
 class TestPrefix:
     def test_matches_term(self):
-        for spec in autoseq.builtin_specs():
-            pref = autoseq.prefix(spec, 64)
-            assert pref == [autoseq.term(spec, n) for n in range(64)]
+        for spec in (*autoseq.builtin_specs(), autoseq.paper_folding(0)):
+            for n in (1, 2, 3, 64, 1025, 4097):
+                assert autoseq.prefix(spec, n) == [term(spec, i) for i in range(n)]
 
     def test_single(self):
         for spec in autoseq.builtin_specs():
-            assert autoseq.prefix(spec, 1) == [autoseq.term(spec, 0)]
+            assert autoseq.prefix(spec, 1) == [term(spec, 0)]
 
     def test_bad_length(self):
         with pytest.raises(ValueError):
@@ -95,7 +145,7 @@ class TestPatternCountOracle:
                 v //= p
             pat = "".join(str(d) for d in reversed(digits))
             for n in range(200):
-                assert autoseq.term(spec, n) == pattern_count_oracle(p, pat, n) % p
+                assert term(spec, n) == pattern_count_oracle(p, pat, n) % p
 
     def test_rejects_leading_zero(self):
         with pytest.raises(ValueError):
@@ -189,7 +239,7 @@ class TestProfile:
 @given(st.integers(min_value=0, max_value=2 ** 20 - 1))
 def test_thue_morse_is_binary_digit_sum(n):
     spec = autoseq.thue_morse()
-    assert autoseq.term(spec, n) == bin(n).count("1") % 2
+    assert term(spec, n) == bin(n).count("1") % 2
 
 
 @given(st.integers(min_value=0, max_value=2 ** 16 - 1), st.integers(min_value=2, max_value=7))
@@ -200,7 +250,7 @@ def test_sum_of_digits_matches_base_p_expansion(n, pidx):
     while v:
         total += v % p
         v //= p
-    assert autoseq.term(spec, n) == total % p
+    assert term(spec, n) == total % p
 
 
 @given(st.integers(min_value=0, max_value=2 ** 16 - 1))
@@ -208,7 +258,7 @@ def test_rudin_shapiro_counts_adjacent_ones(n):
     spec = autoseq.rudin_shapiro()
     b = bin(n)[2:]
     count = sum(1 for i in range(len(b) - 1) if b[i] == b[i + 1] == "1")
-    assert autoseq.term(spec, n) == count % 2
+    assert term(spec, n) == count % 2
 
 
 def _pattern_term_full_power(p, k, a, n):
@@ -227,4 +277,4 @@ def test_pattern_terms_match_full_power(p, k, data):
     spec = autoseq.pattern(p, k, a)
     want = [_pattern_term_full_power(p, k, a, i) for i in range(n)]
     assert autoseq.prefix(spec, n) == want
-    assert autoseq.term(spec, n - 1) == want[-1]
+    assert term(spec, n - 1) == want[-1]

@@ -133,6 +133,22 @@ class TestProfile:
         ell = bumped["L"]
         assert err == f"method disagreement at N=37: bm={ell} cf={ell + 1}\n"
 
+    @pytest.mark.parametrize("spec, d_m", [(autoseq.thue_morse(), (2, 1)),
+                                           (autoseq.baum_sweet(), (3, 0)),
+                                           (autoseq.pattern(2, 3, 7), (2, 7))])
+    def test_bound_columns_equal_general_bounds(self, spec, d_m):
+        """The array-computed bounds are the ``Fraction``s of ``theory.general_bounds``, as ints."""
+        w = autoseq.witness(spec)
+        assert (w.d, w.m) == d_m
+        rows = cli._profile_rows(spec, 4096, "cf")
+        assert len(rows) == 4096
+        for n, row in enumerate(rows, 1):
+            b = theory.general_bounds(w.d, w.m, n)
+            assert row[0] == n
+            assert row[4:] == (b.lower.numerator, b.lower.denominator,
+                               b.upper.numerator, b.upper.denominator)
+            assert all(v is None or type(v) is int for v in row)
+
     def test_deterministic(self, capsys):
         args = ["profile", "--seq", "baum-sweet", "--n-max", "32"]
         _, out1, _ = run_cli(args, capsys)

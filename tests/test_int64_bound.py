@@ -195,6 +195,49 @@ def test_mul_add_chunks_under_a_low_limit(p, slack):
     assert sum(reductions) >= 2 * len(quotients)
 
 
+@contextlib.contextmanager
+def recorded_multipliers():
+    """The multipliers c of every ``_sub_multiple`` update, by kernel module."""
+    seen = {lincomp: set(), contfrac: set()}
+    with pytest.MonkeyPatch.context() as mp:
+        for module, log in seen.items():
+            def record(x, y, c, p, _log=log):
+                _log.add(c)
+                return algebra._sub_multiple(x, y, c, p)
+            mp.setattr(module, "_sub_multiple", record)
+        yield seen
+
+
+def _multiplier_streams(p):
+    """Streams whose updates take c = 1, c = p - 1 and (p >= 5) some other c.
+
+    The first Berlekamp-Massey update takes c = u, the first nonzero
+    symbol, and the first Euclid step c = 1/u: 1 and p - 1 both times
+    for u = 1 and u = p - 1.  Random symbols give the other values.
+    """
+    return [[1] + _random_stream(p, 8, 150), [0, 0, p - 1] + _random_stream(p, 9, 150),
+            _zero_run_stream(p, 10, 200)]
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 65521, P31))
+@pytest.mark.parametrize("slack", [1, None])
+def test_plus_minus_one_updates(p, slack):
+    """Updates by c = 1 (x -= y) and c = p - 1 (x += y), and by any other c, are exact.
+
+    Under a lowered limit (slack 1) and at INT64_MAX (slack None), the
+    profile, the connection and the Euclid quotients equal their
+    Python-int references, and every kernel module takes both signed
+    branches and, for p >= 5, the product branch.
+    """
+    limit = low_limit(p, slack) if slack else contextlib.nullcontext()
+    with limit, recorded_multipliers() as seen:
+        for symbols in _multiplier_streams(p):
+            check_kernels(symbols, p)
+    for multipliers in seen.values():
+        assert {1, p - 1} <= multipliers
+        assert (len(multipliers) > 2) == (p >= 5)
+
+
 class TestMakeRoom:
     def test_no_reduction_while_a_product_fits(self):
         x, y = np.array([7, -9]), np.array([11, 4])
