@@ -27,8 +27,10 @@ def _kron_mul(a, b, p: int):
     min(len a, len b) (p-1)^2, under 2^126 at p <= 2^31 - 1 for any length
     an array can have, so a slot is at most 16 bytes wide.
 
-    It is the one Kronecker product in seqc: at p = 2 it serves
-    ``gf2.mul`` above that module's shift-and-XOR size, on bit arrays.
+    It is the one Kronecker product in seqc, behind ``Poly`` and
+    ``LaurentSeries`` products at every p, expansion complexity's powers
+    and the odd-p certificate products.  Bit-packed F_2 polynomials are
+    multiplied by ``gf2.mul`` instead, which never calls it.
     """
     a, b = np.asarray(a, dtype=np.uint64), np.asarray(b, dtype=np.uint64)
     if not len(a) or not len(b):

@@ -6,11 +6,11 @@ precision bookkeeping inside the loop.  It works on the remainders only:
 each step records the partial quotient A_j and adds deg A_j to the
 running sum deg Q_j = deg A_1 + ... + deg A_j, which is all a profile
 reads.  The profile walk reads them once per run of equal L(N): one
-``itertools.repeat`` per quotient, sharing its int.  The convergents
-(P_j, Q_j) are never stored.  The denominators are the one convergent
-stream: ``convergent(j)`` and ``check_convergent_identities`` rebuild
-Q_j from the quotients by the three-term recurrence, holding two at a
-time, and a numerator is read off one product, P_j = Pol(Q_j R).
+``np.repeat`` lays out every run, sharing each quotient's int.  The
+convergents (P_j, Q_j) are never stored.  The denominators are the one
+convergent stream: ``convergent(j)`` and ``check_convergent_identities``
+rebuild Q_j from the quotients by the three-term recurrence, holding two
+at a time, and a numerator is read off one product, P_j = Pol(Q_j R).
 ``q_congruences`` runs the same recurrence on w-bit residues mod
 x^w + 1 and builds no full Q_j.  The tests check the engine against an
 independent polynomial-part/inverse recursion on truncated series.
@@ -28,11 +28,12 @@ coefficient c = 1 or c = p - 1 forms no product: it subtracts or adds
 the divisor (``algebra._sub_multiple``) and raises the bound by M_y
 alone, as every step does at p = 3.  So every step is exact at every
 p <= 2^31 - 1, and at small p a reduction is rare.  The recurrence
-multiplies by a whole quotient at once: A_j y is one ``np.convolve`` per
-chunk of A_j, a chunk of k coefficients raises the bound by k (p-1) M_y,
-and a chunk is as long as the room left under 2^63 - 1 allows, so at
-small p a quotient is one convolution and at p = 2^31 - 1 a chunk is one
-or two coefficients.
+adds A_j y by one slice update per coefficient while A_j is short
+beside y, as a division step does, and otherwise by one
+``np.convolve`` per chunk of A_j: a chunk of k coefficients raises the
+bound by k (p-1) M_y, and a chunk is as long as the room left under
+2^63 - 1 allows, so at small p a quotient is one convolution and at
+p = 2^31 - 1 a chunk is one or two coefficients.
 
 Reliability is two-tiered.  Convergent degrees are determined by the
 first N coefficients whenever deg Q_{j-1} + deg Q_j <= N (the profile
@@ -49,19 +50,19 @@ at the last two denominators only.  One product Q_J G gives both P_J and
 the residual of the approximation property that ties the quotients to
 the input; one of Q_{J-1} with G's coefficients from x^(N - deg Q_{J-1})
 up, about half of them, gives P_{J-1}; two more give the determinant.
-Every such product is one exact Kronecker product (``algebra._kron_mul``)
-in both fields: for odd p of the arrays reduced mod p, and over F_2
-through ``gf2.mul``, which unpacks its operands to digit arrays for it
-once the shorter has more than ``gf2.SHIFT_XOR_BITS`` bits and is
-shift-and-XOR below that.
+Each such product is exact.  For odd p it is one Kronecker product
+(``algebra._kron_mul``) of the arrays reduced mod p.  Over F_2 it is
+``gf2.mul`` on the packed ints, whose 8-bit window table serves these
+dense operands, while the recurrence's sparse quotients take its
+shift-and-XOR path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, islice, repeat
-from operator import add, xor
+from itertools import accumulate, islice
+from operator import xor
 
 import numpy as np
 
@@ -242,27 +243,46 @@ def _arr_divmod(a, b, p):
     return q, [_arr_trim(av[:db], p), ma]
 
 
-def _arr_mul_add(a, b, c, p):
-    """a*b + c over F_p for a quotient a and terms b, c, one convolution per chunk of a.
+# the recurrence adds a quotient by one slice update per coefficient while
+# the other factor has at least this many entries per quotient coefficient,
+# and by convolution otherwise: each slice update pays a few microseconds
+# of calls, so at p = 3, 5 and 2^31 - 1 slices were no slower than the
+# convolution from 256 entries per coefficient on, and up to 2.5x faster
+_SLICE_ENTRIES = 256
 
-    A chunk of k coefficients of a adds ``np.convolve(chunk, b)`` to the
-    output, each of whose entries sums at most k products of bound
-    (p-1) M_b, so it raises the output's bound by at most k (p-1) M_b.
-    ``_make_room`` reduces the output and b only when the rest of a would
-    not fit under ``algebra.INT64_MAX``, and the chunk is then as long as
-    fits: at small p a whole quotient is one convolution, and at
-    p = 2^31 - 1 a chunk is one or two coefficients.
+
+def _arr_mul_add(a, b, c, p):
+    """a*b + c over F_p for a quotient a and terms b, c.
+
+    While b has at least _SLICE_ENTRIES entries per coefficient of a,
+    each nonzero a_i b is one slice update, out[i:] += a_i b, which is
+    ``_sub_multiple`` by p - a_i: no product at a_i = 1 or p - 1, and a
+    bound rise of at most (p-1) M_b, with ``_make_room`` before each.
+    Otherwise a is one convolution per chunk: a chunk of k
+    coefficients adds ``np.convolve(chunk, b)`` to the output, each of
+    whose entries sums at most k products of bound (p-1) M_b, so it
+    raises the output's bound by at most k (p-1) M_b.  ``_make_room``
+    reduces the output and b only when the rest of a would not fit under
+    ``algebra.INT64_MAX``, and the chunk is then as long as fits: at
+    small p a whole quotient is one convolution, and at p = 2^31 - 1 a
+    chunk is one or two coefficients.
     """
     (bv, mb), (cv, m_out) = b, c
     out = np.zeros(max(len(a) + len(bv) - 1, len(cv)), dtype=np.int64)
     out[:len(cv)] = cv
-    i = 0
-    while len(bv) and i < len(a):
-        m_out, mb = _make_room(out, m_out, bv, mb, p, len(a) - i)
-        k = min(len(a) - i, (algebra.INT64_MAX - m_out) // ((p - 1) * mb))
-        out[i:i + k + len(bv) - 1] += np.convolve(a[i:i + k], bv)
-        m_out += k * (p - 1) * mb
-        i += k
+    if len(a) * _SLICE_ENTRIES <= len(bv):
+        for i, coef in enumerate(a.tolist()):
+            if coef:
+                m_out, mb = _make_room(out, m_out, bv, mb, p)
+                m_out += _sub_multiple(out[i:i + len(bv)], bv, p - coef, p) * mb
+    else:
+        i = 0
+        while len(bv) and i < len(a):
+            m_out, mb = _make_room(out, m_out, bv, mb, p, len(a) - i)
+            k = min(len(a) - i, (algebra.INT64_MAX - m_out) // ((p - 1) * mb))
+            out[i:i + k + len(bv) - 1] += np.convolve(a[i:i + k], bv)
+            m_out += k * (p - 1) * mb
+            i += k
     b[1] = mb
     return [_arr_trim(out, p), m_out]
 
@@ -323,19 +343,21 @@ def profile_from_expansion(expansion: CFExpansion, n_max: int) -> Profile:
     deg Q_j + deg Q_{j+1} - 1 (to n_max for the last j), sharing the int
     deg Q_j across the run.  A run that ends at or before the current N is
     empty, so at every N the j is the first whose run end lies past N,
-    whatever the degrees.
+    whatever the degrees.  The run lengths are differences of the running
+    maximum of the ends, and one ``np.repeat`` over an object array of the
+    degrees lays out the runs.
     """
     if expansion.precision < n_max:
         raise PrecisionError(f"series precision {expansion.precision} < n_max {n_max}")
     degs = expansion.q_degrees
-    vals = []
-    n = 1  # the first N not yet filled
-    for deg, end in zip(degs, chain(map(add, degs, degs[1:]), (n_max + 1,))):
-        end = min(end, n_max + 1)
-        if end > n:
-            vals.extend(repeat(deg, end - n))
-            n = end
-    return Profile(tuple(vals))
+    arr = np.array(degs, dtype=np.int64)
+    # the first N past each run: deg Q_j + deg Q_{j+1} capped at n_max + 1,
+    # after 1 (the first N) and never below an earlier end
+    ends = np.concatenate(([1], arr[:-1] + arr[1:], [n_max + 1]))
+    ends = np.minimum(np.maximum.accumulate(ends), n_max + 1)
+    runs = np.empty(len(degs), dtype=object)
+    runs[:] = degs
+    return Profile(tuple(np.repeat(runs, np.diff(ends))))
 
 
 def _denominators(expansion: CFExpansion):

@@ -48,9 +48,13 @@ def _bm_f2(bits, connection):
 
     Invariant: bits of ``d`` and ``w`` below the current offset t are
     stale, and so are the low bits of a shifted e; they are never read.
-    Bit i >= t of ``d`` is exactly coefficient s + i of c S, because an
-    update only reads bits of e at or above e_sh, which were exact when e
-    was taken.
+    Bit i >= t of ``d`` is exactly coefficient s + i of c S while
+    s + i < N, because an update only reads bits of e at or above e_sh,
+    which were exact when e was taken.  Coefficients of D at N and above
+    are never read, and an update only moves E's bits up (n > m), so
+    ``d`` is cut to its N - s bits below N at each block start and e is
+    taken cut the same way: neither carries the up to L bits of c S past
+    N.
 
     Start: c = b = 1 and m = -1, so D = S and E = S; e_sh = -1 is
     folded into e as (e, e_sh) = (S << 1, 0).  c and b are tracked only
@@ -64,8 +68,9 @@ def _bm_f2(bits, connection):
     ell = 0
     prof = []
     for s in range(0, n_len, _BLOCK):
+        keep = (1 << (n_len - s)) - 1  # the bits of D >> s below N
         if s:
-            d >>= _BLOCK
+            d = d >> _BLOCK & keep
         w = d & _MASK
         for t in range(min(_BLOCK, n_len - s)):
             if w >> t & 1:
@@ -75,7 +80,7 @@ def _bm_f2(bits, connection):
                     c, old_c = c ^ (b << (n - m)), c
                 if 2 * ell <= n:
                     ell = n + 1 - ell
-                    e, e_sh, m = d, t, n
+                    e, e_sh, m = d & keep, t, n
                     if connection:
                         b = old_c
                 d ^= x

@@ -213,6 +213,27 @@ class TestVerify:
         assert failing
         assert any(c["first_fail_N"] is not None for c in failing)
 
+    @pytest.mark.parametrize("seq", [["thue-morse"], ["sum-of-digits", "--p", "3"]])
+    def test_bumped_cf_profile_fails_bm_cf_agree(self, capsys, monkeypatch, seq):
+        # the CF profile verify reads is bumped at N=37: the report names
+        # bm_cf_agree at that N, with both values, and the run exits 1
+        real = contfrac.profile_from_expansion
+
+        def profile_from_expansion(expansion, n_max):
+            values = list(real(expansion, n_max).values)
+            values[36] += 1
+            return autoseq.Profile(tuple(values))
+
+        monkeypatch.setattr(contfrac, "profile_from_expansion", profile_from_expansion)
+        code, out, err = run_cli(["verify", "--seq", *seq, "--n-max", "64"], capsys)
+        assert code == 1
+        assert "first failing N=37" in err
+        checks = {c["name"]: c for c in json.loads(out)[0]["checks"]}
+        agree = checks["bm_cf_agree"]
+        assert not agree["pass"] and agree["first_fail_N"] == 37
+        assert int(agree["actual"]) == int(agree["expected"]) + 1
+        assert all(c["pass"] for name, c in checks.items() if name != "bm_cf_agree")
+
     def test_requires_target(self, capsys):
         code, _, _ = run_cli(["verify"], capsys)
         assert code == 2

@@ -1,12 +1,23 @@
-"""Carry-less products of bit-packed GF(2) polynomials."""
+"""Carry-less products of bit-packed GF(2) polynomials.
+
+``gf2.mul`` is shift-and-XOR while the shorter operand b has at most
+``gf2._SPARSE + b.bit_length() // gf2._SPACING`` set bits and an 8-bit window
+product above that.  The tests pin each path by moving ``_SPARSE`` and
+check both on every shape, check the rule at its boundary, and compare
+with two independent products: schoolbook shifts over a binary string
+and the Kronecker product of ``algebra._kron_mul`` at p = 2.
+"""
 
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqc import autoseq, contfrac, gf2
+from seqc import algebra, autoseq, contfrac, gf2
 from seqc.algebra import LaurentSeries, _kron_mul
+
+# ``_SPARSE`` values that send every product down one path
+PATHS = {"shift": 1 << 40, "table": -(1 << 40)}
 
 
 def shift_xor_mul(a, b):
@@ -22,26 +33,15 @@ def kron_mul_f2(a, b):
     return gf2.from_bits(_kron_mul(gf2.to_bits(a), gf2.to_bits(b), 2).tolist())
 
 
-# exactly n bits, n short or around the switch from shift-xor to the
-# Kronecker product at SHIFT_XOR_BITS = 4096
-polys = st.one_of(st.integers(min_value=1, max_value=1200),
-                  st.integers(min_value=4000, max_value=4200)).flatmap(
-    lambda n: st.integers(min_value=1 << (n - 1), max_value=(1 << n) - 1))
+def switch_popcount(bits):
+    """The most set bits a ``bits``-bit shorter operand has on the shift-and-XOR side."""
+    return gf2._SPARSE + bits // gf2._SPACING
 
 
-@given(polys, polys)
-@settings(max_examples=150, deadline=None)
-def test_mul_matches_shift_xor(a, b):
-    assert gf2.mul(a, b) == shift_xor_mul(a, b)
-    assert gf2.mul(a, 0) == gf2.mul(0, b) == 0
-
-
-def test_mul_large_operands():
-    # all-ones operands past 2^16 bits: the middle slots count more than 2^16
-    # terms, which a 2-byte Kronecker slot cannot hold
-    a = (1 << (1 << 16) + 1) - 1
-    b = (1 << (1 << 16) + 78) - 1
-    assert gf2.mul(a, b) == shift_xor_mul(a, b)
+def with_popcount(bits, count, rng):
+    """A ``bits``-bit operand with ``count`` set bits (clamped to [1, bits]), top bit set."""
+    count = min(bits, max(1, count))
+    return 1 << (bits - 1) | sum(1 << i for i in rng.sample(range(bits - 1), count - 1))
 
 
 def _operand(kind, n, rng):
@@ -53,37 +53,128 @@ def _operand(kind, n, rng):
     return 1 << (n - 1) | rng.getrandbits(n)
 
 
+@pytest.fixture
+def table_calls(monkeypatch):
+    """The longer operands the window tables were built for, in call order."""
+    calls = []
+    real = gf2._window_table
+
+    def counted(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(gf2, "_window_table", counted)
+    return calls
+
+
+# an operand of any length up to 3000 bits: random bits, or a popcount
+# within 3 of the rule's switch for its length, so that as the shorter
+# operand it lands on either side of the rule
+polys = st.one_of(
+    st.integers(min_value=1, max_value=3000).flatmap(
+        lambda n: st.integers(min_value=1 << (n - 1), max_value=(1 << n) - 1)),
+    st.builds(lambda n, offset, seed: with_popcount(n, switch_popcount(n) + offset,
+                                                    random.Random(seed)),
+              st.integers(min_value=1, max_value=3000), st.integers(min_value=-3, max_value=3),
+              st.integers(min_value=0, max_value=2**32)))
+
+
+@given(polys, polys)
+@settings(max_examples=150, deadline=None)
+def test_mul_matches_shift_xor(a, b):
+    assert gf2.mul(a, b) == gf2.mul(b, a) == shift_xor_mul(a, b)
+    assert gf2.mul(a, 0) == gf2.mul(0, b) == 0
+
+
+def test_mul_large_operands():
+    # all-ones operands past 2^16 bits: every byte of the shorter one is
+    # 0xff, the last table entry
+    a = (1 << (1 << 16) + 1) - 1
+    b = (1 << (1 << 16) + 78) - 1
+    assert gf2.mul(a, b) == shift_xor_mul(a, b)
+
+
 @pytest.mark.parametrize("kind", ["random", "sparse", "ones"])
-@pytest.mark.parametrize("bits", [4095, 4096, 4097, (1 << 16) + 3])
-def test_mul_across_the_switch(kind, bits):
-    # the shorter operand has `bits` bits: shift-xor up to 4096, Kronecker above
+@pytest.mark.parametrize("bits", [16, 1000, 4095, 4096, 4097, (1 << 16) + 3])
+def test_mul_across_the_switch(kind, bits, monkeypatch):
+    # the shorter operand has `bits` bits and the longer 1, 2 or 16 times
+    # as many (16 times only up to 4097 bits, where both oracles stay
+    # quick); every shape runs down both paths
     rng = random.Random(bits)
-    a, b = _operand(kind, bits + 37, rng), _operand(kind, bits, rng)
-    got = gf2.mul(a, b)
-    assert got == gf2.mul(b, a) == kron_mul_f2(a, b) == shift_xor_mul(a, b)
+    for ratio in (1, 2, 16) if bits <= 4097 else (1, 2):
+        a, b = _operand(kind, bits * ratio, rng), _operand(kind, bits, rng)
+        expected = shift_xor_mul(a, b)
+        assert kron_mul_f2(a, b) == expected
+        for sparse in PATHS.values():
+            monkeypatch.setattr(gf2, "_SPARSE", sparse)
+            assert gf2.mul(a, b) == gf2.mul(b, a) == expected
+
+
+@pytest.mark.parametrize("bits", [200, 1000, 4097, 20000])
+@pytest.mark.parametrize("ratio", [1, 2, 16])
+def test_rule_switches_at_its_popcount(bits, ratio, table_calls):
+    # one set bit more than the switch popcount builds the table, and
+    # exactly the switch popcount does not
+    rng = random.Random(bits * ratio)
+    a = _operand("random", bits * ratio, rng)
+    for count, tables in ((switch_popcount(bits), 0), (switch_popcount(bits) + 1, 1)):
+        b = with_popcount(bits, count, rng)
+        table_calls.clear()
+        got = gf2.mul(a, b)
+        assert table_calls == [a] * tables
+        assert got == shift_xor_mul(a, b) == kron_mul_f2(a, b)
+
+
+def test_rule_is_shift_xor_below_the_switch_popcount(table_calls):
+    # a shorter operand with no more set bits than the switch popcount
+    # never builds a table, dense or not: here every length up to 128 bits
+    rng = random.Random(5)
+    for bits in range(1, 129):
+        gf2.mul(_operand("random", 300, rng), (1 << bits) - 1)
+    assert table_calls == []
+
+
+def test_mul_needs_no_kronecker_product(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("gf2.mul called algebra._kron_mul")
+
+    # operands on both sides of the rule, the dense one far past the old
+    # 4096-bit switch to the Kronecker product
+    rng = random.Random(11)
+    a = _operand("random", 40000, rng)
+    dense, sparse = _operand("random", 20000, rng), _operand("sparse", 20000, rng)
+    expected = kron_mul_f2(a, dense), kron_mul_f2(a, sparse)
+    monkeypatch.setattr(algebra, "_kron_mul", refuse)
+    assert (gf2.mul(a, dense), gf2.mul(a, sparse)) == expected
 
 
 @pytest.mark.parametrize("bits", [4096, 4097, 20000])
-def test_flipped_bit_changes_product(bits):
-    # a*b is linear in a: flipping bit i of a moves the product by exactly b x^i
+def test_flipped_bit_changes_product(bits, monkeypatch):
+    # a*b is linear in a: flipping bit i of a moves the product by exactly
+    # b x^i, on either path
     rng = random.Random(bits)
     a, b = _operand("random", bits + 9, rng), _operand("random", bits, rng)
-    base = gf2.mul(a, b)
-    for i in (0, rng.randrange(bits), bits + 8):
-        flipped = gf2.mul(a ^ 1 << i, b)
-        assert flipped != base
-        assert flipped == base ^ b << i
+    for sparse in PATHS.values():
+        monkeypatch.setattr(gf2, "_SPARSE", sparse)
+        base = gf2.mul(a, b)
+        for i in (0, rng.randrange(bits), bits + 8):
+            flipped = gf2.mul(a ^ 1 << i, b)
+            assert flipped != base
+            assert flipped == base ^ b << i
 
 
 @pytest.mark.parametrize("spec", [autoseq.thue_morse(), autoseq.perfect_profile()])
-def test_mul_add_is_one_on_last_convergents(spec):
-    # N = 16384 puts deg Q_J past SHIFT_XOR_BITS, so both product paths run
+def test_mul_add_is_one_on_last_convergents(spec, table_calls):
+    # at N = 16384 the last denominators are dense enough for the window
+    # table, and the quotients of the recurrence are not
     n = 16384
     exp = contfrac.cf_expand(LaurentSeries.from_prefix(autoseq.prefix(spec, n), spec.field))
     j = len(exp.raw_quotients) - 1
     (p_prev, q_prev), (p_last, q_last) = (
         tuple(map(gf2.from_poly, exp.convergent(i))) for i in (j - 1, j))
-    assert q_last.bit_length() > gf2.SHIFT_XOR_BITS
+    assert q_last.bit_count() > switch_popcount(q_last.bit_length())
+    table_calls.clear()
     assert gf2.mul_add_is_one(p_prev, q_last, p_last, q_prev)
+    assert table_calls
     for i in (0, q_last.bit_length() // 2):
         assert not gf2.mul_add_is_one(p_prev, q_last ^ 1 << i, p_last, q_prev)

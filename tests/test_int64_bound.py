@@ -195,6 +195,69 @@ def test_mul_add_chunks_under_a_low_limit(p, slack):
     assert sum(reductions) >= 2 * len(quotients)
 
 
+def _schoolbook_mul_add(a, b, c, p):
+    """a*b + c over F_p on lists of Python ints, trimmed."""
+    out = [0] * max(len(a) + len(b) - 1, len(c))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    for i, z in enumerate(c):
+        out[i] += z
+    out = [v % p for v in out]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _coeffs(length, rng, p):
+    """``length`` coefficients in [0, p): 1, p - 1, a zero, then random ones, top nonzero."""
+    a = rng.integers(0, p, length)
+    a[:3] = [1, p - 1, 0][:length]
+    a[-1] = rng.integers(1, p)
+    return a
+
+
+@pytest.mark.parametrize("p", (3, 5, P31))
+@pytest.mark.parametrize("slack", [1, 3, None])
+def test_mul_add_slice_updates_across_the_threshold(p, slack):
+    """a*b + c with b just below and at ``_SLICE_ENTRIES`` entries per coefficient of a.
+
+    At and above the threshold each nonzero coefficient is one slice
+    update (one ``_sub_multiple`` call), below it the quotient is
+    convolved (none).  Each case runs twice, the second time with the
+    first output, unreduced, as b.  Under a lowered limit (slack 1 and
+    3) and at INT64_MAX (slack None) every output equals its Python-int
+    reference, within its tracked bound.
+    """
+    rng = np.random.default_rng(p)
+    entries = contfrac._SLICE_ENTRIES
+    updates = []
+
+    def counted(x, y, c, q):
+        updates.append(c)
+        return algebra._sub_multiple(x, y, c, q)
+
+    limit = low_limit(p, slack) if slack else contextlib.nullcontext()
+    with limit, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(contfrac, "_sub_multiple", counted)
+        for length in (2, 3, 5):
+            for n in (length * entries - 1, length * entries):
+                a = _coeffs(length, rng, p)
+                b = _coeffs(n, rng, p)
+                c = rng.integers(0, p, n - 1)
+                term, ref_b, ref_c = [b, p - 1], b.tolist(), c.tolist()
+                for _ in range(2):
+                    updates.clear()
+                    sliced = length * entries <= len(term[0])
+                    out = contfrac._arr_mul_add(a, term, [c, p - 1], p)
+                    assert len(updates) == (np.count_nonzero(a) if sliced else 0)
+                    ref = _schoolbook_mul_add(a.tolist(), ref_b, ref_c, p)
+                    assert _abs_max(out[0]) <= out[1] <= algebra.INT64_MAX
+                    assert (out[0] % p).tolist() == ref
+                    c, ref_c = term[0].copy(), ref_b
+                    term, ref_b = out, ref
+
+
 @contextlib.contextmanager
 def recorded_multipliers():
     """The multipliers c of every ``_sub_multiple`` update, by kernel module."""
