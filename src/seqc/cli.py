@@ -261,7 +261,9 @@ def build_parser():
     sp = sub.add_parser("expansion", help="Nth expansion complexity stream")
     add_spec_args(sp)
     sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--d-max", dest="d_max", type=int, default=8)
+    sp.add_argument("--d-max", dest="d_max", type=int, default=None,
+                    help="cap on the total degree searched; past it E_N is reported as "
+                         "capped (default: no cap, the search runs until a witness exists)")
     add_common(sp)
     sp.set_defaults(func=cmd_expansion, required_args=("seq", "n"))
 

@@ -410,7 +410,9 @@ def check_convergent_identities(expansion: CFExpansion):
     (Q_{-1}, Q_0) = (0, 1).  A_0 must be the polynomial part of the series,
     and at every j >= 1 deg A_j >= 1 and deg Q_j = q_degrees[j] must hold,
     so the degrees the profile walk reads are those of the rebuilt
-    denominators.
+    denominators.  The two checks below do not imply deg A_j >= 1: the
+    quotient matrices of 1, -1, 1 multiply to diag(1, -1), so appending
+    those three constants passes both.
 
     Last convergent J, with full products.  Let G = x^N R cut below x^0
     (the N known symbols plus A_0 x^N).  The numerators are read off the

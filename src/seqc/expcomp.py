@@ -6,14 +6,28 @@ s^i t^j with i + j <= D (lexicographic in (i, j)) form a vector v, and
 row k of the condition reads sum_(i,j) v_(i,j) G^i[k - j] = 0.  The
 profile keeps one kernel basis for the current D and shrinks it row by
 row, ker A_(N+1) = ker A_N ∩ (row N)^⊥; when it empties, D steps up and
-the basis is rebuilt from rows 0..N-1.  All arithmetic is on Python
-ints, so it is exact at every supported p.
+the basis is rebuilt from rows 0..N-1.  All arithmetic is exact.
+
+By default the search has no cap: D steps up until the kernel is
+non-empty.  That always ends, because a kernel vector exists once there
+are more monomials than rows, (D+1)(D+2)/2 > N; for an automatic
+sequence with witness h it ends by D = deg h (Diem, Adv. Math. Commun.
+2012: E_N stays bounded exactly for automatic sequences).  An explicit
+``d_max`` caps D, and past it a result is reported as capped.
 
 The basis is in echelon form by top index: every vector has a distinct
 highest nonzero coordinate, and a 1 there.  Its smallest-top vector is
 the unique kernel vector with a 1 at the first free column of the
 reduced echelon form and support at or below it, so the witness is
-deterministic.
+deterministic; its tuple is rebuilt only when that vector changes.
+
+One loop serves both fields; the field picks only the vector form.
+Over F_2 (``_BitForm``) a vector and a row are each one int, bit c
+standing for column c, so the row test is the parity of ``v & row`` and
+a reduction is ``v ^ pivot``.  The powers G^i mod t^N are gf2 ints,
+each reversed once, so that the block of a row for one i is one shift
+and one mask.  For odd p (``_ListForm``) vectors and powers are lists of
+Python ints reduced mod p; at p = 2 that form is the tests' reference.
 """
 
 from __future__ import annotations
@@ -21,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
+from . import gf2
 from .algebra import PrimeField, _kron_mul
 
 
@@ -39,66 +54,154 @@ def monomials(d: int):
     return [(i, j) for i in range(d + 1) for j in range(d + 1 - i)]
 
 
-def _shrink(basis, row, p):
-    """Echelon basis of {v in span(basis) : row . v = 0}, tops kept.
+class _BitForm:
+    """F_2 vectors and rows as ints, bit c for column c.
 
-    The vector of smallest top among those the row does not annihilate
-    is the pivot: it is dropped, and its multiples cleared from the
-    others, whose tops lie above it and so stay put.
+    ``rev[i]`` is G^i mod t^N with the coefficient of t^e at bit N-1-e,
+    so bits N-1-k .. N-1-k+(D-i) hold G^i[k], G^i[k-1], ..., G^i[k-D+i],
+    the row's block for i in column order; bits past N-1 stand for
+    negative exponents and are 0.
     """
-    out = []
-    pivot = None
-    for v in basis:
-        s = sum(map(mul, v, row)) % p
-        if not s:
+
+    def __init__(self, prefix):
+        self.n = len(prefix)
+        self.g = self.power = gf2.from_bits(prefix)
+        self.rev = [1 << (self.n - 1), self._reverse(self.g)]
+
+    def _reverse(self, a: int) -> int:
+        return int(format(a, f"0{self.n}b")[::-1], 2)
+
+    def add_power(self):
+        self.power = gf2.mul(self.power, self.g) & ((1 << self.n) - 1)
+        self.rev.append(self._reverse(self.power))
+
+    def row(self, k: int, d: int) -> int:
+        shift = self.n - 1 - k
+        out = 0
+        for i in range(d, -1, -1):  # block 0 ends at the bottom
+            width = d - i + 1
+            out = out << width | (self.rev[i] >> shift) & ((1 << width) - 1)
+        return out
+
+    @staticmethod
+    def unit(m: int) -> list:
+        return [1 << c for c in range(m)]
+
+    @staticmethod
+    def shrink(basis, row) -> list:
+        out = []
+        pivot = None
+        for v in basis:
+            if (v & row).bit_count() & 1:
+                if pivot is None:
+                    pivot = v
+                    continue
+                v ^= pivot
             out.append(v)
-        elif pivot is None:
-            pivot, pivot_inv = v, pow(s, -1, p)
-        else:
-            c = s * pivot_inv % p
-            out.append([(a - c * b) % p for a, b in zip(v, pivot)])
-    return out
+        return out
+
+    @staticmethod
+    def entries(v: int):
+        return [(c, 1) for c in range(v.bit_length()) if v >> c & 1]
 
 
-def _unit_basis(m):
-    return [[int(c == r) for c in range(m)] for r in range(m)]
+class _ListForm:
+    """Vectors, rows and the powers G^i mod t^N as lists of ints in [0, p).
+
+    A vector ends at its top, so its length is its top index plus one.
+
+    ``rev[i]`` is G^i mod t^N reversed, t^e at index N-1-e, so a row's
+    block for i is one slice from N-1-k, as in ``_BitForm``.  N zeros
+    follow for the negative exponents: the kernel at D - 1 is empty only
+    once there are D(D+1)/2 <= N rows, so D <= N.
+    """
+
+    def __init__(self, prefix, p: int):
+        self.n, self.p = len(prefix), p
+        self.g = self.power = list(prefix)
+        self.rev = [self._reverse([1] + [0] * (self.n - 1)), self._reverse(self.g)]
+
+    def _reverse(self, a: list) -> list:
+        return a[::-1] + [0] * self.n
+
+    def add_power(self):
+        self.power = _kron_mul(self.power, self.g, self.p)[:self.n].tolist()
+        self.rev.append(self._reverse(self.power))
+
+    def row(self, k: int, d: int) -> list:
+        start = self.n - 1 - k
+        out = []
+        for i in range(d + 1):
+            out += self.rev[i][start:start + d - i + 1]
+        return out
+
+    @staticmethod
+    def unit(m: int) -> list:
+        return [[0] * r + [1] for r in range(m)]
+
+    def shrink(self, basis, row) -> list:
+        """Echelon basis of {v in span(basis) : row . v = 0}, tops kept.
+
+        The vector of smallest top among those the row does not annihilate
+        is the pivot: it is dropped, and its multiples cleared from the
+        others, whose tops lie above it and so stay put.  A vector is kept
+        only up to its top, so a reduction touches the pivot's columns alone.
+        """
+        p = self.p
+        out = []
+        pivot = None
+        for v in basis:
+            s = sum(map(mul, v, row)) % p
+            if not s:
+                out.append(v)
+            elif pivot is None:
+                pivot, pivot_inv = v, pow(s, -1, p)
+            else:
+                c = s * pivot_inv % p
+                out.append([(a - c * b) % p for a, b in zip(v, pivot)] + v[len(pivot):])
+        return out
+
+    @staticmethod
+    def entries(v: list):
+        return [(c, a) for c, a in enumerate(v) if a]
 
 
-def expansion_profile(prefix, field: PrimeField, d_max: int = 8):
-    """[E_1, ..., E_len] as ExpansionResults; the search is capped at total degree d_max."""
-    n_total = len(prefix)
-    if n_total < 1:
+def expansion_profile(prefix, field: PrimeField, d_max: int | None = None):
+    """[E_1, ..., E_len] as ExpansionResults; d_max, if given, caps the total degree."""
+    if len(prefix) < 1:
         raise ValueError("prefix must contain at least one symbol")
-    if d_max < 1:
+    if d_max is not None and d_max < 1:
         raise ValueError("d_max must be >= 1")
     field.validate_symbols(prefix)
-    p = field.p
-    g = list(prefix)
-    pows = [[1] + [0] * (n_total - 1), g]  # G^i mod t^N, extended as D grows
+    form = _BitForm(prefix) if field.p == 2 else _ListForm(prefix, field.p)
+    return _profile(prefix, form, d_max)
+
+
+def _profile(prefix, form, d_max):
     d, mons = 1, monomials(1)
-    basis = _unit_basis(len(mons))
-
-    def row(k):
-        return [pows[i][k - j] if k >= j else 0 for i, j in mons]
-
+    basis = form.unit(len(mons))
     out = []
     nonzero = False
-    for k in range(n_total):
-        basis = _shrink(basis, row(k), p)
-        while not basis and d < d_max:
+    top = wit = None  # the smallest-top basis vector and its witness tuple
+    for k in range(len(prefix)):
+        basis = form.shrink(basis, form.row(k, d))
+        while not basis and (d_max is None or d < d_max):
             d += 1
             mons = monomials(d)
-            pows.append(_kron_mul(pows[-1], g, p)[:n_total].tolist())
-            basis = _unit_basis(len(mons))
+            form.add_power()
+            basis = form.unit(len(mons))
+            top = None
             for r in range(k + 1):
-                basis = _shrink(basis, row(r), p)
+                basis = form.shrink(basis, form.row(r, d))
                 if not basis:
                     break
         nonzero = nonzero or prefix[k] != 0
         if not nonzero:
             out.append(ExpansionResult(k + 1, 0))
         elif basis:
-            wit = tuple((i, j, c) for (i, j), c in zip(mons, basis[0]) if c)
+            if basis[0] is not top:
+                top = basis[0]
+                wit = tuple((*mons[c], a) for c, a in form.entries(top))
             out.append(ExpansionResult(k + 1, d, wit))
         else:
             out.append(ExpansionResult(k + 1, d_max, capped=True))

@@ -5,8 +5,6 @@ with -s to see the per-criterion lines even on success.
 """
 
 import itertools
-import subprocess
-import sys
 import time
 
 from seqc import autoseq, contfrac, expcomp, lincomp, theory
@@ -180,12 +178,10 @@ def test_criterion_09_perfect_profile():
     report("criterion 9: perfect linear complexity profile", ok)
 
 
-def test_criterion_10_negative_control():
+def test_criterion_10_negative_control(run_python):
     """A corrupted generator makes verify exit nonzero and name the first N."""
-    proc = subprocess.run(
-        [sys.executable, "-m", "seqc.cli", "verify", "--seq", "thue-morse",
-         "--n-max", "256", "--corrupt-index", "100"],
-        capture_output=True, text=True)
+    proc = run_python("-m", "seqc.cli", "verify", "--seq", "thue-morse",
+                      "--n-max", "256", "--corrupt-index", "100")
     ok = proc.returncode == 1 and "first failing N=" in proc.stderr
     report("criterion 10: negative control", ok, proc.stderr.strip().splitlines()[-1] if proc.stderr else "")
 

@@ -189,6 +189,13 @@ class TestWitness:
         assert w.m == 0
         assert w.total_degree == 4
 
+    def test_rejects_a_wrong_m(self):
+        w = autoseq.witness(autoseq.pattern(2, 3, 7))
+        assert autoseq.AlgebraicWitness(w.field, w.h_coeffs, w.m) == w
+        for m in (w.m - 1, w.m + 1):
+            with pytest.raises(ValueError, match="stored M disagrees"):
+                autoseq.AlgebraicWitness(w.field, w.h_coeffs, m)
+
     def test_built_once(self):
         assert autoseq.witness(autoseq.thue_morse()) is autoseq.witness(autoseq.pattern(2, 1, 1))
 

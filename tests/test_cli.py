@@ -2,8 +2,6 @@
 
 import hashlib
 import json
-import subprocess
-import sys
 
 import pytest
 
@@ -179,6 +177,24 @@ class TestExpansion:
         rows = [json.loads(line) for line in out.splitlines()]
         assert rows[1]["witness"] == [[0, 1, 1], [1, 0, 1]]
 
+    PATTERN_2_3_7 = ["expansion", "--seq", "pattern", "--p", "2", "--k", "3", "--a", "7",
+                     "--n", "256"]
+
+    def test_uncapped_by_default(self, capsys):
+        # its witness has total degree 11, above the former default cap of 8
+        code, out, _ = run_cli(self.PATTERN_2_3_7, capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 256
+        assert not any('"capped": true' in line for line in lines)
+        assert json.loads(lines[-1])["E_N"] == 11
+
+    def test_explicit_d_max_caps(self, capsys):
+        code, out, _ = run_cli(self.PATTERN_2_3_7 + ["--d-max", "8"], capsys)
+        assert code == 0
+        assert json.loads(out.splitlines()[-1]) == {"E_N": 8, "N": 256, "capped": True,
+                                                    "witness": None}
+
 
 class TestVerify:
     def test_single_spec_ok(self, capsys):
@@ -317,11 +333,10 @@ class TestWitnessCap:
         (["verify", "--n-max", "4"], 2, "",
          "witness degree 3^100000000 + 5 of pattern(p=3,k=100000000,a=1) exceeds the cap 65536"),
     ])
-    def test_huge_k_answers_at_once(self, argv, code, out, err):
+    def test_huge_k_answers_at_once(self, run_python, argv, code, out, err):
         # 3^(10^8) is never built: validation, the prefix and the cap read k alone
         spec = ["--seq", "pattern", "--p", "3", "--k", str(10**8), "--a", "1"]
-        proc = subprocess.run([sys.executable, "-m", "seqc.cli", *argv[:1], *spec, *argv[1:]],
-                              capture_output=True, text=True, timeout=30)
+        proc = run_python("-m", "seqc.cli", *argv[:1], *spec, *argv[1:], timeout=30)
         assert proc.returncode == code
         assert proc.stdout.splitlines()[1:] == ([out] if out else [])
         assert err in proc.stderr and "Traceback" not in proc.stderr
@@ -329,12 +344,11 @@ class TestWitnessCap:
     SUITE_CAP_ERROR = "witness degree 65539 of pattern(p=2,k=16,a=65535) exceeds the cap 65536"
 
     @pytest.mark.parametrize("kmax, n_max", [("16", "16384"), (str(10**8), "8")])
-    def test_suite_over_the_cap_answers_at_once(self, kmax, n_max):
+    def test_suite_over_the_cap_answers_at_once(self, run_python, kmax, n_max):
         # pattern(2,16,2^16-1) is the first suite spec over the cap; no
         # spec past it is built, so 2^k is never formed for k up to 10^8
-        proc = subprocess.run(
-            [sys.executable, "-m", "seqc.cli", "verify", "--suite", "all",
-             "--kmax", kmax, "--n-max", n_max], capture_output=True, text=True, timeout=30)
+        proc = run_python("-m", "seqc.cli", "verify", "--suite", "all",
+                          "--kmax", kmax, "--n-max", n_max, timeout=30)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert self.SUITE_CAP_ERROR in proc.stderr and "Traceback" not in proc.stderr
@@ -443,19 +457,14 @@ class TestOutFile:
 
 
 class TestSubprocess:
-    def test_entry_point_runs(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "seqc.cli", "generate", "--seq", "thue-morse",
-             "--n", "16"],
-            capture_output=True, text=True)
+    def test_entry_point_runs(self, run_python):
+        proc = run_python("-m", "seqc.cli", "generate", "--seq", "thue-morse", "--n", "16")
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[1] == "0110100110010110"
 
-    def test_negative_control_subprocess(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "seqc.cli", "verify", "--seq", "thue-morse",
-             "--n-max", "64", "--corrupt-index", "5"],
-            capture_output=True, text=True)
+    def test_negative_control_subprocess(self, run_python):
+        proc = run_python("-m", "seqc.cli", "verify", "--seq", "thue-morse",
+                          "--n-max", "64", "--corrupt-index", "5")
         assert proc.returncode == 1
         assert "first failing N=" in proc.stderr
 
@@ -521,10 +530,8 @@ class TestParserReuse:
         assert reused[1][1].startswith("N,L_bm,L_cf")
         assert json.loads(reused[0][1])[0]["L_cf"] is None
 
-    def test_import_builds_no_parser(self):
-        proc = subprocess.run(
-            [sys.executable, "-c", "import seqc.cli as c; print(c._parser.cache_info().misses)"],
-            capture_output=True, text=True)
+    def test_import_builds_no_parser(self, run_python):
+        proc = run_python("-c", "import seqc.cli as c; print(c._parser.cache_info().misses)")
         assert proc.returncode == 0
         assert proc.stdout.strip() == "0"
 

@@ -235,6 +235,21 @@ class TestConvergentIdentityControls:
         assert contfrac.check_convergent_identities(exp) is None
         assert contfrac.check_convergent_identities(bad) == exp.degree_count - 1
 
+    @pytest.mark.parametrize("name", sorted(CONTROL_STREAMS))
+    def test_constant_quotients_fail_the_degree_test(self, name):
+        # The quotient matrices of 1, -1, 1 multiply to diag(1, -1), so
+        # appending them gives (Q_{J+2}, Q_{J+3}) = (-Q_{J-1}, Q_J): the
+        # degrees, the determinant (sign and parity flip together) and the
+        # residual all hold.  Only deg A_j >= 1 rejects the expansion.
+        field, stream, exp = _control(name)
+        last = exp.degree_count
+        one, minus_one = ((1, 1) if field.p == 2 else
+                          (np.array([1], dtype=np.int64), np.array([field.p - 1], dtype=np.int64)))
+        degs = exp.q_degrees
+        bad = dataclasses.replace(exp, raw_quotients=exp.raw_quotients + (one, minus_one, one),
+                                  q_degrees=degs + (degs[-1], degs[-2], degs[-1]))
+        assert contfrac.check_convergent_identities(bad) == last + 1
+
     @staticmethod
     def _negated_fails(exp, p):
         # A_j -> -A_j for j >= 1 gives Q_j -> (-1)^j Q_j, so every deg Q_j

@@ -1,12 +1,14 @@
 """Nth expansion complexity: exact kernel search plus brute-force oracle."""
 
+import functools
 import hashlib
 import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from seqc import autoseq, expcomp
+from seqc import autoseq, expcomp, lincomp
 from seqc.algebra import Poly, PrimeField
 
 F2 = PrimeField(2)
@@ -25,6 +27,17 @@ def evaluate_witness(witness, prefix, field: PrimeField) -> Poly:
             gp = (gp * g).truncate(n)
         acc = acc + (term * gp).truncate(n)
     return acc.truncate(n)
+
+
+def list_profile(prefix, field: PrimeField, d_max=None):
+    """The profile through the list form at any p: the reference for the bit-packed F_2 form."""
+    return expcomp._profile(prefix, expcomp._ListForm(prefix, field.p), d_max)
+
+
+def bound_violation(values, h_degree: int, lin_profile):
+    """First N with E_N > deg h or E_N > L(N) + 1, or None; values[N-1] = E_N."""
+    return next((n for n, (e, ell) in enumerate(zip(values, lin_profile), start=1)
+                 if e > h_degree or e > ell + 1), None)
 
 
 def brute_force_expansion(prefix, p, d_max=3):
@@ -189,3 +202,62 @@ class TestKernelShrink:
     def test_profile_rejects_bad_d_max(self):
         with pytest.raises(ValueError):
             expcomp.expansion_profile([0, 1], F2, d_max=0)
+
+
+class TestBitPackedAgainstLists:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 200), st.integers(0, 2**200 - 1), st.sampled_from([3, 8, None]))
+    @example(200, random.Random(0).getrandbits(200), None)  # a dense prefix, E_200 = 19
+    def test_random_f2_prefixes(self, n, word, d_max):
+        bits = [word >> i & 1 for i in range(n)]
+        assert expcomp.expansion_profile(bits, F2, d_max) == list_profile(bits, F2, d_max)
+
+
+N_BOUNDS = 256
+BUILTINS = {spec.canonical_name: spec for spec in autoseq.builtin_specs()}
+
+
+@functools.cache
+def default_profile(name):
+    """(results, deg h, L profile) at N_BOUNDS under the default d_max."""
+    spec = BUILTINS[name]
+    pref = autoseq.prefix(spec, N_BOUNDS)
+    return (expcomp.expansion_profile(pref, spec.field), autoseq.witness(spec).total_degree,
+            list(lincomp.bm_profile(pref, spec.field).values))
+
+
+class TestWitnessBounds:
+    """E_N <= deg h, since h(G, t) = 0 exactly, and E_N <= L(N) + 1
+    (Mérai–Niederreiter–Winterhof, Cryptogr. Commun. 2017), uncapped."""
+
+    @pytest.mark.parametrize("name", sorted(BUILTINS))
+    def test_uncapped_within_both_bounds(self, name):
+        res, hdeg, lin = default_profile(name)
+        assert not any(r.capped for r in res)
+        assert bound_violation([r.value for r in res], hdeg, lin) is None
+        # every built-in has reached its witness degree by N = 256
+        assert res[-1].value == hdeg
+
+    def test_pattern_2_3_7_reaches_11(self):
+        res, hdeg, _ = default_profile(autoseq.pattern(2, 3, 7).canonical_name)
+        assert res[-1].value == hdeg == 11
+
+    @pytest.mark.parametrize("name", sorted(BUILTINS))
+    def test_capped_results_are_the_only_difference(self, name):
+        res, _, _ = default_profile(name)
+        spec = BUILTINS[name]
+        capped = expcomp.expansion_profile(autoseq.prefix(spec, N_BOUNDS), spec.field, d_max=8)
+        for a, b in zip(res, capped):
+            assert a == b or b.capped
+
+    @pytest.mark.parametrize("name", sorted(BUILTINS))
+    def test_bumped_values_fail(self, name):
+        res, hdeg, lin = default_profile(name)
+        values = [r.value for r in res]
+        # above L(N) + 1 at an N where L(N) + 2 <= deg h: only that bound catches it
+        low = next(n for n in range(1, N_BOUNDS + 1) if lin[n - 1] + 2 <= hdeg)
+        bumped = values[:low - 1] + [lin[low - 1] + 2] + values[low:]
+        assert bound_violation(bumped, hdeg, lin) == low
+        # deg h + 1 at the last N, where L(N) + 1 is far above it
+        assert lin[-1] + 1 > hdeg + 1
+        assert bound_violation(values[:-1] + [hdeg + 1], hdeg, lin) == N_BOUNDS
