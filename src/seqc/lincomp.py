@@ -75,7 +75,12 @@ def _bm_f2(bits, connection):
         for t in range(min(_BLOCK, n_len - s)):
             if w >> t & 1:
                 n = s + t
-                x = e << (t - e_sh) if t >= e_sh else e >> (e_sh - t)
+                if t > e_sh:
+                    x = e << (t - e_sh)
+                elif t < e_sh:
+                    x = e >> (e_sh - t)
+                else:  # a shift by 0 would copy e (``gf2`` module docstring)
+                    x = e
                 if connection:
                     c, old_c = c ^ (b << (n - m)), c
                 if 2 * ell <= n:
@@ -166,5 +171,7 @@ def bm_connection(prefix, field: PrimeField):
         raise ValueError("prefix must contain at least one symbol")
     _, c, ell = _synthesize(prefix, field, connection=True)
     p = field.p
-    cvec = gf2.to_bits(c) + (0,) * (ell + 1 - c.bit_length()) if p == 2 else c.tolist()
+    if p == 2:  # -C_i = C_i for c = 1 + C_1 x + ... + C_L x^L: C_L..C_1, a set bit L + 1 kept
+        return ell, gf2.to_bits(c >> 1 | 1 << ell)[-2::-1]
+    cvec = c.tolist()
     return ell, tuple(-cvec[ell - i] % p for i in range(ell))

@@ -250,6 +250,33 @@ class TestVerify:
         assert int(agree["actual"]) == int(agree["expected"]) + 1
         assert all(c["pass"] for name, c in checks.items() if name != "bm_cf_agree")
 
+    @pytest.mark.parametrize("seq", [["thue-morse"],
+                                     ["pattern", "--p", "2", "--k", "2", "--a", "3"]])
+    def test_bumped_cf_quotient_fails_predictions_and_congruences(self, capsys, monkeypatch,
+                                                                  seq):
+        # A_5 of the expansion verify reads gets its constant term flipped:
+        # its degree, and so the CF profile, is unchanged, and the report
+        # names cf_predictions and q_congruences at j = 5 (A_j + 1 adds
+        # Q_{j-1}, whose residue is 1 or x + 1, to Q_j) and exits 1
+        real = contfrac.cf_expand
+        j = 5
+
+        def cf_expand(r):
+            exp = real(r)
+            assert exp.reliable_count > j
+            quots = list(exp.raw_quotients)
+            quots[j] ^= 1
+            return contfrac.CFExpansion(exp.series, tuple(quots), exp.q_degrees)
+
+        monkeypatch.setattr(contfrac, "cf_expand", cf_expand)
+        code, out, _ = run_cli(["verify", "--seq", *seq, "--n-max", "64"], capsys)
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(out)[0]["checks"]}
+        for name in ("cf_predictions", "q_congruences"):
+            assert not checks[name]["pass"] and checks[name]["first_fail_N"] == j
+        assert {name for name, c in checks.items() if not c["pass"]} == {
+            "convergent_identities", "cf_predictions", "q_congruences"}
+
     def test_requires_target(self, capsys):
         code, _, _ = run_cli(["verify"], capsys)
         assert code == 2

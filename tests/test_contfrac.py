@@ -1,9 +1,10 @@
 """Continued fractions of truncated Laurent series and their certificates."""
 
 import dataclasses
+import hashlib
 import random
 import tracemalloc
-from itertools import islice
+from itertools import accumulate, islice
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from seqc import autoseq, contfrac, gf2, lincomp
 from seqc.algebra import LaurentSeries, Poly, PrecisionError, PrimeField
 from seqc.autoseq import Profile
 from test_algebra import series_inverse
+from test_int64_bound import poly_euclid
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -486,6 +488,43 @@ class TestSeriesRecursionPath:
                 series = cf_expand_series(r)
                 n = min(len(series), euclid.reliable_count + 1)
                 assert series[:n] == list(euclid.quotients[:n])
+
+
+def _sha256_bits(n):
+    """n bits of the SHA-256 digests of 0, 1, 2, ..., low bit of each byte first."""
+    digests = b"".join(hashlib.sha256(i.to_bytes(4, "big")).digest() for i in range(-(-n // 256)))
+    return [byte >> k & 1 for byte in digests for k in range(8)][:n]
+
+
+def _f2_quotients(*bit_lists):
+    """F_2 quotients from bit lists, low to high."""
+    return [P(F2, *bits) for bits in bit_lists]
+
+
+# stream, and the constant terms its quotients A_1, ..., A_J take
+F2_EUCLID_STREAMS = {
+    # x^2 + x + 1, then x^2 + 1
+    "thue-morse": (autoseq.prefix(autoseq.thue_morse(), 1024), {1}),
+    # about N/2 quotients of degree 1
+    "sha256": (_sha256_bits(1024), {0, 1}),
+    # [0; A_1, ..., A_J] of degrees 1 to 5
+    "constant terms set": (_rational_prefix(_f2_quotients(
+        *([1, 1], [1, 0, 1], [1, 1, 0, 1], [1, 0, 0, 1, 1], [1, 1, 1, 0, 0, 1]) * 12), F2), {1}),
+    "constant terms clear": (_rational_prefix(_f2_quotients(
+        *([0, 1], [0, 1, 1], [0, 0, 1, 1]) * 12), F2), {0}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(F2_EUCLID_STREAMS))
+def test_f2_euclid_matches_poly_division(name):
+    # the packed Euclid loop divides in place and applies a quotient's
+    # constant term unshifted; Poly division is the reference
+    stream, constant_terms = F2_EUCLID_STREAMS[name]
+    exp = contfrac.cf_expand(LaurentSeries.from_prefix(stream, F2))
+    ref = poly_euclid(stream, F2)
+    assert [gf2.to_poly(a, F2) for a in exp.raw_quotients[1:]] == ref
+    assert exp.q_degrees == tuple(accumulate((a.degree for a in ref), initial=0))
+    assert {a & 1 for a in exp.raw_quotients[1:]} == constant_terms
 
 
 class TestQCongruences:

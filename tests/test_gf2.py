@@ -5,13 +5,15 @@
 product above that.  The tests pin each path by moving ``_SPARSE`` and
 check both on every shape, check the rule at its boundary, and compare
 with two independent products: schoolbook shifts over a binary string
-and the Kronecker product of ``algebra._kron_mul`` at p = 2.
+and the Kronecker product of ``algebra._kron_mul`` at p = 2.  No big int
+is shifted by 0, so a set constant term takes its own branch in ``mul``
+and ``divmod_``: the tests cover it set and clear.
 """
 
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from seqc import algebra, autoseq, contfrac, gf2
 from seqc.algebra import LaurentSeries, _kron_mul
@@ -84,6 +86,58 @@ polys = st.one_of(
 def test_mul_matches_shift_xor(a, b):
     assert gf2.mul(a, b) == gf2.mul(b, a) == shift_xor_mul(a, b)
     assert gf2.mul(a, 0) == gf2.mul(0, b) == 0
+
+
+@given(polys, polys)
+@settings(max_examples=100, deadline=None)
+def test_mul_odd_and_even_operands(a, b):
+    # shift-and-XOR starts from the longer operand itself when the shorter
+    # one's constant term is set: every parity pair, on both orders
+    for x in (a | 1, a & ~1 or 2):
+        for y in (b | 1, b & ~1 or 2):
+            assert gf2.mul(x, y) == gf2.mul(y, x) == shift_xor_mul(x, y)
+
+
+def test_mul_by_one_is_the_operand():
+    # a product by 1 shifts nothing: x << 0 would copy the whole int
+    a = random.Random(3).getrandbits(50000) | 1 << 49999
+    assert gf2.mul(a, 1) is a
+    assert gf2.mul(1, a) is a
+
+
+def _poly_of_length(draw, bits):
+    """A ``bits``-bit polynomial (0 for no bits) whose constant term is drawn set or clear."""
+    if bits == 0:
+        return 0
+    v = draw(st.integers(min_value=1 << (bits - 1), max_value=(1 << bits) - 1))
+    return v | 1 if bits == 1 or draw(st.booleans()) else v & ~1
+
+
+@st.composite
+def divisions(draw):
+    """(a, b), b != 0, with deg a above, equal to or below deg b, and b = 1 among the divisors."""
+    lb = draw(st.one_of(st.just(1), st.integers(min_value=1, max_value=300)))
+    la = draw(st.sampled_from([
+        st.integers(min_value=lb + 1, max_value=lb + 300), st.just(lb),
+        st.integers(min_value=0, max_value=lb - 1)]))
+    return _poly_of_length(draw, draw(la)), _poly_of_length(draw, lb)
+
+
+@given(divisions())
+@example((0b1011, 0b1011))  # deg a = deg b, both constant terms set
+@example((0b1010, 0b1011))  # deg a = deg b, a's constant term clear
+@example((0b101, 0b1011))  # deg a < deg b
+@example((0b1101, 1))  # b = 1
+@example((0, 0b11))
+@example((0b100110111, 0b11))  # a quotient bit at every shift down to 0
+@settings(max_examples=200, deadline=None)
+def test_divmod_is_division_with_remainder(case):
+    # a = q b + r with deg r < deg b: the last quotient bit, at shift 0,
+    # is applied unshifted
+    a, b = case
+    q, r = gf2.divmod_(a, b)
+    assert shift_xor_mul(q, b) ^ r == a
+    assert r.bit_length() < b.bit_length()
 
 
 def test_mul_large_operands():
