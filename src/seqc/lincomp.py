@@ -171,7 +171,9 @@ def bm_connection(prefix, field: PrimeField):
         raise ValueError("prefix must contain at least one symbol")
     _, c, ell = _synthesize(prefix, field, connection=True)
     p = field.p
-    if p == 2:  # -C_i = C_i for c = 1 + C_1 x + ... + C_L x^L: C_L..C_1, a set bit L + 1 kept
+    if p == 2:
+        # -C_i = C_i for c = 1 + C_1 x + ... + C_L x^L; a set bit for C_(L+1)
+        # keeps to_bits from trimming a zero C_L, and the slice drops it
         return ell, gf2.to_bits(c >> 1 | 1 << ell)[-2::-1]
     cvec = c.tolist()
     return ell, tuple(-cvec[ell - i] % p for i in range(ell))
