@@ -15,17 +15,15 @@ at a time, and a numerator is read off one product, P_j = Pol(Q_j R).
 x^w + 1 and builds no full Q_j.  The tests check the engine against an
 independent polynomial-part/inverse recursion on truncated series.
 
-Over F_2 polynomials are bit-packed ints (``gf2``), and the Euclid is one
-loop on them (``_euclid_f2``): each division runs in place, one shifted
-XOR of the divisor per quotient bit and the divisor itself for a
-constant term, with lengths read by ``bit_length``, so no quotient
-costs a call.  Thue-Morse has a constant term in every quotient, a
-random stream in about half.  For odd p polynomials are numpy int64
-coefficient arrays, low to high.  A quotient has entries in [0, p).  A
-Euclid remainder and a denominator from the recurrence are kept
-unreduced, as a term [coeffs, M] with |coeffs_i| <= M, whose top
-entry alone is reduced and nonzero, so its degree is its length less
-one; a reduction in place lowers M in place.  Each product c*y
+Over F_2 polynomials are bit-packed ints (``gf2``), and each Euclid
+step is one ``gf2.divmod_`` on them: one shifted XOR of the divisor per
+quotient bit, and the divisor itself, unshifted, for a constant term.
+Thue-Morse has a constant term in every quotient, a random stream in
+about half.  For odd p polynomials are numpy int64 coefficient arrays,
+low to high.  A quotient has entries in [0, p).  A Euclid remainder and
+a denominator from the recurrence are kept unreduced, as a term
+[coeffs, M] with |coeffs_i| <= M, whose top entry alone is reduced and
+nonzero, so its degree is its length less one; a reduction in place lowers M in place.  Each product c*y
 (c in [0, p)) added to x raises x's bound by (p-1) M_y, and
 ``algebra._make_room`` reduces an operand mod p only when the next
 products could pass 2^63 - 1.  A division step by a quotient
@@ -143,11 +141,9 @@ class _Backend:
     terms travel as terms: over F_2 the value itself, for odd p a list
     [coeffs, bound] (module docstring).  ``term`` makes one from a value
     with entries in [0, p) and ``value`` gives back its polynomial.
-    ``euclid(r_prev, r_cur, n)`` takes two values and gives the certified
-    quotients with their running degree sums (``_euclid_f2``,
-    ``_euclid_arr``).  ``mul_add(a, b, c)`` takes a quotient a and two
-    terms; for odd p it may reduce b in place, lowering its bound with
-    it.  ``mul`` (the exact full product), ``sub`` and
+    ``divmod(a, b)`` takes two terms and ``mul_add(a, b, c)`` a quotient
+    a and two terms; for odd p either may reduce b in place, lowering its
+    bound with it.  ``mul`` (the exact full product), ``sub`` and
     ``split(a, n)`` = (a div x^n, a mod x^n) take values; for odd p
     ``mul`` reduces its operands mod p first, and the parts of ``split``
     are trimmed.
@@ -161,7 +157,7 @@ class _Backend:
             self.sub = xor
             self.split = lambda a, n: (a >> n, a & ((1 << n) - 1))
             self.mul_add = lambda a, b, c: gf2.mul(a, b) ^ c
-            self.euclid = _euclid_f2
+            self.divmod = gf2.divmod_
             self.degree = gf2.degree
             self.native = gf2.from_poly
             self.to_poly = lambda bits: gf2.to_poly(bits, field)
@@ -174,7 +170,7 @@ class _Backend:
             self.sub = lambda a, b: _arr_sub(a, b, p)
             self.split = lambda a, n: (a[n:], np.trim_zeros(a[:n], "b"))
             self.mul_add = lambda a, b, c: _arr_mul_add(a, b, c, p)
-            self.euclid = lambda r_prev, r_cur, n: _euclid_arr(r_prev, r_cur, n, p)
+            self.divmod = lambda a, b: _arr_divmod(a, b, p)
             self.degree = _arr_degree
             self.native = lambda poly: np.array(poly.coeffs, dtype=np.int64)
             self.to_poly = lambda arr: Poly(field, tuple(arr.tolist()))
@@ -182,42 +178,8 @@ class _Backend:
             self.monomial = lambda n: np.array([0] * n + [1], dtype=np.int64)
 
 
-def _euclid_f2(r_prev: int, r_cur: int, n: int):
-    """(A_1, A_2, ...), (deg Q_1, deg Q_2, ...) of r_cur / r_prev over F_2,
-    while deg Q_{j-1} + deg Q_j <= n.
-
-    One loop on the packed ints does every division in place, with the
-    lengths (degree + 1) read by ``bit_length``: a quotient bit x^sh
-    clears the remainder's top by r_cur << sh, and the last one, at
-    sh = 0, by r_cur itself, since a shift by 0 copies (``gf2`` module
-    docstring).  It is ``gf2.divmod_`` inlined, with no call per quotient.
-    deg A_j = deg r_{j-2} - deg r_{j-1} is known before the division, so
-    the quotient past the last one is never computed.
-    """
-    quotients, degs = [], []
-    deg_q = 0
-    len_prev, len_cur = r_prev.bit_length(), r_cur.bit_length()
-    while len_cur and 2 * deg_q + len_prev - len_cur <= n:
-        a, r, len_r = 0, r_prev, len_prev
-        while len_r > len_cur:
-            sh = len_r - len_cur
-            a |= 1 << sh
-            r ^= r_cur << sh
-            len_r = r.bit_length()
-        if len_r == len_cur:
-            a |= 1
-            r ^= r_cur
-            len_r = r.bit_length()
-        quotients.append(a)
-        deg_q += len_prev - len_cur
-        degs.append(deg_q)
-        r_prev, r_cur = r_cur, r
-        len_prev, len_cur = len_cur, len_r
-    return quotients, degs
-
-
-def _euclid_arr(r_prev, r_cur, n: int, p: int):
-    """(A_1, A_2, ...), (deg Q_1, deg Q_2, ...) of r_cur / r_prev over odd F_p,
+def _euclid(backend: _Backend, r_prev, r_cur, n: int):
+    """(A_1, A_2, ...), (deg Q_1, deg Q_2, ...) of r_cur / r_prev,
     while deg Q_{j-1} + deg Q_j <= n.
 
     Only remainders are carried, as terms; deg Q_j is the running sum of
@@ -225,17 +187,18 @@ def _euclid_arr(r_prev, r_cur, n: int, p: int):
     before the division, so the quotient past the last one is never
     computed.
     """
+    divmod_, degree, value = backend.divmod, backend.degree, backend.value
     quotients, degs = [], []
     deg_q = 0
-    r_prev, r_cur = [r_prev, p - 1], [r_cur, p - 1]
-    deg_prev, deg_cur = len(r_prev[0]) - 1, len(r_cur[0]) - 1
+    r_prev, r_cur = backend.term(r_prev), backend.term(r_cur)
+    deg_prev, deg_cur = degree(value(r_prev)), degree(value(r_cur))
     while deg_cur >= 0 and 2 * deg_q + deg_prev - deg_cur <= n:
-        a, r_next = _arr_divmod(r_prev, r_cur, p)
+        a, r_next = divmod_(r_prev, r_cur)
         quotients.append(a)
         deg_q += deg_prev - deg_cur
         degs.append(deg_q)
         r_prev, r_cur = r_cur, r_next
-        deg_prev, deg_cur = deg_cur, len(r_cur[0]) - 1
+        deg_prev, deg_cur = deg_cur, degree(value(r_cur))
     return quotients, degs
 
 
@@ -361,7 +324,7 @@ def cf_expand(r: LaurentSeries) -> CFExpansion:
     quots, degs = [backend.native(a0)], [0]
     if not b.is_zero:  # else purely polynomial: the expansion is A_0 alone
         symbols, n = _series_symbols(b)
-        more, more_degs = backend.euclid(backend.monomial(n), backend.from_symbols(symbols), n)
+        more, more_degs = _euclid(backend, backend.monomial(n), backend.from_symbols(symbols), n)
         quots += more
         degs += more_degs
     return CFExpansion(r, tuple(quots), tuple(degs))

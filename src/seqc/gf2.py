@@ -15,7 +15,7 @@ No big int is shifted by 0.  CPython 3.11 copies the whole int on
 real shift: 1.9-3.8 us at 32768 to 65536 bits on a 2-core Xeon VM,
 against 0.4-0.7 us for an XOR.  So where a shift count can be 0, that
 case uses the operand itself: the constant term of a multiplier or of a
-quotient, and the aligned update of ``lincomp._bm_f2``.
+quotient.
 """
 
 from __future__ import annotations
@@ -130,10 +130,6 @@ def divmod_(a: int, b: int):
     the last one, at sh = 0, is applied as r ^= b, since b << 0 would
     copy b (module docstring).  Lengths are read by ``bit_length``
     inline, one more than the degrees.
-
-    No seqc code calls it: ``contfrac._euclid_f2`` runs the same division
-    inline.  It stays defined because perfbench/spans.py looks it up by
-    name to time it, and the tests divide by it.
     """
     if b == 0:
         raise ZeroDivisionError("division by zero polynomial")

@@ -75,12 +75,7 @@ def _bm_f2(bits, connection):
         for t in range(min(_BLOCK, n_len - s)):
             if w >> t & 1:
                 n = s + t
-                if t > e_sh:
-                    x = e << (t - e_sh)
-                elif t < e_sh:
-                    x = e >> (e_sh - t)
-                else:  # a shift by 0 would copy e (``gf2`` module docstring)
-                    x = e
+                x = e << (t - e_sh) if t >= e_sh else e >> (e_sh - t)
                 if connection:
                     c, old_c = c ^ (b << (n - m)), c
                 if 2 * ell <= n:

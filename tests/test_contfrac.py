@@ -517,7 +517,7 @@ F2_EUCLID_STREAMS = {
 
 @pytest.mark.parametrize("name", sorted(F2_EUCLID_STREAMS))
 def test_f2_euclid_matches_poly_division(name):
-    # the packed Euclid loop divides in place and applies a quotient's
+    # each packed Euclid step is gf2.divmod_, which applies a quotient's
     # constant term unshifted; Poly division is the reference
     stream, constant_terms = F2_EUCLID_STREAMS[name]
     exp = contfrac.cf_expand(LaurentSeries.from_prefix(stream, F2))
