@@ -1,10 +1,9 @@
 """Exact arithmetic over prime fields.
 
-Dense polynomials and truncated formal Laurent series in x^-1 over F_p.
-All values are immutable and all operations are exact.  A Laurent series
-carries an explicit record of how far down its coefficients are actually
-known, so consumers (the continued-fraction engine in particular) can
-never silently read coefficients past the truncation point.
+Dense polynomials over F_p, and ``LaurentSeries``, the record of a
+truncated input series in x^-1: its known coefficients and the lowest
+exponent they reach.  All values are immutable and all operations are
+exact.
 """
 
 from __future__ import annotations
@@ -80,7 +79,7 @@ class FieldMismatchError(ValueError):
 
 
 class PrecisionError(ValueError):
-    """A coefficient outside the known range of a truncated series was required."""
+    """A profile's n_max exceeds the series' precision (``contfrac.profile_from_expansion``)."""
 
 
 def _is_prime(n: int) -> bool:
@@ -231,16 +230,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coeff(self, i: int) -> int:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
-    def evaluate(self, a: int) -> int:
-        p = self.field.p
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * a + c) % p
-        return acc
-
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
@@ -302,23 +291,13 @@ class Poly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def shift(self, k: int):
-        """Multiply by x^k, k >= 0."""
-        if self.is_zero:
-            return self
-        return Poly(self.field, (0,) * k + self.coeffs)
-
-    def truncate(self, n: int):
-        """Reduce modulo x^n."""
-        return Poly(self.field, self.coeffs[:max(n, 0)])
-
     def __repr__(self):
         return f"Poly(p={self.field.p}, {list(self.coeffs)})"
 
 
 @dataclass(frozen=True)
 class LaurentSeries:
-    """Truncated formal Laurent series in x^-1 over F_p.
+    """Truncated formal Laurent series in x^-1 over F_p: the record of an input.
 
     A nonzero series is sum_{e=low..top} c_e x^e with c_top != 0 (the
     valuation is normalized); coefficients above ``top`` are structurally
@@ -364,17 +343,6 @@ class LaurentSeries:
         field.validate_symbols(prefix)
         return cls(field, -1, tuple(prefix), -len(prefix))
 
-    @classmethod
-    def from_poly(cls, poly: Poly, low: int):
-        """Exact polynomial viewed as a series, known down to exponent ``low``."""
-        if poly.is_zero:
-            return cls.zero(poly.field, low)
-        top = int(poly.degree)
-        if low > top:
-            raise ValueError("low must not exceed the polynomial degree")
-        coeffs = tuple(poly.coeff(e) for e in range(top, low - 1, -1))
-        return cls(poly.field, top, coeffs, low)
-
     # -- queries -------------------------------------------------------
 
     @property
@@ -386,43 +354,12 @@ class LaurentSeries:
         """nu(R): the top exponent, or the -inf marker for the zero series."""
         return self.top if self.top is not None else NEG_INF
 
-    def coeff(self, e: int) -> int:
-        """Coefficient of x^e; raises PrecisionError below the known range."""
-        if e < self.low:
-            raise PrecisionError(f"coefficient of x^{e} unknown (low={self.low})")
-        if self.top is None or e > self.top:
-            return 0
-        return self.coeffs[self.top - e]
-
-    # -- arithmetic ----------------------------------------------------
-
-    def __add__(self, other):
-        _check_same_field(self, other)
-        low = max(self.low, other.low)
-        tops = [s.top for s in (self, other) if s.top is not None]
-        if not tops:
-            return LaurentSeries.zero(self.field, low)
-        top = max(tops)
-        if top < low:
-            return LaurentSeries.zero(self.field, low)
-        coeffs = tuple(map(add, self._window(top, low), other._window(top, low)))
-        return LaurentSeries(self.field, top, coeffs, low)
-
-    def _window(self, top: int, low: int) -> tuple:
-        """Coefficients of x^top, ..., x^low, zero-padded; low >= self.low."""
-        if self.top is None or self.top < low:
-            return (0,) * (top - low + 1)
-        return (0,) * (top - self.top) + self.coeffs[:self.top - low + 1]
-
-    def __neg__(self):
-        if self.is_zero:
-            return self
-        return LaurentSeries(self.field, self.top, tuple(-c for c in self.coeffs), self.low)
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
+        """The product, known as far down as the shorter factor allows.
+
+        No seqc code calls it.  It stays because perfbench/spans.py times
+        ``LaurentSeries.__dict__["__mul__"]``; it goes with that lookup.
+        """
         _check_same_field(self, other)
         if self.is_zero or other.is_zero:
             # unknown tails start below `low`; products are known zero above
@@ -439,20 +376,6 @@ class LaurentSeries:
         out = _kron_mul(self.coeffs[:known], other.coeffs[:known], self.field.p)[:known].tolist()
         top = self.top + other.top
         return LaurentSeries(self.field, top, out, top - known + 1)
-
-    def shift(self, k: int):
-        """Multiply by x^k."""
-        if self.is_zero:
-            return LaurentSeries.zero(self.field, self.low + k)
-        return LaurentSeries(self.field, self.top + k, self.coeffs, self.low + k)
-
-    def polynomial_part(self) -> Poly:
-        """Pol(R): the terms with exponent >= 0 as a polynomial in x."""
-        if self.is_zero or self.top < 0:
-            return Poly.zero(self.field)
-        if self.low > 0:
-            raise PrecisionError("constant term not covered by known range")
-        return Poly(self.field, tuple(self.coeff(e) for e in range(self.top + 1)))
 
     def __repr__(self):
         if self.is_zero:

@@ -182,10 +182,6 @@ class AlgebraicWitness:
     def d(self) -> int:
         return len(self.h_coeffs) - 1
 
-    @property
-    def total_degree(self) -> int:
-        return max(int(h.degree) + i for i, h in enumerate(self.h_coeffs) if not h.is_zero)
-
 
 # largest total degree of a witness that ``witness`` builds
 WITNESS_DEGREE_CAP = 2**16
@@ -309,10 +305,6 @@ class Profile:
 
     values: tuple
 
-    @property
-    def n_max(self) -> int:
-        return len(self.values)
-
     def at(self, n: int) -> int:
         """L(u_n, n) for 1 <= n <= n_max."""
         return self.values[n - 1]
@@ -322,16 +314,3 @@ class Profile:
 
     def __iter__(self):
         return iter(self.values)
-
-    def validate(self):
-        """Check 0 <= L(N) <= N, monotonicity and the successive-N jump rule."""
-        prev = 0
-        for n, v in enumerate(self.values, start=1):
-            if not (0 <= v <= n):
-                raise ValueError(f"L({n})={v} outside [0, {n}]")
-            if v < prev:
-                raise ValueError(f"profile decreases at N={n}")
-            if v > max(prev, n - prev):
-                raise ValueError(f"jump rule violated at N={n}")
-            prev = v
-        return self

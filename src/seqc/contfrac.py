@@ -1,11 +1,13 @@
 """Continued fractions of truncated Laurent series over F_p.
 
-The primary engine runs the Euclidean algorithm on (x^N, g(x)), where g
-packs the N known coefficients; it is integer-exact and needs no
-precision bookkeeping inside the loop.  It works on the remainders only:
-each step records the partial quotient A_j and adds deg A_j to the
-running sum deg Q_j = deg A_1 + ... + deg A_j, which is all a profile
-reads.  The profile walk reads them once per run of equal L(N): one
+A series is read as one polynomial, G = x^N R cut below x^0, which
+``_scaled_input`` alone builds; the expansion, the convergents and the
+certificate all read it.  One split gives G = A_0 x^N + g, deg g < N,
+and the primary engine runs the Euclidean algorithm on (x^N, g); it is
+integer-exact and needs no precision bookkeeping inside the loop.  It
+works on the remainders only: each step records the partial quotient A_j
+and adds deg A_j to the running sum deg Q_j = deg A_1 + ... + deg A_j,
+which is all a profile reads.  The profile walk reads them once per run of equal L(N): one
 ``np.repeat`` lays out every run, sharing each quotient's int.  The
 convergents (P_j, Q_j) are never stored.  The denominators are the one
 convergent stream: ``convergent(j)`` and ``check_convergent_identities``
@@ -129,7 +131,7 @@ class CFExpansion:
             raise IndexError(f"convergent index {j} outside [0, {len(self.raw_quotients)})")
         backend = _Backend(self.field)
         q = next(islice(_denominators(self), j, None))
-        g = backend.from_symbols(self.series.coeffs)  # G = x^N R cut below x^0
+        g = _scaled_input(backend, self.series)
         return backend.to_poly(_numerator(backend, g, self.precision, q)), backend.to_poly(q)
 
 
@@ -146,7 +148,8 @@ class _Backend:
     bound with it.  ``mul`` (the exact full product), ``sub`` and
     ``split(a, n)`` = (a div x^n, a mod x^n) take values; for odd p
     ``mul`` reduces its operands mod p first, and the parts of ``split``
-    are trimmed.
+    are trimmed: a mod x^n is a view of a, a div x^n a copy, so a
+    quotient kept from it holds no more than its own entries.
     """
 
     def __init__(self, field: PrimeField):
@@ -159,7 +162,6 @@ class _Backend:
             self.mul_add = lambda a, b, c: gf2.mul(a, b) ^ c
             self.divmod = gf2.divmod_
             self.degree = gf2.degree
-            self.native = gf2.from_poly
             self.to_poly = lambda bits: gf2.to_poly(bits, field)
             self.from_symbols = lambda symbols: gf2.from_bits(symbols[::-1])
             self.monomial = lambda n: 1 << n
@@ -168,11 +170,10 @@ class _Backend:
             self.value = lambda term: term[0]
             self.mul = lambda a, b: _kron_mul(a % p, b % p, p)
             self.sub = lambda a, b: _arr_sub(a, b, p)
-            self.split = lambda a, n: (a[n:], np.trim_zeros(a[:n], "b"))
+            self.split = lambda a, n: (a[n:].copy(), np.trim_zeros(a[:n], "b"))
             self.mul_add = lambda a, b, c: _arr_mul_add(a, b, c, p)
             self.divmod = lambda a, b: _arr_divmod(a, b, p)
             self.degree = _arr_degree
-            self.native = lambda poly: np.array(poly.coeffs, dtype=np.int64)
             self.to_poly = lambda arr: Poly(field, tuple(arr.tolist()))
             self.from_symbols = lambda symbols: _arr_trim(np.array(symbols[::-1], dtype=np.int64), p)
             self.monomial = lambda n: np.array([0] * n + [1], dtype=np.int64)
@@ -308,26 +309,26 @@ def _value_certified_count(degs, n) -> int:
     return rc
 
 
-def _series_symbols(r: LaurentSeries):
-    """Coefficients of x^-1..x^-N of a nonzero series with valuation < 0."""
-    return [0] * (-1 - r.top) + list(r.coeffs), -r.low
+def _scaled_input(backend: _Backend, series: LaurentSeries):
+    """G = x^N R cut below x^0 in backend form, for R known down to x^-N.
+
+    R's known coefficients, top first, are G's from x^(top + N) down to
+    x^0, so ``split(G, N)`` gives A_0 = Pol(R) and g = x^N (R - A_0).
+    """
+    return backend.from_symbols(series.coeffs)
 
 
 def cf_expand(r: LaurentSeries) -> CFExpansion:
     """Certified continued-fraction expansion of a truncated series.
 
-    The zero series expands to A_0 = 0 alone, the continued fraction of 0.
+    One split of G = x^N R gives A_0 and g, and Euclid on (x^N, g) the
+    rest; at g = 0, the zero series included, A_0 is the whole expansion.
     """
     backend = _Backend(r.field)
-    a0 = r.polynomial_part()
-    b = r - LaurentSeries.from_poly(a0, r.low) if not a0.is_zero else r
-    quots, degs = [backend.native(a0)], [0]
-    if not b.is_zero:  # else purely polynomial: the expansion is A_0 alone
-        symbols, n = _series_symbols(b)
-        more, more_degs = _euclid(backend, backend.monomial(n), backend.from_symbols(symbols), n)
-        quots += more
-        degs += more_degs
-    return CFExpansion(r, tuple(quots), tuple(degs))
+    n = -r.low
+    a0, g = backend.split(_scaled_input(backend, r), n)
+    quots, degs = _euclid(backend, backend.monomial(n), g, n)
+    return CFExpansion(r, (a0, *quots), (0, *degs))
 
 
 def profile_from_cf(r: LaurentSeries, n_max: int) -> Profile:
@@ -373,7 +374,7 @@ def _denominators(expansion: CFExpansion):
     """
     backend = _Backend(expansion.field)
     mul_add, value = backend.mul_add, backend.value
-    prev, cur = (backend.term(backend.native(c(expansion.field))) for c in (Poly.zero, Poly.one))
+    prev, cur = backend.term(backend.from_symbols(())), backend.term(backend.monomial(0))
     yield value(cur)
     for a in expansion.raw_quotients[1:]:
         prev, cur = cur, mul_add(a, cur, prev)
@@ -391,13 +392,10 @@ def _numerator(backend: _Backend, g, n: int, q):
     return backend.split(backend.mul(q, backend.split(g, n - k)[0]), k)[0]
 
 
-def _last_convergent_ok(expansion: CFExpansion, q_prev, q_last) -> bool:
-    """Determinant and approximation property at J, from Q_{J-1} and Q_J alone."""
-    backend = _Backend(expansion.field)
+def _last_convergent_ok(expansion: CFExpansion, backend: _Backend, g, q_prev, q_last) -> bool:
+    """Determinant and approximation property at J, from Q_{J-1}, Q_J and G alone."""
     n, dq = expansion.precision, expansion.q_degrees[-1]
     j_last = len(expansion.raw_quotients) - 1
-    # G = x^N R cut below x^0: the N known symbols plus A_0 x^N
-    g = backend.from_symbols(expansion.series.coeffs)  # from the top exponent down to x^-N
     p_last, residual = backend.split(backend.mul(q_last, g), n)  # Q_J G = P_J x^N + residual
     # J = 0: (P_{-1}, Q_{-1}) = (1, 0) and the determinant is Q_0 = 1, checked already
     if j_last:
@@ -413,20 +411,20 @@ def check_convergent_identities(expansion: CFExpansion):
 
     The denominators are rebuilt from the stored quotients by the
     three-term recurrence Q_j = A_j Q_{j-1} + Q_{j-2} from
-    (Q_{-1}, Q_0) = (0, 1).  A_0 must be the polynomial part of the series,
-    and at every j >= 1 deg A_j >= 1 and deg Q_j = q_degrees[j] must hold,
-    so the degrees the profile walk reads are those of the rebuilt
-    denominators.  The two checks below do not imply deg A_j >= 1: the
-    quotient matrices of 1, -1, 1 multiply to diag(1, -1), so appending
-    those three constants passes both.
+    (Q_{-1}, Q_0) = (0, 1).  A_0 must be G div x^N, the polynomial part
+    of the series, and at every j >= 1 deg A_j >= 1 and
+    deg Q_j = q_degrees[j] must hold, so the degrees the profile walk
+    reads are those of the rebuilt denominators.  The two checks below do
+    not imply deg A_j >= 1: the quotient matrices of 1, -1, 1 multiply to
+    diag(1, -1), so appending those three constants passes both.
 
-    Last convergent J, with full products.  Let G = x^N R cut below x^0
-    (the N known symbols plus A_0 x^N).  The numerators are read off the
-    denominators: P_j = Pol(Q_j R), so Q_J G = P_J x^N + r with
-    deg r < N, where r is up to sign the remainder r_J that the Euclid loop
-    holds at J, of degree N - deg Q_{J+1} (-inf when r_J = 0); and
-    P_{J-1} = Pol(Q_{J-1} R) needs R only down to x^-deg Q_{J-1}.  Two
-    checks follow.
+    Last convergent J, with full products.  G = x^N R cut below x^0
+    (``_scaled_input``) holds the N known symbols plus A_0 x^N.  The
+    numerators are read off the denominators: P_j = Pol(Q_j R), so
+    Q_J G = P_J x^N + r with deg r < N, where r is up to sign the
+    remainder r_J that the Euclid loop holds at J, of degree
+    N - deg Q_{J+1} (-inf when r_J = 0); and P_{J-1} = Pol(Q_{J-1} R)
+    needs R only down to x^-deg Q_{J-1}.  Two checks follow.
 
     The determinant P_{J-1} Q_J - P_J Q_{J-1} = (-1)^J.  Let T be the
     product of the quotient matrices [[A_j, 1], [1, 0]], j = 0..J, which
@@ -456,7 +454,9 @@ def check_convergent_identities(expansion: CFExpansion):
     quots, degs = expansion.raw_quotients, expansion.q_degrees
     if len(degs) != len(quots):
         return min(len(degs), len(quots))
-    if backend.to_poly(quots[0]) != expansion.series.polynomial_part() or degs[0] != 0:
+    g = _scaled_input(backend, expansion.series)
+    a0 = backend.split(g, expansion.precision)[0]
+    if backend.to_poly(quots[0]) != backend.to_poly(a0) or degs[0] != 0:
         return 0
     denominators = _denominators(expansion)
     q_prev = q_last = next(denominators)
@@ -464,7 +464,7 @@ def check_convergent_identities(expansion: CFExpansion):
         if backend.degree(quots[j]) < 1 or backend.degree(q) != degs[j]:
             return j
         q_prev, q_last = q_last, q
-    return None if _last_convergent_ok(expansion, q_prev, q_last) else len(quots) - 1
+    return None if _last_convergent_ok(expansion, backend, g, q_prev, q_last) else len(quots) - 1
 
 
 def q_congruences(expansion: CFExpansion, k: int) -> tuple:

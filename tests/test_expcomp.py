@@ -10,6 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from seqc import autoseq, expcomp, lincomp
 from seqc.algebra import Poly, PrimeField
+from test_algebra import poly_coeff, poly_shift, poly_truncate
+from test_autoseq import total_degree
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -21,12 +23,12 @@ def evaluate_witness(witness, prefix, field: PrimeField) -> Poly:
     g = Poly(field, tuple(prefix))
     acc = Poly.zero(field)
     for i, j, c in witness:
-        term = Poly(field, (c,)).shift(j)
+        term = poly_shift(Poly(field, (c,)), j)
         gp = Poly.one(field)
         for _ in range(i):
-            gp = (gp * g).truncate(n)
-        acc = acc + (term * gp).truncate(n)
-    return acc.truncate(n)
+            gp = poly_truncate(gp * g, n)
+        acc = acc + poly_truncate(term * gp, n)
+    return poly_truncate(acc, n)
 
 
 def list_profile(prefix, field: PrimeField, d_max=None):
@@ -57,9 +59,9 @@ def brute_force_expansion(prefix, p, d_max=3):
             g = Poly(PrimeField(p), tuple(prefix))
             gp = Poly.one(g.field)
             for _ in range(i):
-                gp = (gp * g).truncate(n)
-            col = gp.shift(j).truncate(n)
-            cols.append([col.coeff(e) for e in range(n)])
+                gp = poly_truncate(gp * g, n)
+            col = poly_truncate(poly_shift(gp, j), n)
+            cols.append([poly_coeff(col, e) for e in range(n)])
         for assign in itertools.product(range(p), repeat=len(mons)):
             if not any(assign):
                 continue
@@ -222,7 +224,7 @@ def default_profile(name):
     """(results, deg h, L profile) at N_BOUNDS under the default d_max."""
     spec = BUILTINS[name]
     pref = autoseq.prefix(spec, N_BOUNDS)
-    return (expcomp.expansion_profile(pref, spec.field), autoseq.witness(spec).total_degree,
+    return (expcomp.expansion_profile(pref, spec.field), total_degree(autoseq.witness(spec)),
             list(lincomp.bm_profile(pref, spec.field).values))
 
 

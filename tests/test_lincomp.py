@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from seqc import autoseq, lincomp
 from seqc.algebra import PrimeField
+from test_autoseq import validate_profile
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -191,7 +192,7 @@ symbol_lists = st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_s
 @given(symbol_lists)
 def test_profile_invariants_f5(xs):
     prof = lincomp.bm_profile(xs, F5)
-    prof.validate()  # 0 <= L <= N, monotone, jump rule
+    validate_profile(prof)  # L(N) = L(N-1), or N - L(N-1) > L(N-1)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=40))

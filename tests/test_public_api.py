@@ -1,4 +1,4 @@
-"""Every public function and class in ``src/seqc`` is part of the program.
+"""Every public function, class and method in ``src/seqc`` is part of the program.
 
 A public top-level ``def`` or ``class`` of a module must be referenced
 from the program itself: from another module of the package, from its
@@ -6,6 +6,15 @@ own module outside its definition, from the benchmark (``perfbench``,
 where a name passed as a string counts, as ``spans.py`` passes them), or
 from README's Python example.  Code that only tests call belongs in the
 tests; ``__init__.py`` binds the submodules and nothing else.
+
+A public method or property of a class (any class, private ones too) must
+be read as an attribute, ``x.name``, somewhere in the package outside its
+own definition, in the benchmark, or in README's example; a string equal
+to its name in the benchmark counts too.  The match is by name alone: no
+type is inferred, so any attribute of that name counts, except one read
+off a module (``gf2.from_poly`` is a function, not a method).  Dunders
+(``__mul__``, ``__divmod__``, ...) are out of its reach: operators and
+protocols call them without naming them.
 """
 
 import ast
@@ -62,6 +71,36 @@ def _public_definitions():
                 yield module, node, tree
 
 
+def _public_methods():
+    for module in MODULES:
+        tree = _parse(PACKAGE / f"{module}.py")
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                for node in cls.body:
+                    if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                        yield module, f"{cls.name}.{node.name}", node
+
+
+def _module_names(tree):
+    """Names a tree binds to modules: by ``import``, or imported from seqc itself."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module in (None, "seqc"):
+            names |= {alias.asname or alias.name for alias in node.names}
+    return names
+
+
+def _attribute_names(tree, outside=None):
+    """Names read as ``x.name`` in a tree, outside one definition, x not a module."""
+    inside = set(map(id, ast.walk(outside))) if outside else set()
+    modules = _module_names(tree)
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and id(node) not in inside
+            and not (isinstance(node.value, ast.Name) and node.value.id in modules)}
+
+
 @functools.cache
 def _program_uses():
     """Qualified uses from the package, the benchmark and README, and the benchmark's strings."""
@@ -99,3 +138,24 @@ def test_every_public_definition_is_reached(module):
               and (mod, node.name) not in uses and node.name not in strings
               and node.name not in _own_uses(tree, node)]
     assert not unused, f"seqc.{module}: nothing in the program uses {unused}"
+
+
+@functools.cache
+def _outside_attribute_names():
+    """Attribute names from the benchmark and README, and the benchmark's strings."""
+    names = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = _parse(path)
+        names |= _attribute_names(tree) | _strings(tree)
+    for tree in _readme_trees():
+        names |= _attribute_names(tree)
+    return names
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_public_method_is_reached(module):
+    package = {mod: _parse(PACKAGE / f"{mod}.py") for mod in MODULES}
+    unused = [name for mod, name, node in _public_methods() if mod == module
+              and node.name not in _outside_attribute_names()
+              and not any(node.name in _attribute_names(tree, node) for tree in package.values())]
+    assert not unused, f"seqc.{module}: nothing in the program reads {unused}"
