@@ -7,6 +7,6 @@ linear algebra, and cross-verifies everything against closed-form
 formulas and general bounds.
 """
 
-from . import algebra, autoseq, contfrac, expcomp, gf2, lincomp, theory
+from . import algebra, autoseq, contfrac, expcomp, gf2, gf3, lincomp, theory
 
 __version__ = "0.1.0"

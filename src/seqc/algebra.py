@@ -9,7 +9,7 @@ exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
+from operator import add, index
 
 import numpy as np
 
@@ -27,9 +27,10 @@ def _kron_mul(a, b, p: int):
     an array can have, so a slot is at most 16 bytes wide.
 
     It is the one Kronecker product in seqc, behind ``Poly`` and
-    ``LaurentSeries`` products at every p, expansion complexity's powers
-    and the odd-p certificate products.  Bit-packed F_2 polynomials are
-    multiplied by ``gf2.mul`` instead, which never calls it.
+    ``LaurentSeries`` products at every p, expansion complexity's powers,
+    the certificate products on int64 arrays and ``gf3.mul``'s dense
+    products.  Bit-packed F_2 polynomials are multiplied by ``gf2.mul``
+    instead, which never calls it.
     """
     a, b = np.asarray(a, dtype=np.uint64), np.asarray(b, dtype=np.uint64)
     if not len(a) or not len(b):
@@ -106,6 +107,10 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+# byte v is v, so _BYTES[:p] is every symbol of F_p as a byte, for p < 256
+_BYTES = bytes(range(256))
+
+
 @dataclass(frozen=True)
 class PrimeField:
     """The field F_p for a prime modulus 2 <= p <= 2**31 - 1."""
@@ -121,16 +126,42 @@ class PrimeField:
     def inv(self, a: int) -> int:
         return pow(a % self.p, -1, self.p)
 
-    def validate_symbol(self, a: int) -> int:
-        if not (0 <= a < self.p):
+    def validate_symbol(self, a) -> int:
+        """a as an int, if it is an integer (``operator.index``) in [0, p); else ValueError."""
+        try:
+            v = index(a)
+        except TypeError:
+            raise ValueError(f"symbol {a!r} is not an integer") from None
+        if not 0 <= v < self.p:
             raise ValueError(f"symbol {a} outside F_{self.p}")
-        return a
+        return v
 
-    def validate_symbols(self, symbols) -> None:
-        """Check every symbol in one min/max pass; scan only to name the first bad one."""
-        if len(symbols) and not (0 <= min(symbols) and max(symbols) < self.p):
-            for u in symbols:
-                self.validate_symbol(u)
+    def validate_symbols(self, symbols) -> tuple:
+        """The symbols as a tuple of ints, if each is an integer in [0, p); else ValueError.
+
+        An integer is whatever ``operator.index`` accepts: int, bool and
+        numpy integers, alone or as a numpy array.  The check is one pass
+        over the symbols in C: ``bytes`` for p < 256, which rejects a
+        non-integer and a value outside [0, 256) and leaves the rest to one
+        ``translate``, and an int64 array of the ``index`` values otherwise.
+        Only a failed check walks the symbols in Python, to name the first
+        bad one.
+        """
+        p = self.p
+        try:
+            if p < 256:
+                if not isinstance(symbols, (list, tuple)):
+                    symbols = list(symbols)  # bytes() reads an array's buffer, not its items
+                raw = bytes(symbols)
+                if not raw.translate(None, _BYTES[:p]):
+                    return tuple(raw)
+            else:
+                values = np.fromiter(map(index, symbols), np.int64, len(symbols))
+                if not len(values) or (values.min() >= 0 and values.max() < p):
+                    return tuple(values.tolist())
+        except (TypeError, ValueError, OverflowError):
+            pass
+        return tuple(map(self.validate_symbol, symbols))
 
 
 INT64_MAX = 2**63 - 1
@@ -139,8 +170,8 @@ INT64_MAX = 2**63 - 1
 def _make_room(x, mx, y, my, p: int, k: int = 1):
     """Bounds of x and y after reducing them so that x can take k more c*y.
 
-    The odd-p kernels keep unreduced int64 coefficient arrays, each with
-    an int bound M on its entries: |x_i| <= mx, |y_i| <= my.  Adding (or
+    The int64 kernels keep unreduced coefficient arrays, each with an
+    int bound M on its entries: |x_i| <= mx, |y_i| <= my.  Adding (or
     subtracting) a product c*y, c in [0, p), raises x's bound to
     mx + (p-1) my, and k of them (a convolution with k coefficients c)
     to mx + k (p-1) my; the caller adds that after the products.  An
@@ -167,10 +198,10 @@ def _sub_multiple(x, y, c: int, p: int) -> int:
     """x -= c*y in place for c in [1, p); returns the factor that y's bound adds to x's.
 
     c = 1 subtracts y, and c = p - 1 adds it, since -(p-1) y = y mod p:
-    neither forms a product, and x's bound rises by M_y.  At p = 3 every
-    c is one of them.  Any other c forms the product c*y and raises x's
-    bound by (p-1) M_y.  (A product written into a reused buffer saves
-    nothing: slicing the buffer costs more than numpy's allocation.)
+    neither forms a product, and x's bound rises by M_y.  Any other c
+    forms the product c*y and raises x's bound by (p-1) M_y.  (A product
+    written into a reused buffer saves nothing: slicing the buffer costs
+    more than numpy's allocation.)
     """
     if c == 1:
         x -= y
@@ -337,11 +368,23 @@ class LaurentSeries:
 
     @classmethod
     def from_prefix(cls, prefix, field):
-        """R = sum_{i=1..N} u_{i-1} x^-i from the first N sequence symbols."""
+        """R = sum_{i=1..N} u_{i-1} x^-i from the first N sequence symbols.
+
+        The validated symbols are ints in [0, p) already, so the record is
+        built from them as they are: ``__post_init__`` would reduce them
+        mod p again, a second pass over N symbols.  Only the leading zeros
+        are dropped, so that c_top != 0.
+        """
         if len(prefix) < 1:
             raise ValueError("prefix must contain at least one symbol")
-        field.validate_symbols(prefix)
-        return cls(field, -1, tuple(prefix), -len(prefix))
+        symbols = field.validate_symbols(prefix)
+        lead = next((i for i, v in enumerate(symbols) if v), len(symbols))
+        coeffs = symbols[lead:]
+        series = object.__new__(cls)
+        for name, value in (("field", field), ("top", -1 - lead if coeffs else None),
+                            ("coeffs", coeffs), ("low", -len(symbols))):
+            object.__setattr__(series, name, value)
+        return series
 
     # -- queries -------------------------------------------------------
 

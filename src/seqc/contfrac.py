@@ -17,12 +17,17 @@ at a time, and a numerator is read off one product, P_j = Pol(Q_j R).
 x^w + 1 and builds no full Q_j.  The tests check the engine against an
 independent polynomial-part/inverse recursion on truncated series.
 
-Over F_2 polynomials are bit-packed ints (``gf2``), and each Euclid
-step is one ``gf2.divmod_`` on them: one shifted XOR of the divisor per
-quotient bit, and the divisor itself, unshifted, for a constant term.
-Thue-Morse has a constant term in every quotient, a random stream in
-about half.  For odd p polynomials are numpy int64 coefficient arrays,
-low to high.  A quotient has entries in [0, p).  A Euclid remainder and
+The field chooses the form.  Over F_2 polynomials are bit-packed ints
+(``gf2``), and each Euclid step is one ``gf2.divmod_`` on them: one
+shifted XOR of the divisor per quotient bit, and the divisor itself,
+unshifted, for a constant term.  Thue-Morse has a constant term in every
+quotient, a random stream in about half.  Over F_3 they are ``gf3``
+slice pairs, and a Euclid step is one ``gf3.divmod_``: one shifted slice
+addition of the divisor or its negation per quotient coefficient; the
+recurrence and the certificate multiply by ``gf3.mul``.  For p >= 5
+polynomials are numpy int64 coefficient arrays, low to high; the int64
+kernels are exact at p = 3 too, where the tests run them as the slices'
+reference.  A quotient has entries in [0, p).  A Euclid remainder and
 a denominator from the recurrence are kept unreduced, as a term
 [coeffs, M] with |coeffs_i| <= M, whose top entry alone is reduced and
 nonzero, so its degree is its length less one; a reduction in place lowers M in place.  Each product c*y
@@ -31,14 +36,13 @@ nonzero, so its degree is its length less one; a reduction in place lowers M in 
 products could pass 2^63 - 1.  A division step by a quotient
 coefficient c = 1 or c = p - 1 forms no product: it subtracts or adds
 the divisor (``algebra._sub_multiple``) and raises the bound by M_y
-alone, as every step does at p = 3.  So every step is exact at every
-p <= 2^31 - 1, and at small p a reduction is rare.  The recurrence
-adds A_j y by one slice update per coefficient while A_j is short
-beside y, as a division step does, and otherwise by one
-``np.convolve`` per chunk of A_j: a chunk of k coefficients raises the
-bound by k (p-1) M_y, and a chunk is as long as the room left under
-2^63 - 1 allows, so at small p a quotient is one convolution and at
-p = 2^31 - 1 a chunk is one or two coefficients.
+alone.  So every step is exact at every p <= 2^31 - 1, and at small p a
+reduction is rare.  The recurrence adds A_j y by one slice update per
+coefficient while A_j is short beside y, as a division step does, and
+otherwise by one ``np.convolve`` per chunk of A_j: a chunk of k
+coefficients raises the bound by k (p-1) M_y, and a chunk is as long as
+the room left under 2^63 - 1 allows, so at small p a quotient is one
+convolution and at p = 2^31 - 1 a chunk is one or two coefficients.
 
 Reliability is two-tiered.  Convergent degrees are determined by the
 first N coefficients whenever deg Q_{j-1} + deg Q_j <= N (the profile
@@ -55,11 +59,12 @@ at the last two denominators only.  One product Q_J G gives both P_J and
 the residual of the approximation property that ties the quotients to
 the input; one of Q_{J-1} with G's coefficients from x^(N - deg Q_{J-1})
 up, about half of them, gives P_{J-1}; two more give the determinant.
-Each such product is exact.  For odd p it is one Kronecker product
-(``algebra._kron_mul``) of the arrays reduced mod p.  Over F_2 it is
-``gf2.mul`` on the packed ints, whose 8-bit window table serves these
-dense operands, while the recurrence's sparse quotients take its
-shift-and-XOR path.
+Each such product is exact.  For int64 arrays it is one Kronecker
+product (``algebra._kron_mul``) of the arrays reduced mod p.  Over F_2
+it is ``gf2.mul`` on the packed ints, whose 8-bit window table serves
+these dense operands, while the recurrence's sparse quotients take its
+shift-and-XOR path; over F_3 ``gf3.mul`` makes the same choice between
+a Kronecker product and shift-and-add.
 """
 
 from __future__ import annotations
@@ -71,7 +76,7 @@ from operator import xor
 
 import numpy as np
 
-from . import algebra, gf2
+from . import algebra, gf2, gf3
 from .algebra import (LaurentSeries, Poly, PrecisionError, PrimeField, _kron_mul, _make_room,
                       _sub_multiple)
 from .autoseq import Profile
@@ -84,13 +89,14 @@ class CFExpansion:
     ``series`` is the expanded input, known down to x^-N.
     ``raw_quotients`` holds A_0 and every degree-certified quotient
     (deg Q_{j-1} + deg Q_j <= N) in backend form: bit-packed ints over
-    F_2, int64 coefficient arrays otherwise.  ``q_degrees`` holds
-    deg Q_0..deg Q_J, the running sums of the quotient degrees, which the
-    profile walk reads.  ``quotients`` converts only the value-certified
-    quotients (2 deg Q_j <= N) to Poly, on first use.  No convergent pair
-    is stored: ``convergent(j)`` rebuilds Q_j by the three-term recurrence
-    in memory linear in deg Q_j, and reads P_j = Pol(Q_j R) off one
-    product.  P_j is the numerator of the j-th convergent because
+    F_2, ``gf3`` slice pairs over F_3, int64 coefficient arrays
+    otherwise.  ``q_degrees`` holds deg Q_0..deg Q_J, the running sums of
+    the quotient degrees, which the profile walk reads.  ``quotients``
+    converts only the value-certified quotients (2 deg Q_j <= N) to Poly,
+    on first use.  No convergent pair is stored: ``convergent(j)``
+    rebuilds Q_j by the three-term recurrence in memory linear in
+    deg Q_j, and reads P_j = Pol(Q_j R) off one product.  P_j is the
+    numerator of the j-th convergent because
     |Q_j R - P_j| = 1 / |Q_{j+1}| < 1 (or 0 at the last convergent of a
     rational R); ``check_convergent_identities`` proves that the stored
     quotients make these the input's convergents.
@@ -138,45 +144,63 @@ class CFExpansion:
 class _Backend:
     """Polynomial operations on one field's backend form.
 
-    ``from_symbols`` packs u_0..u_{n-1} as the coefficients of x^{n-1}..x^0,
-    and ``monomial(n)`` is x^n.  The Euclid remainders and the recurrence
-    terms travel as terms: over F_2 the value itself, for odd p a list
-    [coeffs, bound] (module docstring).  ``term`` makes one from a value
-    with entries in [0, p) and ``value`` gives back its polynomial.
-    ``divmod(a, b)`` takes two terms and ``mul_add(a, b, c)`` a quotient
-    a and two terms; for odd p either may reduce b in place, lowering its
-    bound with it.  ``mul`` (the exact full product), ``sub`` and
-    ``split(a, n)`` = (a div x^n, a mod x^n) take values; for odd p
-    ``mul`` reduces its operands mod p first, and the parts of ``split``
-    are trimmed: a mod x^n is a view of a, a div x^n a copy, so a
-    quotient kept from it holds no more than its own entries.
+    The field chooses the form (module docstring): ``_bits`` at p = 2,
+    ``_slices`` at p = 3 and ``_arrays`` otherwise; ``_arrays`` is exact
+    at p = 3 as well.  ``from_symbols`` packs u_0..u_{n-1} as the
+    coefficients of x^{n-1}..x^0, and ``monomial(n)`` is x^n.  The Euclid
+    remainders and the recurrence terms travel as terms: over F_2 and F_3
+    the value itself, for int64 arrays a list [coeffs, bound].  ``term``
+    makes one from a value with entries in [0, p) and ``value`` gives
+    back its polynomial.  ``divmod(a, b)`` takes two terms and
+    ``mul_add(a, b, c)`` a quotient a and two terms; for int64 arrays
+    either may reduce b in place, lowering its bound with it.  ``mul``
+    (the exact full product), ``sub`` and ``split(a, n)`` =
+    (a div x^n, a mod x^n) take values; for int64 arrays ``mul`` reduces
+    its operands mod p first, and the parts of ``split`` are trimmed:
+    a mod x^n is a view of a, a div x^n a copy, so a quotient kept from
+    it holds no more than its own entries.
     """
 
     def __init__(self, field: PrimeField):
+        {2: self._bits, 3: self._slices}.get(field.p, self._arrays)(field)
+
+    def _bits(self, field):
+        self.term = self.value = lambda v: v
+        self.mul = gf2.mul
+        self.sub = xor
+        self.split = lambda a, n: (a >> n, a & ((1 << n) - 1))
+        self.mul_add = lambda a, b, c: gf2.mul(a, b) ^ c
+        self.divmod = gf2.divmod_
+        self.degree = gf2.degree
+        self.to_poly = lambda bits: gf2.to_poly(bits, field)
+        self.from_symbols = lambda symbols: gf2.from_bits(symbols[::-1])
+        self.monomial = lambda n: 1 << n
+
+    def _slices(self, field):
+        self.term = self.value = lambda v: v
+        self.mul = gf3.mul
+        self.sub = gf3.sub
+        self.split = gf3.split
+        self.mul_add = lambda a, b, c: gf3.add(gf3.mul(a, b), c)
+        self.divmod = gf3.divmod_
+        self.degree = gf3.degree
+        self.to_poly = lambda pair: gf3.to_poly(pair, field)
+        self.from_symbols = lambda symbols: gf3.from_coeffs(symbols[::-1])
+        self.monomial = lambda n: (0, 1 << n)
+
+    def _arrays(self, field):
         p = field.p
-        if p == 2:
-            self.term = self.value = lambda v: v
-            self.mul = gf2.mul
-            self.sub = xor
-            self.split = lambda a, n: (a >> n, a & ((1 << n) - 1))
-            self.mul_add = lambda a, b, c: gf2.mul(a, b) ^ c
-            self.divmod = gf2.divmod_
-            self.degree = gf2.degree
-            self.to_poly = lambda bits: gf2.to_poly(bits, field)
-            self.from_symbols = lambda symbols: gf2.from_bits(symbols[::-1])
-            self.monomial = lambda n: 1 << n
-        else:
-            self.term = lambda arr: [arr, p - 1]
-            self.value = lambda term: term[0]
-            self.mul = lambda a, b: _kron_mul(a % p, b % p, p)
-            self.sub = lambda a, b: _arr_sub(a, b, p)
-            self.split = lambda a, n: (a[n:].copy(), np.trim_zeros(a[:n], "b"))
-            self.mul_add = lambda a, b, c: _arr_mul_add(a, b, c, p)
-            self.divmod = lambda a, b: _arr_divmod(a, b, p)
-            self.degree = _arr_degree
-            self.to_poly = lambda arr: Poly(field, tuple(arr.tolist()))
-            self.from_symbols = lambda symbols: _arr_trim(np.array(symbols[::-1], dtype=np.int64), p)
-            self.monomial = lambda n: np.array([0] * n + [1], dtype=np.int64)
+        self.term = lambda arr: [arr, p - 1]
+        self.value = lambda term: term[0]
+        self.mul = lambda a, b: _kron_mul(a % p, b % p, p)
+        self.sub = lambda a, b: _arr_sub(a, b, p)
+        self.split = lambda a, n: (a[n:].copy(), np.trim_zeros(a[:n], "b"))
+        self.mul_add = lambda a, b, c: _arr_mul_add(a, b, c, p)
+        self.divmod = lambda a, b: _arr_divmod(a, b, p)
+        self.degree = _arr_degree
+        self.to_poly = lambda arr: Poly(field, tuple(arr.tolist()))
+        self.from_symbols = lambda symbols: _arr_trim(np.array(symbols[::-1], dtype=np.int64), p)
+        self.monomial = lambda n: np.array([0] * n + [1], dtype=np.int64)
 
 
 def _euclid(backend: _Backend, r_prev, r_cur, n: int):

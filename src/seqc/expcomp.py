@@ -172,7 +172,7 @@ def expansion_profile(prefix, field: PrimeField, d_max: int | None = None):
         raise ValueError("prefix must contain at least one symbol")
     if d_max is not None and d_max < 1:
         raise ValueError("d_max must be >= 1")
-    field.validate_symbols(prefix)
+    prefix = field.validate_symbols(prefix)
     form = _BitForm(prefix) if field.p == 2 else _ListForm(prefix, field.p)
     return _profile(prefix, form, d_max)
 

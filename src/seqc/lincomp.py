@@ -10,16 +10,19 @@ and a length change makes E the old D.  Coefficients of D below n are
 never read again, so neither D nor E needs them, and the profile needs
 no connection vector at all; only ``bm_connection`` asks for c.
 
-Over F_2, D and E are bit-packed ints.  For odd p they are numpy int64
-arrays under one invariant (``algebra._make_room``): every array carries
-an int bound M with |x_i| <= M, an update x -= c y with c in [1, p)
-raises x's bound by (p-1) M_y, and an operand is reduced mod p only when
-the update could otherwise pass 2^63 - 1.  The updates by c = 1 and
-c = p - 1 are x -= y and x += y (``algebra._sub_multiple``): no product,
-and the bound rises by M_y alone.  At p = 3 every update is one of them.
-So every step is exact at every supported p, and at p = 3 a reduction
-is rare.  The zero-prefix and 0...0!=0 boundary conventions fall out of
-the standard initialization and are asserted in tests rather than
+The field chooses the form.  Over F_2, D and E are bit-packed ints
+(``gf2``); over F_3 they are ``gf3`` slice pairs, on which an update is
+two shifts and one slice addition, run in the same 64-step blocks.  For
+p >= 5 they are numpy int64 arrays under one invariant
+(``algebra._make_room``): every array carries an int bound M with
+|x_i| <= M, an update x -= c y with c in [1, p) raises x's bound by
+(p-1) M_y, and an operand is reduced mod p only when the update could
+otherwise pass 2^63 - 1.  The updates by c = 1 and c = p - 1 are x -= y
+and x += y (``algebra._sub_multiple``): no product, and the bound rises
+by M_y alone.  So every step is exact at every supported p.  The int64
+kernel is exact at p = 3 too, where the tests run it as the slices'
+reference.  The zero-prefix and 0...0!=0 boundary conventions fall out
+of the standard initialization and are asserted in tests rather than
 special-cased here.
 """
 
@@ -27,18 +30,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import gf2
+from . import gf2, gf3
 from .algebra import PrimeField, _make_room, _sub_multiple
 from .autoseq import Profile
 
-# steps per shift of D over F_2: D moves right once per block and the
-# block's discrepancies are read from a BLOCK-bit window
+# steps per shift of D over F_2 and F_3: D moves right once per block and
+# the block's discrepancies are read from a BLOCK-bit window
 _BLOCK = 64
 _MASK = (1 << _BLOCK) - 1
 
 
 def _bm_f2(bits, connection):
-    """Bit-packed residual synthesis; returns (L values, C bits or None, final L).
+    """Bit-packed residual synthesis; returns (L values, (C_L, ..., C_1) or None, final L).
 
     At block start s the int ``d`` holds D >> s, and ``w`` its low _BLOCK
     bits, so bit t of ``w`` is the discrepancy of step n = s + t.  E is
@@ -86,11 +89,78 @@ def _bm_f2(bits, connection):
                 d ^= x
                 w ^= x & _MASK
             prof.append(ell)
-    return prof, (c if connection else None), ell
+    # -C_i = C_i for c = 1 + C_1 x + ... + C_L x^L; a set bit for C_(L+1)
+    # keeps to_bits from trimming a zero C_L, and the slice drops it
+    return prof, (gf2.to_bits(c >> 1 | 1 << ell)[-2::-1] if connection else None), ell
+
+
+def _bm_f3(symbols, connection):
+    """Bit-sliced residual synthesis over F_3, as ``_bm_f2`` runs it; returns
+    (L values, (-c_L, ..., -c_1) or None, final L).
+
+    D, E, c and b are ``gf3`` slice pairs, and (dh, dl), (wh, wl) and
+    (eh, el, e_sh) play the parts of d, w and (e, e_sh) in ``_bm_f2``,
+    under the same invariant and the same cuts below N.  The discrepancy
+    of step n = s + t is bit t of the window's slices, and ``d_two``
+    says whether it is 2.  The update is D <- D - (d/b_d) x^(n-m) E for
+    b_d the discrepancy at the last length change: d/b_d is 1 when
+    d = b_d, and then D takes x^(n-m) E with its slices swapped
+    (negated), and 2 otherwise, and -2 = 1, so D takes x^(n-m) E as it
+    is.  c <- c - (d/b_d) x^(n-m) b alike.
+
+    Start: c = b = 1, b_d = 1 and m = -1, as in ``_bm_f2``.
+    """
+    n_len = len(symbols)
+    dh, dl = gf3.from_coeffs(symbols)
+    eh, el, e_sh = dh << 1, dl << 1, 0
+    c = b = (0, 1)
+    m = -1
+    bd_two = 0  # whether b_d is 2
+    ell = 0
+    prof = []
+    for s in range(0, n_len, _BLOCK):
+        keep = (1 << (n_len - s)) - 1  # the bits of D >> s below N
+        if s:
+            dh, dl = dh >> _BLOCK & keep, dl >> _BLOCK & keep
+        wh, wl = dh & _MASK, dl & _MASK
+        for t in range(min(_BLOCK, n_len - s)):
+            if (wh | wl) >> t & 1:
+                d_two = wh >> t & 1
+                negate = d_two == bd_two  # d/b_d = 1
+                n = s + t
+                if t >= e_sh:
+                    xh, xl = eh << (t - e_sh), el << (t - e_sh)
+                else:
+                    xh, xl = eh >> (e_sh - t), el >> (e_sh - t)
+                if negate:
+                    xh, xl = xl, xh
+                if connection:
+                    yh, yl = b[0] << (n - m), b[1] << (n - m)
+                    c, old_c = gf3.add(c, (yl, yh) if negate else (yh, yl)), c
+                if 2 * ell <= n:
+                    ell = n + 1 - ell
+                    eh, el, e_sh, m, bd_two = dh & keep, dl & keep, t, n, d_two
+                    if connection:
+                        b = old_c
+                # D += X and w += X's low _BLOCK bits, by ``gf3.add``'s formula
+                # written out: as calls they made this kernel 18-23% slower
+                u = (dl | xh) ^ (dh | xl)
+                dh, dl = (dl | xl) ^ u, (dh | xh) ^ u
+                xh, xl = xh & _MASK, xl & _MASK
+                u = (wl | xh) ^ (wh | xl)
+                wh, wl = (wl | xl) ^ u, (wh | xh) ^ u
+            prof.append(ell)
+    if not connection:
+        return prof, None, ell
+    # -c swaps the slices; a 1 at x^L past c_1..c_L keeps to_coeffs from
+    # trimming a zero c_L, and the slice drops it
+    ch, cl = c
+    return prof, gf3.to_coeffs((cl >> 1, ch >> 1 | 1 << ell))[-2::-1], ell
 
 
 def _bm_modp(seq, p, connection):
-    """Residual synthesis over F_p; returns (L values, c vector or None, final L).
+    """Residual synthesis on int64 arrays over F_p, for odd p; returns
+    (L values, (-c_L, ..., -c_1) mod p or None, final L).
 
     ``res[i]`` holds coefficient i of D = c S for every i >= n; entries
     below n are stale and never read.  ``e[k]`` holds coefficient m + k
@@ -138,13 +208,15 @@ def _bm_modp(seq, p, connection):
                 e, m_e = e_next, m_e_next
                 ell, m = n + 1 - ell, n
         prof.append(ell)
-    return prof, (c[:ell + 1] % p if connection else None), ell
+    return prof, (tuple((-c[ell:0:-1] % p).tolist()) if connection else None), ell
 
 
 def _synthesize(prefix, field: PrimeField, connection=False):
-    field.validate_symbols(prefix)
+    prefix = field.validate_symbols(prefix)
     if field.p == 2:
         return _bm_f2(prefix, connection)
+    if field.p == 3:
+        return _bm_f3(prefix, connection)
     return _bm_modp(prefix, field.p, connection)
 
 
@@ -165,10 +237,4 @@ def bm_connection(prefix, field: PrimeField):
     if len(prefix) < 1:
         raise ValueError("prefix must contain at least one symbol")
     _, c, ell = _synthesize(prefix, field, connection=True)
-    p = field.p
-    if p == 2:
-        # -C_i = C_i for c = 1 + C_1 x + ... + C_L x^L; a set bit for C_(L+1)
-        # keeps to_bits from trimming a zero C_L, and the slice drops it
-        return ell, gf2.to_bits(c >> 1 | 1 << ell)[-2::-1]
-    cvec = c.tolist()
-    return ell, tuple(-cvec[ell - i] % p for i in range(ell))
+    return ell, c

@@ -222,7 +222,7 @@ def functional_equation_residual(spec: SequenceSpec, n: int, pref=None) -> Laure
     symbols = pref[:n]
     if not symbols:
         raise ValueError("prefix must contain at least one symbol")
-    field.validate_symbols(symbols)
+    symbols = field.validate_symbols(symbols)
     m = len(symbols)
     g = gf2.from_bits(symbols)
     r2 = gf2.stretch(g, 2, m)

@@ -8,12 +8,14 @@ coefficients (``PrecisionError`` below the known range) and the
 polynomial part.
 """
 
+import re
 from operator import add
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from seqc import expcomp, lincomp
 from seqc.algebra import (
     NEG_INF,
     FieldMismatchError,
@@ -166,6 +168,44 @@ class TestPrimeField:
             F3.validate_symbol(-1)
 
 
+class TestSymbolValidation:
+    """Symbols are what ``operator.index`` accepts, in [0, p), at every entry point."""
+
+    ENTRY_POINTS = {
+        "bm_profile": lincomp.bm_profile,
+        "bm_connection": lincomp.bm_connection,
+        "from_prefix": LaurentSeries.from_prefix,
+        "expansion_profile": expcomp.expansion_profile,
+    }
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("bad", [0.5, "1", None, 1.0])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_a_non_integer_is_named(self, entry, bad, p):
+        with pytest.raises(ValueError, match=re.escape(f"symbol {bad!r} is not an integer")):
+            self.ENTRY_POINTS[entry]([1, 0, bad, 1], PrimeField(p))
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 2**31 - 1])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_a_symbol_outside_the_field_is_named(self, entry, p):
+        for bad in (-1, p, 2**70):
+            with pytest.raises(ValueError, match=f"symbol {bad} outside F_{p}"):
+                self.ENTRY_POINTS[entry]([1, 0, bad, 1], PrimeField(p))
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 2**31 - 1])
+    def test_bools_numpy_integers_and_arrays_are_symbols(self, p):
+        field = PrimeField(p)
+        plain = [0, 1, 1, 0, 1, 1, 1, 0, 0, 1]
+        want = lincomp.bm_connection(plain, field)
+        for u in ([bool(v) for v in plain], [np.int64(v) for v in plain],
+                  [np.uint8(v) for v in plain], np.array(plain), np.array(plain, dtype=np.uint8),
+                  tuple(plain), range(2)):
+            symbols = field.validate_symbols(u)
+            assert symbols == tuple(u) and {type(v) for v in symbols} == {int}
+            if len(u) == len(plain):
+                assert lincomp.bm_connection(u, field) == want
+
+
 class TestPoly:
     def test_normalization_drops_leading_zeros(self):
         assert P(F2, 1, 0, 1, 0, 0).coeffs == (1, 0, 1)
@@ -313,6 +353,19 @@ class TestLaurentSeries:
         assert r.valuation == -2
         assert r.low == -4
         assert [series_coeff(r, -i) for i in range(1, 5)] == [0, 1, 1, 0]
+
+    @given(st.sampled_from([2, 3, 5, 2**31 - 1]).flatmap(lambda p: st.tuples(
+        st.just(p), st.lists(st.integers(0, p - 1), min_size=1, max_size=20))),
+        st.integers(0, 4))
+    def test_from_prefix_equals_the_general_constructor(self, case, zeros):
+        # from_prefix skips __post_init__'s reduction; the record is the same
+        p, xs = case
+        field = PrimeField(p)
+        xs = [0] * zeros + xs
+        r = LaurentSeries.from_prefix(xs, field)
+        assert r == LaurentSeries(field, -1, tuple(xs), -len(xs))
+        assert r == LaurentSeries.from_prefix([np.int64(v) for v in xs], field)
+        assert {type(c) for c in r.coeffs} <= {int}
 
     def test_from_prefix_all_zero(self):
         r = LaurentSeries.from_prefix([0, 0, 0], F2)

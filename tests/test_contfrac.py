@@ -1,12 +1,12 @@
 """Continued fractions of truncated Laurent series and their certificates."""
 
+import contextlib
 import dataclasses
 import hashlib
 import random
 import tracemalloc
 from itertools import accumulate, islice
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +15,7 @@ from seqc.algebra import LaurentSeries, Poly, PrecisionError, PrimeField
 from seqc.autoseq import Profile
 from test_algebra import (poly_coeff, poly_evaluate, poly_shift, polynomial_part, series_add,
                           series_coeff, series_from_poly, series_inverse, series_sub)
-from test_int64_bound import poly_euclid
+from test_int64_bound import int64_at_p3, poly_euclid
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -148,17 +148,28 @@ class TestConvergents:
                 assert diff.valuation == -exp.q_degrees[j]
 
 
-def _bump(poly, field, i):
-    """Add 1 to coefficient i of a stored (backend-native) polynomial."""
-    if field.p == 2:
-        return poly ^ (1 << i)
-    out = list(poly) + [0] * (i + 1 - len(poly))
-    out[i] = (out[i] + 1) % field.p
-    return np.array(out, dtype=np.int64)
+def _to_poly(a, field):
+    """A stored polynomial, in the backend form in force, as Poly."""
+    return contfrac._Backend(field).to_poly(a)
 
 
-def _native_degree(poly):
-    return poly.bit_length() - 1 if isinstance(poly, int) else len(poly) - 1
+def _stored(poly, field):
+    """A Poly in the backend form in force."""
+    return contfrac._Backend(field).from_symbols(poly.coeffs[::-1])
+
+
+def _bump(a, field, i):
+    """Add 1 to coefficient i of a stored polynomial."""
+    return _stored(_to_poly(a, field) + Poly.monomial(field, i), field)
+
+
+def _native_degree(a, field):
+    return contfrac._Backend(field).degree(a)
+
+
+def _forms(p):
+    """The backend forms a test at p runs in: at p = 3 gf3's slices and the int64 arrays."""
+    return (contextlib.nullcontext, int64_at_p3) if p == 3 else (contextlib.nullcontext,)
 
 
 def _random_stream(p, n, seed):
@@ -175,6 +186,17 @@ CONTROL_STREAMS = {
     # 1024 symbols: quotients of degree up to 242
     "f3 long sum-of-digits": (F3, autoseq.prefix(autoseq.sum_of_digits(3), 1024)),
 }
+# the F_3 streams run in the int64 form under their own names, and in
+# gf3's slices, the form the field chooses, under these
+CONTROL_STREAMS.update({f"{name} (gf3)": CONTROL_STREAMS[name]
+                        for name in list(CONTROL_STREAMS) if name.startswith("f3 ")})
+
+
+@pytest.fixture
+def name(request):
+    """A CONTROL_STREAMS key, with the backend form it names in force for the test."""
+    with (contextlib.nullcontext if request.param.endswith("(gf3)") else int64_at_p3)():
+        yield request.param
 
 
 def _control(name):
@@ -189,7 +211,7 @@ def _replaced(seq, j, value):
 class TestConvergentIdentityControls:
     """Every corruption of a stored expansion must be caught."""
 
-    @pytest.mark.parametrize("name", sorted(CONTROL_STREAMS))
+    @pytest.mark.parametrize("name", sorted(CONTROL_STREAMS), indirect=True)
     @pytest.mark.parametrize("where", ["first", "middle", "last", "longest"])
     @pytest.mark.parametrize("which", [0, 1])  # 0: A_j, 1: deg Q_j
     def test_perturbed_convergent(self, name, where, which):
@@ -197,19 +219,20 @@ class TestConvergentIdentityControls:
         field, stream, exp = _control(name)
         last = exp.degree_count
         assert last >= 4
-        longest = max(range(1, last + 1), key=lambda i: _native_degree(exp.raw_quotients[i]))
+        longest = max(range(1, last + 1),
+                      key=lambda i: _native_degree(exp.raw_quotients[i], field))
         j = {"first": 1, "middle": last // 2, "last": last, "longest": longest}[where]
         if which == 0:
             # a coefficient below the leading one, so the degree stays put
             a = exp.raw_quotients[j]
             bad = dataclasses.replace(exp, raw_quotients=_replaced(
-                exp.raw_quotients, j, _bump(a, field, _native_degree(a) // 2)))
+                exp.raw_quotients, j, _bump(a, field, _native_degree(a, field) // 2)))
         else:
             bad = dataclasses.replace(exp, q_degrees=_replaced(exp.q_degrees, j, exp.q_degrees[j] + 1))
         assert contfrac.check_convergent_identities(exp) is None
         assert contfrac.check_convergent_identities(bad) is not None
 
-    @pytest.mark.parametrize("name", sorted(CONTROL_STREAMS))
+    @pytest.mark.parametrize("name", sorted(CONTROL_STREAMS), indirect=True)
     @pytest.mark.parametrize("which", [0, 1])  # 0: A_0 (so P_0), 1: deg Q_0
     def test_wrong_seed_pair(self, name, which):
         field, stream, exp = _control(name)
@@ -221,7 +244,7 @@ class TestConvergentIdentityControls:
         assert contfrac.check_convergent_identities(exp) is None
         assert contfrac.check_convergent_identities(bad) == 0
 
-    @pytest.mark.parametrize("name", sorted(CONTROL_STREAMS))
+    @pytest.mark.parametrize("name", sorted(CONTROL_STREAMS), indirect=True)
     def test_checked_against_flipped_u0(self, name):
         field, stream, exp = _control(name)
         flipped = [(stream[0] + 1) % field.p] + list(stream[1:])
@@ -229,7 +252,7 @@ class TestConvergentIdentityControls:
         assert contfrac.check_convergent_identities(exp) is None
         assert contfrac.check_convergent_identities(bad) == exp.degree_count
 
-    @pytest.mark.parametrize("name", sorted(CONTROL_STREAMS))
+    @pytest.mark.parametrize("name", sorted(CONTROL_STREAMS), indirect=True)
     def test_expansion_cut_short(self, name):
         field, stream, exp = _control(name)
         bad = dataclasses.replace(exp, raw_quotients=exp.raw_quotients[:-1],
@@ -237,7 +260,7 @@ class TestConvergentIdentityControls:
         assert contfrac.check_convergent_identities(exp) is None
         assert contfrac.check_convergent_identities(bad) == exp.degree_count - 1
 
-    @pytest.mark.parametrize("name", sorted(CONTROL_STREAMS))
+    @pytest.mark.parametrize("name", sorted(CONTROL_STREAMS), indirect=True)
     def test_constant_quotients_fail_the_degree_test(self, name):
         # The quotient matrices of 1, -1, 1 multiply to diag(1, -1), so
         # appending them gives (Q_{J+2}, Q_{J+3}) = (-Q_{J-1}, Q_J): the
@@ -245,31 +268,32 @@ class TestConvergentIdentityControls:
         # residual all hold.  Only deg A_j >= 1 rejects the expansion.
         field, stream, exp = _control(name)
         last = exp.degree_count
-        one, minus_one = ((1, 1) if field.p == 2 else
-                          (np.array([1], dtype=np.int64), np.array([field.p - 1], dtype=np.int64)))
+        one, minus_one = _stored(Poly.one(field), field), _stored(P(field, field.p - 1), field)
         degs = exp.q_degrees
         bad = dataclasses.replace(exp, raw_quotients=exp.raw_quotients + (one, minus_one, one),
                                   q_degrees=degs + (degs[-1], degs[-2], degs[-1]))
         assert contfrac.check_convergent_identities(bad) == last + 1
 
     @staticmethod
-    def _negated_fails(exp, p):
+    def _negated_fails(exp, field):
         # A_j -> -A_j for j >= 1 gives Q_j -> (-1)^j Q_j, so every deg Q_j
         # holds and, at even J, Q_J itself; P_j = Pol(Q_j R) follows Q_j,
         # so the residual keeps its degree.  Only the sign of the derived
         # determinant P_{J-1} Q_J - P_J Q_{J-1}, now -(-1)^J, rejects it.
         last = exp.degree_count
         assert last % 2 == 0
-        negated = (exp.raw_quotients[0],) + tuple((-a) % p for a in exp.raw_quotients[1:])
+        negated = (exp.raw_quotients[0],) + tuple(_stored(-_to_poly(a, field), field)
+                                                  for a in exp.raw_quotients[1:])
         bad = dataclasses.replace(exp, raw_quotients=negated)
         assert bad.convergent(last) == exp.convergent(last)
         assert contfrac.check_convergent_identities(exp) is None
         assert contfrac.check_convergent_identities(bad) == last
 
-    @pytest.mark.parametrize("name", [n for n in sorted(CONTROL_STREAMS) if n[:3] != "f2 "])
+    @pytest.mark.parametrize("name", [n for n in sorted(CONTROL_STREAMS) if n[:3] != "f2 "],
+                             indirect=True)
     def test_negated_quotients_fail_the_determinant(self, name):
         field, stream, exp = _control(name)
-        self._negated_fails(exp, field.p)
+        self._negated_fails(exp, field)
 
     @pytest.mark.parametrize("p", [3, P31])
     @pytest.mark.parametrize("count", [2, 4, 8])
@@ -279,9 +303,12 @@ class TestConvergentIdentityControls:
         rng = random.Random(p + count)
         quots = [Poly(field, tuple(rng.randrange(1, p) for _ in range(rng.randrange(2, 5))))
                  for _ in range(count)]
-        exp = contfrac.cf_expand(LaurentSeries.from_prefix(_rational_prefix(quots, field), field))
-        assert exp.degree_count == count
-        self._negated_fails(exp, p)
+        for form in _forms(p):
+            with form():
+                exp = contfrac.cf_expand(LaurentSeries.from_prefix(_rational_prefix(quots, field),
+                                                                   field))
+                assert exp.degree_count == count
+                self._negated_fails(exp, field)
 
 
 class TestZeroSeries:
@@ -301,7 +328,12 @@ class TestZeroSeries:
 
     @pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
     def test_corrupted_zero_expansion_fails(self, p):
-        field = PrimeField(p)
+        for form in _forms(p):
+            with form():
+                self._corrupted_zero_expansion_fails(PrimeField(p))
+
+    @staticmethod
+    def _corrupted_zero_expansion_fails(field):
         exp = contfrac.cf_expand(LaurentSeries.from_prefix([0] * 16, field))
         a0 = exp.raw_quotients[0]
         bumped = dataclasses.replace(exp, raw_quotients=(_bump(a0, field, 0),))
@@ -345,11 +377,6 @@ class TestRationalSeries:
         assert exp.q_degrees == tuple(range(0, 17, 2))
 
 
-def _to_poly(a, field):
-    """A stored (backend-native) polynomial as Poly."""
-    return gf2.to_poly(a, field) if field.p == 2 else Poly(field, tuple(a.tolist()))
-
-
 _quotient_cases = st.sampled_from([2, 3, 5, P31]).flatmap(lambda p: st.tuples(
     st.just(p),
     st.lists(st.lists(st.integers(0, p - 1), min_size=2, max_size=4).filter(lambda c: c[-1]),
@@ -368,6 +395,13 @@ def test_convergents_match_poly_recurrence(case):
     quots = [Poly(field, tuple(c)) for c in coeff_lists]
     r = LaurentSeries.from_prefix([0] * zeros + _rational_prefix(quots, field), field)
     r = series_add(r, series_from_poly(Poly(field, tuple(a0)), r.low))
+    for form in _forms(p):
+        with form():
+            _check_convergents(r, quots, a0, zeros)
+
+
+def _check_convergents(r, quots, a0, zeros):
+    field = r.field
     exp = contfrac.cf_expand(r)
     if not zeros:
         assert exp.quotients[1:] == tuple(quots)

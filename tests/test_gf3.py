@@ -1,0 +1,174 @@
+"""Bit-sliced GF(3) polynomials, and the p = 3 kernels that run on them.
+
+``gf3`` stores a polynomial as two ints, the positions of its 1s and of
+its 2s.  Its arithmetic is checked against ``Poly``, whose products are
+the Kronecker product of ``algebra._kron_mul`` and whose division is
+schoolbook.  ``gf3.mul`` is shift-and-add while the shorter operand's
+weight is at most ``gf3._SPARSE + (len a + len b) // gf3._SPACING`` and
+a Kronecker product above that; both paths are pinned by moving
+``_SPARSE``.  The public functions serve p = 3 from these slices; their
+outputs are compared with the int64 kernels, which ``int64_at_p3`` (and
+a direct call of ``lincomp._bm_modp``) runs at p = 3, and with the
+Python references ``schoolbook_bm``, ``poly_euclid`` and
+``poly_convergent``.
+"""
+
+import dataclasses
+import random
+from itertools import accumulate
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from seqc import autoseq, contfrac, gf3, lincomp
+from seqc.algebra import LaurentSeries, Poly, PrimeField
+from test_int64_bound import int64_at_p3, poly_convergent, poly_euclid
+from test_lincomp import schoolbook_bm
+
+F3 = PrimeField(3)
+
+# ``_SPARSE`` values that send every product down one path
+PATHS = {"shift": 1 << 40, "kron": -(1 << 40)}
+
+coeff_lists = st.lists(st.integers(0, 2), max_size=200)
+
+
+def pack(coeffs):
+    return gf3.from_coeffs(coeffs)
+
+
+def poly(coeffs):
+    return Poly(F3, tuple(coeffs))
+
+
+def test_add_and_sub_on_every_pair():
+    for a in range(3):
+        for b in range(3):
+            assert gf3.to_coeffs(gf3.add(pack([a]), pack([b]))) == poly([(a + b) % 3]).coeffs
+            assert gf3.to_coeffs(gf3.sub(pack([a]), pack([b]))) == poly([(a - b) % 3]).coeffs
+
+
+@given(coeff_lists)
+def test_packing_round_trip(coeffs):
+    h, l = a = pack(coeffs)
+    assert h & l == 0
+    assert gf3.to_poly(a, F3) == poly(coeffs)
+    assert gf3.degree(a) == len(poly(coeffs).coeffs) - 1
+
+
+@given(coeff_lists, coeff_lists, st.integers(0, 70))
+def test_arithmetic_matches_poly(xs, ys, n):
+    a, b = pack(xs), pack(ys)
+    assert gf3.to_poly(gf3.add(a, b), F3) == poly(xs) + poly(ys)
+    assert gf3.to_poly(gf3.sub(a, b), F3) == poly(xs) - poly(ys)
+    high, low = gf3.split(a, n)
+    assert gf3.to_poly(high, F3) == poly(xs[n:])
+    assert gf3.to_poly(low, F3) == poly(xs[:n])
+    if any(ys):
+        q, r = gf3.divmod_(a, b)
+        assert (gf3.to_poly(q, F3), gf3.to_poly(r, F3)) == divmod(poly(xs), poly(ys))
+
+
+def test_divmod_by_zero_raises():
+    with pytest.raises(ZeroDivisionError):
+        gf3.divmod_(pack([1, 2]), (0, 0))
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+@given(coeff_lists, coeff_lists)
+@example([2], [0, 1, 2])  # a constant -1: -b itself, unshifted
+@example([1, 0, 2], [2] * 150)
+@settings(max_examples=60)
+def test_mul_paths_match_poly(path, xs, ys):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gf3, "_SPARSE", PATHS[path])
+        assert gf3.to_poly(gf3.mul(pack(xs), pack(ys)), F3) == poly(xs) * poly(ys)
+
+
+@pytest.mark.parametrize("short, long", [(300, 300), (1000, 5000), (2000, 6000)])
+def test_mul_switches_at_the_weight_rule(monkeypatch, short, long):
+    """At the rule's weight shift-and-add runs, one more takes the Kronecker product."""
+    rng = random.Random(short)
+    b = [rng.randrange(3) for _ in range(long - 1)] + [1]
+    limit = gf3._SPARSE + (short + long) // gf3._SPACING
+    krons = []
+    real = gf3._kron_mul
+    monkeypatch.setattr(gf3, "_kron_mul", lambda *args: krons.append(1) or real(*args))
+    for weight in (limit, limit + 1):
+        if weight > short:
+            continue
+        a = [0] * short
+        for i in rng.sample(range(short - 1), weight - 1) + [short - 1]:
+            a[i] = rng.randrange(1, 3)
+        krons.clear()
+        assert gf3.to_poly(gf3.mul(pack(a), pack(b)), F3) == poly(a) * poly(b)
+        assert krons == ([1] if weight > limit else [])
+
+
+SUM_OF_DIGITS = autoseq.prefix(autoseq.sum_of_digits(3), 800)
+
+
+def _bumped_sum_of_digits(case):
+    n, bumps = case
+    u = list(SUM_OF_DIGITS[:n])
+    for i, d in bumps:
+        u[i % n] = (u[i % n] + d) % 3
+    return u
+
+
+# random symbols; chunks of symbols between zero runs, whose quotients have
+# high degree; sum-of-digits(3) with one to three symbols bumped, as the
+# corrupted-generator controls do; one symbol; all zeros
+_streams = st.one_of(
+    st.lists(st.integers(0, 2), min_size=1, max_size=300),
+    st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=4)
+             | st.integers(1, 90).map(lambda k: [0] * k),
+             min_size=1, max_size=12).map(lambda chunks: sum(chunks, [])),
+    st.tuples(st.integers(1, len(SUM_OF_DIGITS)),
+              st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(1, 2)),
+                       min_size=1, max_size=3)).map(_bumped_sum_of_digits),
+    st.integers(0, 2).map(lambda v: [v]),
+    st.integers(1, 200).map(lambda n: [0] * n),
+)
+
+
+def _expansion_outputs(symbols):
+    exp = contfrac.cf_expand(LaurentSeries.from_prefix(symbols, F3))
+    to_poly = contfrac._Backend(F3).to_poly
+    last = exp.degree_count
+    convergents = {j: exp.convergent(j) for j in sorted({0, 1, last // 2, last}) if j <= last}
+    return exp, [to_poly(a) for a in exp.raw_quotients], convergents
+
+
+@given(_streams)
+@example(_bumped_sum_of_digits((729, [(500, 1)])))
+@example([0] * 64 + [2])
+@settings(max_examples=80, deadline=None)
+def test_sliced_kernels_match_int64_and_references(symbols):
+    prof, c, ell = schoolbook_bm(symbols, 3)
+    connection = tuple(-c[ell - i] % 3 for i in range(ell))
+    assert lincomp._bm_modp(symbols, 3, True) == (prof, connection, ell)
+    assert list(lincomp.bm_profile(symbols, F3)) == prof
+    assert lincomp.bm_connection(symbols, F3) == (ell, connection)
+
+    exp, quotients, convergents = _expansion_outputs(symbols)
+    with int64_at_p3():
+        ref_exp, ref_quotients, ref_convergents = _expansion_outputs(symbols)
+        assert contfrac.check_convergent_identities(ref_exp) is None
+    assert isinstance(exp.raw_quotients[0], tuple) and isinstance(ref_exp.raw_quotients[0],
+                                                                  np.ndarray)
+    ref = poly_euclid(symbols, F3)
+    assert quotients == ref_quotients
+    assert quotients[1:] == ref
+    assert exp.q_degrees == ref_exp.q_degrees == tuple(accumulate((a.degree for a in ref),
+                                                                  initial=0))
+    assert convergents == ref_convergents
+    for j, pair in convergents.items():
+        assert pair == poly_convergent(ref[:j], F3)
+    assert contfrac.check_convergent_identities(exp) is None
+    # a bumped constant term of A_J changes Q_J (or A_0, at J = 0): the
+    # certificate must see it
+    bumped = gf3.add(exp.raw_quotients[-1], pack([1]))
+    bad = dataclasses.replace(exp, raw_quotients=exp.raw_quotients[:-1] + (bumped,))
+    assert contfrac.check_convergent_identities(bad) is not None

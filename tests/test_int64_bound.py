@@ -1,6 +1,6 @@
 """The odd-p int64 bound invariant of ``algebra._make_room``.
 
-The odd-p kernels (Berlekamp-Massey, the Euclid of ``cf_expand`` and the
+The int64 kernels (Berlekamp-Massey, the Euclid of ``cf_expand`` and the
 convergent recurrence) keep unreduced int64 arrays, each with a tracked
 bound on its entries, and reduce mod p only when the next product could
 pass INT64_MAX.  Here that limit is lowered to (p-1) + j (p-1)^2: at
@@ -12,6 +12,11 @@ low limit a quotient of degree 8 or more takes several chunks with
 reductions between them.  Every helper call checks the tracked bounds
 against the arrays themselves, and the outputs must equal references on
 Python ints.
+
+The public functions serve p = 3 from ``gf3``'s bit slices, and the int64
+kernels every p >= 5; here they run at p = 3 too, as they can at any odd
+p: Berlekamp-Massey is called directly, and ``int64_at_p3`` gives the
+continued fractions the int64 form.
 """
 
 import contextlib
@@ -63,6 +68,14 @@ def low_limit(p, slack):
         yield reductions
 
 
+@contextlib.contextmanager
+def int64_at_p3():
+    """``contfrac``'s int64 form at p = 3, where the field chooses ``gf3``'s slices."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(contfrac._Backend, "_slices", contfrac._Backend._arrays)
+        yield
+
+
 def poly_euclid(symbols, field):
     """A_1, A_2, ... of sum u_i x^(N-1-i) / x^N by Poly division, with cf_expand's stop rule."""
     n = len(symbols)
@@ -89,11 +102,17 @@ def poly_convergent(quotients, field):
 
 
 def check_kernels(symbols, p):
-    """Every odd-p kernel output on ``symbols`` against its reference."""
+    """Every int64 kernel output on ``symbols`` against its reference."""
+    with int64_at_p3():
+        _check_kernels(symbols, p)
+
+
+def _check_kernels(symbols, p):
     field = PrimeField(p)
     prof, c, ell = schoolbook_bm(symbols, p)
-    assert list(lincomp.bm_profile(symbols, field)) == prof
-    assert lincomp.bm_connection(symbols, field) == (ell, tuple(-c[ell - i] % p for i in range(ell)))
+    assert lincomp._bm_modp(symbols, p, False) == (prof, None, ell)
+    assert lincomp._bm_modp(symbols, p, True) == (prof, tuple(-c[ell - i] % p for i in range(ell)),
+                                                 ell)
     if not any(symbols):
         return
     exp = contfrac.cf_expand(LaurentSeries.from_prefix(symbols, field))

@@ -127,7 +127,7 @@ def test_init_binds_only_the_submodules():
             bound |= {t.id for t in node.targets}
         else:
             assert isinstance(node, ast.Expr), ast.dump(node)  # the docstring
-    assert bound == {"algebra", "autoseq", "contfrac", "expcomp", "gf2", "lincomp", "theory",
+    assert bound == {"algebra", "autoseq", "contfrac", "expcomp", "gf2", "gf3", "lincomp", "theory",
                      "__version__"}
 
 
