@@ -306,7 +306,9 @@ class Profile:
     values: tuple
 
     def at(self, n: int) -> int:
-        """L(u_n, n) for 1 <= n <= n_max."""
+        """L(u_n, n) for 1 <= n <= n_max; IndexError for any other n."""
+        if not 1 <= n <= len(self.values):
+            raise IndexError(f"n = {n} is outside [1, {len(self.values)}]")
         return self.values[n - 1]
 
     def __len__(self):

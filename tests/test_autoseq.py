@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from seqc import autoseq
+from seqc import autoseq, lincomp
 from seqc.algebra import PrimeField
 from seqc.autoseq import Profile
 
@@ -248,6 +248,13 @@ class TestProfile:
         prof = Profile((0, 2, 2))
         assert prof.at(1) == 0
         assert prof.at(3) == 2
+
+    @pytest.mark.parametrize("n", [0, -1, 9])
+    def test_at_outside_range_raises(self, n):
+        prof = lincomp.bm_profile(autoseq.prefix(autoseq.thue_morse(), 8), PrimeField(2))
+        assert prof.at(8) == 4
+        with pytest.raises(IndexError, match=r"outside \[1, 8\]"):
+            prof.at(n)
 
     def test_validate_accepts_legal_profile(self):
         validate_profile(Profile((0, 2, 2, 2, 2, 4)))

@@ -15,6 +15,7 @@ from test_autoseq import total_degree
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
+PATTERN_3_2_4 = autoseq.pattern(3, 2, 4)
 
 
 def evaluate_witness(witness, prefix, field: PrimeField) -> Poly:
@@ -32,7 +33,7 @@ def evaluate_witness(witness, prefix, field: PrimeField) -> Poly:
 
 
 def list_profile(prefix, field: PrimeField, d_max=None):
-    """The profile through the list form at any p: the reference for the bit-packed F_2 form."""
+    """The profile through the list form at any p: the reference at p = 2 and 3."""
     return expcomp._profile(prefix, expcomp._ListForm(prefix, field.p), d_max)
 
 
@@ -183,6 +184,16 @@ class TestKernelShrink:
                                                    d_max=d_max)]
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == self.DIGESTS[d_max]
 
+    def test_uncapped_profiles_pinned(self):
+        # digest of the default (uncapped) profile at N=256 of every built-in
+        # plus pattern(3,2,4), recorded from the list form at p = 3, before
+        # the bit-sliced form took over there
+        rows = [(r.n, r.value, r.witness, r.capped)
+                for spec in (*autoseq.builtin_specs(), PATTERN_3_2_4)
+                for r in expcomp.expansion_profile(autoseq.prefix(spec, 256), spec.field)]
+        assert (hashlib.sha256(repr(rows).encode()).hexdigest()
+                == "40c16e17b188faaeeb5b415c3eda3bfc79dc6c6c418a5879b2e44ef646bbc80f")
+
     @pytest.mark.parametrize("seed", range(3))
     def test_witnesses_exact_at_largest_p(self, seed):
         field = PrimeField(2**31 - 1)
@@ -215,14 +226,50 @@ class TestBitPackedAgainstLists:
         assert expcomp.expansion_profile(bits, F2, d_max) == list_profile(bits, F2, d_max)
 
 
+def _bumped(prefix, positions):
+    """The F_3 prefix with the symbols at ``positions`` raised by 1."""
+    return [(a + 1) % 3 if i in positions else a for i, a in enumerate(prefix)]
+
+
+def _word(syms):
+    """The base-3 number with digit i = syms[i]."""
+    return sum(a * 3**i for i, a in enumerate(syms))
+
+
+SOD3 = autoseq.prefix(autoseq.sum_of_digits(3), 96)
+
+
+class TestSlicesAgainstLists:
+    # words from both strategies: Hypothesis's integers, mostly sparse
+    # prefixes, and uniform ones, dense prefixes
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 128),
+           st.integers(0, 3**128 - 1) | st.randoms(use_true_random=False).map(
+               lambda rng: rng.randrange(3**128)),
+           st.sampled_from([3, 8, None]))
+    @example(128, random.Random(0).randrange(3**128), None)  # a dense prefix, E_128 = 15
+    @example(96, _word(_bumped(SOD3, {40})), None)
+    @example(96, _word(_bumped(SOD3, {17, 50, 81})), 8)
+    @example(40, 0, None)
+    @example(1, 2, 3)
+    def test_random_f3_prefixes(self, n, word, d_max):
+        syms = [word // 3**i % 3 for i in range(n)]
+        res = expcomp.expansion_profile(syms, F3, d_max)
+        assert res == list_profile(syms, F3, d_max)
+        if res[-1].witness is not None:
+            assert evaluate_witness(res[-1].witness, syms, F3).is_zero
+
+
 N_BOUNDS = 256
 BUILTINS = {spec.canonical_name: spec for spec in autoseq.builtin_specs()}
+# the built-ins and one odd-p pattern
+BOUND_SPECS = {**BUILTINS, PATTERN_3_2_4.canonical_name: PATTERN_3_2_4}
 
 
 @functools.cache
 def default_profile(name):
     """(results, deg h, L profile) at N_BOUNDS under the default d_max."""
-    spec = BUILTINS[name]
+    spec = BOUND_SPECS[name]
     pref = autoseq.prefix(spec, N_BOUNDS)
     return (expcomp.expansion_profile(pref, spec.field), total_degree(autoseq.witness(spec)),
             list(lincomp.bm_profile(pref, spec.field).values))
@@ -232,17 +279,21 @@ class TestWitnessBounds:
     """E_N <= deg h, since h(G, t) = 0 exactly, and E_N <= L(N) + 1
     (Mérai–Niederreiter–Winterhof, Cryptogr. Commun. 2017), uncapped."""
 
-    @pytest.mark.parametrize("name", sorted(BUILTINS))
+    @pytest.mark.parametrize("name", sorted(BOUND_SPECS))
     def test_uncapped_within_both_bounds(self, name):
         res, hdeg, lin = default_profile(name)
         assert not any(r.capped for r in res)
         assert bound_violation([r.value for r in res], hdeg, lin) is None
-        # every built-in has reached its witness degree by N = 256
+        # every one has reached its witness degree by N = 256
         assert res[-1].value == hdeg
 
     def test_pattern_2_3_7_reaches_11(self):
         res, hdeg, _ = default_profile(autoseq.pattern(2, 3, 7).canonical_name)
         assert res[-1].value == hdeg == 11
+
+    def test_pattern_3_2_4_reaches_14(self):
+        res, hdeg, _ = default_profile(PATTERN_3_2_4.canonical_name)
+        assert res[-1].value == hdeg == 3 ** 2 + 2 * 3 - 1
 
     @pytest.mark.parametrize("name", sorted(BUILTINS))
     def test_capped_results_are_the_only_difference(self, name):
@@ -252,7 +303,7 @@ class TestWitnessBounds:
         for a, b in zip(res, capped):
             assert a == b or b.capped
 
-    @pytest.mark.parametrize("name", sorted(BUILTINS))
+    @pytest.mark.parametrize("name", sorted(BOUND_SPECS))
     def test_bumped_values_fail(self, name):
         res, hdeg, lin = default_profile(name)
         values = [r.value for r in res]
