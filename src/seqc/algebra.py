@@ -27,11 +27,11 @@ def _kron_mul(a, b, p: int):
     an array can have, so a slot is at most 16 bytes wide.
 
     It is the one Kronecker product in seqc, behind ``Poly`` and
-    ``LaurentSeries`` products at every p, expansion complexity's powers
-    at p >= 5, the certificate products on int64 arrays and ``gf3.mul``'s
-    dense products, the dense powers at p = 3 among them.  Bit-packed F_2
-    polynomials are multiplied by ``gf2.mul`` instead, which never calls
-    it.
+    ``LaurentSeries`` products at every p, ``ring.Ring.mul`` on int64
+    arrays (p >= 5) and ``gf3.mul``'s dense products, so behind every
+    full product at p = 3 and p >= 5 that is not shift-and-add.
+    Bit-packed F_2 polynomials are multiplied by ``gf2.mul`` instead,
+    which never calls it.
     """
     a, b = np.asarray(a, dtype=np.uint64), np.asarray(b, dtype=np.uint64)
     if not len(a) or not len(b):

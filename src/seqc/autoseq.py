@@ -10,10 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-import numpy as np
-
-from . import gf2
-from .algebra import Poly, PrimeField, _kron_mul
+from .algebra import Poly, PrimeField
+from .ring import Ring
 
 PATTERN = "pattern"
 SUM_OF_DIGITS = "sum-of-digits"
@@ -246,47 +244,26 @@ def witness_residual(w: AlgebraicWitness, pref, n: int) -> Poly:
 
     Over F_p, G(t)^p = G(t^p): the p-th power map is additive and fixes
     every coefficient.  So G^i is the product over the base-p digits d_j
-    of i of G(t^(p^j))^(d_j), and each factor is G's coefficients spread
-    with stride p^j; only an exponent whose digits sum to more than one
-    takes a product (for the built-ins, Baum-Sweet's s^3 over F_2).  Each
-    h_i is short, so h_i G^i is deg h_i + 1 shifted adds.  Every factor
-    and term is cut mod t^n as it is built, which changes no coefficient
+    of i of G(t^(p^j))^(d_j), and each factor is one ``stretch`` of G;
+    only an exponent whose digits sum to more than one takes a product
+    (for the built-ins, Baum-Sweet's s^3 over F_2).  Every factor and
+    power is cut mod t^n as it is built, which changes no coefficient
     below t^n, so the known range is t^0..t^(n-1) as for the full products.
     """
     n = max(n, 0)
     p = w.field.p
-    g = [v % p for v in pref[:n]]
-    if p == 2:
-        g = gf2.from_bits(g)
-        mask = (1 << n) - 1
-        acc = 0
-        for i, h in enumerate(w.h_coeffs):
-            if h.is_zero:
-                continue
-            power = None
-            for stride in _frobenius_strides(i, p):
-                f = gf2.stretch(g, stride, n)
-                power = f if power is None else gf2.mul(power, f) & mask
-            acc ^= gf2.mul(gf2.from_poly(h), 1 if power is None else power)
-        acc &= mask
-        return Poly(w.field, gf2.to_bits(acc))
-    g = np.array(g + [0] * (n - len(g)), dtype=np.int64)
-    acc = np.zeros(n, dtype=np.int64)
+    ring = Ring(w.field)
+    g = ring.from_coeffs([v % p for v in pref[:n]])
+    acc = ring.from_coeffs(())
     for i, h in enumerate(w.h_coeffs):
         if h.is_zero:
             continue
-        power = None
-        for stride in _frobenius_strides(i, p):
-            f = np.zeros(n, dtype=np.int64)
-            f[::stride] = g[:-(-n // stride)]
-            power = f if power is None else _kron_mul(power, f, p)[:n]
-        power = np.ones(1, dtype=np.int64) if power is None else power
-        for e, c in enumerate(h.coeffs[:n]):
-            if c:
-                seg = acc[e:e + len(power)]
-                seg += c * power[:len(seg)]  # below (p-1) + (p-1)^2 < 2^63
-                seg %= p
-    return Poly(w.field, tuple(np.trim_zeros(acc, "b").tolist()))
+        factors = (ring.stretch(g, stride, n) for stride in _frobenius_strides(i, p))
+        power = next(factors, ring.monomial(0))
+        for f in factors:
+            power = ring.split(ring.mul(power, f), n)[1]
+        acc = ring.add(acc, ring.mul(ring.from_coeffs(h.coeffs), power))
+    return ring.to_poly(ring.split(acc, n)[1])
 
 
 def _frobenius_strides(i: int, p: int) -> list:

@@ -17,32 +17,11 @@ at a time, and a numerator is read off one product, P_j = Pol(Q_j R).
 x^w + 1 and builds no full Q_j.  The tests check the engine against an
 independent polynomial-part/inverse recursion on truncated series.
 
-The field chooses the form.  Over F_2 polynomials are bit-packed ints
-(``gf2``), and each Euclid step is one ``gf2.divmod_`` on them: one
-shifted XOR of the divisor per quotient bit, and the divisor itself,
-unshifted, for a constant term.  Thue-Morse has a constant term in every
-quotient, a random stream in about half.  Over F_3 they are ``gf3``
-slice pairs, and a Euclid step is one ``gf3.divmod_``: one shifted slice
-addition of the divisor or its negation per quotient coefficient; the
-recurrence and the certificate multiply by ``gf3.mul``.  For p >= 5
-polynomials are numpy int64 coefficient arrays, low to high; the int64
-kernels are exact at p = 3 too, where the tests run them as the slices'
-reference.  A quotient has entries in [0, p).  A Euclid remainder and
-a denominator from the recurrence are kept unreduced, as a term
-[coeffs, M] with |coeffs_i| <= M, whose top entry alone is reduced and
-nonzero, so its degree is its length less one; a reduction in place lowers M in place.  Each product c*y
-(c in [0, p)) added to x raises x's bound by (p-1) M_y, and
-``algebra._make_room`` reduces an operand mod p only when the next
-products could pass 2^63 - 1.  A division step by a quotient
-coefficient c = 1 or c = p - 1 forms no product: it subtracts or adds
-the divisor (``algebra._sub_multiple``) and raises the bound by M_y
-alone.  So every step is exact at every p <= 2^31 - 1, and at small p a
-reduction is rare.  The recurrence adds A_j y by one slice update per
-coefficient while A_j is short beside y, as a division step does, and
-otherwise by one ``np.convolve`` per chunk of A_j: a chunk of k
-coefficients raises the bound by k (p-1) M_y, and a chunk is as long as
-the room left under 2^63 - 1 allows, so at small p a quotient is one
-convolution and at p = 2^31 - 1 a chunk is one or two coefficients.
+Polynomials are in the form the field chooses (``ring.Ring``): bit-packed
+ints over F_2, ``gf3`` slice pairs over F_3 and int64 arrays otherwise,
+where the Euclid remainders and the denominators stay unreduced under an
+int64 bound, exact at every p <= 2^31 - 1.  This module keeps no
+polynomial code of its own.
 
 Reliability is two-tiered.  Convergent degrees are determined by the
 first N coefficients whenever deg Q_{j-1} + deg Q_j <= N (the profile
@@ -59,12 +38,7 @@ at the last two denominators only.  One product Q_J G gives both P_J and
 the residual of the approximation property that ties the quotients to
 the input; one of Q_{J-1} with G's coefficients from x^(N - deg Q_{J-1})
 up, about half of them, gives P_{J-1}; two more give the determinant.
-Each such product is exact.  For int64 arrays it is one Kronecker
-product (``algebra._kron_mul``) of the arrays reduced mod p.  Over F_2
-it is ``gf2.mul`` on the packed ints, whose 8-bit window table serves
-these dense operands, while the recurrence's sparse quotients take its
-shift-and-XOR path; over F_3 ``gf3.mul`` makes the same choice between
-a Kronecker product and shift-and-add.
+Each such product is exact (``Ring.mul``).
 """
 
 from __future__ import annotations
@@ -72,14 +46,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from operator import xor
 
 import numpy as np
 
-from . import algebra, gf2, gf3
-from .algebra import (LaurentSeries, Poly, PrecisionError, PrimeField, _kron_mul, _make_room,
-                      _sub_multiple)
+from . import gf2
+from .algebra import LaurentSeries, Poly, PrecisionError, PrimeField
 from .autoseq import Profile
+from .ring import Ring
 
 
 @dataclass
@@ -88,7 +61,7 @@ class CFExpansion:
 
     ``series`` is the expanded input, known down to x^-N.
     ``raw_quotients`` holds A_0 and every degree-certified quotient
-    (deg Q_{j-1} + deg Q_j <= N) in backend form: bit-packed ints over
+    (deg Q_{j-1} + deg Q_j <= N) in ring form: bit-packed ints over
     F_2, ``gf3`` slice pairs over F_3, int64 coefficient arrays
     otherwise.  ``q_degrees`` holds deg Q_0..deg Q_J, the running sums of
     the quotient degrees, which the profile walk reads.  ``quotients``
@@ -103,7 +76,7 @@ class CFExpansion:
     """
 
     series: LaurentSeries
-    raw_quotients: tuple  # A_0, A_1, ..., A_J in backend form
+    raw_quotients: tuple  # A_0, A_1, ..., A_J in ring form
     q_degrees: tuple  # deg Q_0, ..., deg Q_J
 
     @property
@@ -128,82 +101,20 @@ class CFExpansion:
     @cached_property
     def quotients(self) -> tuple:
         """A_0, A_1, ..., A_{reliable_count} as Poly."""
-        to_poly = _Backend(self.field).to_poly
+        to_poly = Ring(self.field).to_poly
         return tuple(map(to_poly, self.raw_quotients[:self.reliable_count + 1]))
 
     def convergent(self, j: int):
         """(P_j, Q_j) as Poly pairs: Q_j rebuilt from A_1..A_j, P_j = Pol(Q_j R)."""
         if not 0 <= j < len(self.raw_quotients):
             raise IndexError(f"convergent index {j} outside [0, {len(self.raw_quotients)})")
-        backend = _Backend(self.field)
+        ring = Ring(self.field)
         q = next(islice(_denominators(self), j, None))
-        g = _scaled_input(backend, self.series)
-        return backend.to_poly(_numerator(backend, g, self.precision, q)), backend.to_poly(q)
+        g = _scaled_input(ring, self.series)
+        return ring.to_poly(_numerator(ring, g, self.precision, q)), ring.to_poly(q)
 
 
-class _Backend:
-    """Polynomial operations on one field's backend form.
-
-    The field chooses the form (module docstring): ``_bits`` at p = 2,
-    ``_slices`` at p = 3 and ``_arrays`` otherwise; ``_arrays`` is exact
-    at p = 3 as well.  ``from_symbols`` packs u_0..u_{n-1} as the
-    coefficients of x^{n-1}..x^0, and ``monomial(n)`` is x^n.  The Euclid
-    remainders and the recurrence terms travel as terms: over F_2 and F_3
-    the value itself, for int64 arrays a list [coeffs, bound].  ``term``
-    makes one from a value with entries in [0, p) and ``value`` gives
-    back its polynomial.  ``divmod(a, b)`` takes two terms and
-    ``mul_add(a, b, c)`` a quotient a and two terms; for int64 arrays
-    either may reduce b in place, lowering its bound with it.  ``mul``
-    (the exact full product), ``sub`` and ``split(a, n)`` =
-    (a div x^n, a mod x^n) take values; for int64 arrays ``mul`` reduces
-    its operands mod p first, and the parts of ``split`` are trimmed:
-    a mod x^n is a view of a, a div x^n a copy, so a quotient kept from
-    it holds no more than its own entries.
-    """
-
-    def __init__(self, field: PrimeField):
-        {2: self._bits, 3: self._slices}.get(field.p, self._arrays)(field)
-
-    def _bits(self, field):
-        self.term = self.value = lambda v: v
-        self.mul = gf2.mul
-        self.sub = xor
-        self.split = lambda a, n: (a >> n, a & ((1 << n) - 1))
-        self.mul_add = lambda a, b, c: gf2.mul(a, b) ^ c
-        self.divmod = gf2.divmod_
-        self.degree = gf2.degree
-        self.to_poly = lambda bits: gf2.to_poly(bits, field)
-        self.from_symbols = lambda symbols: gf2.from_bits(symbols[::-1])
-        self.monomial = lambda n: 1 << n
-
-    def _slices(self, field):
-        self.term = self.value = lambda v: v
-        self.mul = gf3.mul
-        self.sub = gf3.sub
-        self.split = gf3.split
-        self.mul_add = lambda a, b, c: gf3.add(gf3.mul(a, b), c)
-        self.divmod = gf3.divmod_
-        self.degree = gf3.degree
-        self.to_poly = lambda pair: gf3.to_poly(pair, field)
-        self.from_symbols = lambda symbols: gf3.from_coeffs(symbols[::-1])
-        self.monomial = lambda n: (0, 1 << n)
-
-    def _arrays(self, field):
-        p = field.p
-        self.term = lambda arr: [arr, p - 1]
-        self.value = lambda term: term[0]
-        self.mul = lambda a, b: _kron_mul(a % p, b % p, p)
-        self.sub = lambda a, b: _arr_sub(a, b, p)
-        self.split = lambda a, n: (a[n:].copy(), np.trim_zeros(a[:n], "b"))
-        self.mul_add = lambda a, b, c: _arr_mul_add(a, b, c, p)
-        self.divmod = lambda a, b: _arr_divmod(a, b, p)
-        self.degree = _arr_degree
-        self.to_poly = lambda arr: Poly(field, tuple(arr.tolist()))
-        self.from_symbols = lambda symbols: _arr_trim(np.array(symbols[::-1], dtype=np.int64), p)
-        self.monomial = lambda n: np.array([0] * n + [1], dtype=np.int64)
-
-
-def _euclid(backend: _Backend, r_prev, r_cur, n: int):
+def _euclid(ring: Ring, r_prev, r_cur, n: int):
     """(A_1, A_2, ...), (deg Q_1, deg Q_2, ...) of r_cur / r_prev,
     while deg Q_{j-1} + deg Q_j <= n.
 
@@ -212,10 +123,10 @@ def _euclid(backend: _Backend, r_prev, r_cur, n: int):
     before the division, so the quotient past the last one is never
     computed.
     """
-    divmod_, degree, value = backend.divmod, backend.degree, backend.value
+    divmod_, degree, value = ring.divmod, ring.degree, ring.value
     quotients, degs = [], []
     deg_q = 0
-    r_prev, r_cur = backend.term(r_prev), backend.term(r_cur)
+    r_prev, r_cur = ring.term(r_prev), ring.term(r_cur)
     deg_prev, deg_cur = degree(value(r_prev)), degree(value(r_cur))
     while deg_cur >= 0 and 2 * deg_q + deg_prev - deg_cur <= n:
         a, r_next = divmod_(r_prev, r_cur)
@@ -227,104 +138,6 @@ def _euclid(backend: _Backend, r_prev, r_cur, n: int):
     return quotients, degs
 
 
-def _arr_degree(a) -> int:
-    return len(a) - 1
-
-
-def _arr_trim(a, p):
-    """Drop entries that vanish mod p from the top; reduce the new top in place."""
-    top = len(a)
-    while top and not int(a[top - 1]) % p:
-        top -= 1
-    if top:
-        a[top - 1] %= p
-    return a[:top]
-
-
-def _arr_divmod(a, b, p):
-    """(quotient, remainder) for terms a, b over F_p, reusing a's storage.
-
-    a's coefficients are overwritten and the remainder's are a view of
-    them.  Each nonzero quotient coefficient c subtracts c*b from the
-    window a[i-db:i] below the current top a[i] (``_sub_multiple``: no
-    product at c = 1 or p - 1).  ``ma`` bounds every live entry a[:i]
-    and ``m_below`` the entries below the window, which no product has
-    touched yet: a reduction covers all of a[:i] until those are reduced
-    once, and the window alone after that.  The remainder keeps its
-    bound; only its top entry is reduced.
-    """
-    (av, ma), (bv, mb) = a, b
-    da, db = len(av) - 1, len(bv) - 1
-    if da < db:
-        return av[:0], a
-    inv = pow(int(bv[-1]), -1, p)
-    low = bv[:-1]  # the top of each product cancels av[i] exactly
-    q = np.zeros(da - db + 1, dtype=np.int64)
-    m_below = ma
-    for i in range(da, db - 1, -1):
-        c = int(av[i]) % p * inv % p
-        if c:
-            q[i - db] = c
-            window = av[i - db:i]
-            ma, mb = _make_room(av[:i] if m_below >= p else window, ma, low, mb, p)
-            m_below = min(m_below, ma)
-            ma += _sub_multiple(window, low, c, p) * mb
-    b[1] = mb
-    return q, [_arr_trim(av[:db], p), ma]
-
-
-# the recurrence adds a quotient by one slice update per coefficient while
-# the other factor has at least this many entries per quotient coefficient,
-# and by convolution otherwise: each slice update pays a few microseconds
-# of calls, so at p = 3, 5 and 2^31 - 1 slices were no slower than the
-# convolution from 256 entries per coefficient on, and up to 2.5x faster
-_SLICE_ENTRIES = 256
-
-
-def _arr_mul_add(a, b, c, p):
-    """a*b + c over F_p for a quotient a and terms b, c.
-
-    While b has at least _SLICE_ENTRIES entries per coefficient of a,
-    each nonzero a_i b is one slice update, out[i:] += a_i b, which is
-    ``_sub_multiple`` by p - a_i: no product at a_i = 1 or p - 1, and a
-    bound rise of at most (p-1) M_b, with ``_make_room`` before each.
-    Otherwise a is one convolution per chunk: a chunk of k
-    coefficients adds ``np.convolve(chunk, b)`` to the output, each of
-    whose entries sums at most k products of bound (p-1) M_b, so it
-    raises the output's bound by at most k (p-1) M_b.  ``_make_room``
-    reduces the output and b only when the rest of a would not fit under
-    ``algebra.INT64_MAX``, and the chunk is then as long as fits: at
-    small p a whole quotient is one convolution, and at p = 2^31 - 1 a
-    chunk is one or two coefficients.
-    """
-    (bv, mb), (cv, m_out) = b, c
-    out = np.zeros(max(len(a) + len(bv) - 1, len(cv)), dtype=np.int64)
-    out[:len(cv)] = cv
-    if len(a) * _SLICE_ENTRIES <= len(bv):
-        for i, coef in enumerate(a.tolist()):
-            if coef:
-                m_out, mb = _make_room(out, m_out, bv, mb, p)
-                m_out += _sub_multiple(out[i:i + len(bv)], bv, p - coef, p) * mb
-    else:
-        i = 0
-        while len(bv) and i < len(a):
-            m_out, mb = _make_room(out, m_out, bv, mb, p, len(a) - i)
-            k = min(len(a) - i, (algebra.INT64_MAX - m_out) // ((p - 1) * mb))
-            out[i:i + k + len(bv) - 1] += np.convolve(a[i:i + k], bv)
-            m_out += k * (p - 1) * mb
-            i += k
-    b[1] = mb
-    return [_arr_trim(out, p), m_out]
-
-
-def _arr_sub(x, y, p):
-    """x - y over F_p, trimmed, for x, y with entries in [0, p)."""
-    out = np.zeros(max(len(x), len(y)), dtype=np.int64)
-    out[:len(x)] = x
-    out[:len(y)] -= y
-    return np.trim_zeros(out % p, "b")
-
-
 def _value_certified_count(degs, n) -> int:
     """Quotients whose value 2 deg Q_j <= n pins down (minimal recurrence unique)."""
     rc = 0
@@ -333,13 +146,13 @@ def _value_certified_count(degs, n) -> int:
     return rc
 
 
-def _scaled_input(backend: _Backend, series: LaurentSeries):
-    """G = x^N R cut below x^0 in backend form, for R known down to x^-N.
+def _scaled_input(ring: Ring, series: LaurentSeries):
+    """G = x^N R cut below x^0 in ring form, for R known down to x^-N.
 
     R's known coefficients, top first, are G's from x^(top + N) down to
     x^0, so ``split(G, N)`` gives A_0 = Pol(R) and g = x^N (R - A_0).
     """
-    return backend.from_symbols(series.coeffs)
+    return ring.from_coeffs(series.coeffs[::-1])
 
 
 def cf_expand(r: LaurentSeries) -> CFExpansion:
@@ -348,10 +161,10 @@ def cf_expand(r: LaurentSeries) -> CFExpansion:
     One split of G = x^N R gives A_0 and g, and Euclid on (x^N, g) the
     rest; at g = 0, the zero series included, A_0 is the whole expansion.
     """
-    backend = _Backend(r.field)
+    ring = Ring(r.field)
     n = -r.low
-    a0, g = backend.split(_scaled_input(backend, r), n)
-    quots, degs = _euclid(backend, backend.monomial(n), g, n)
+    a0, g = ring.split(_scaled_input(ring, r), n)
+    quots, degs = _euclid(ring, ring.monomial(n), g, n)
     return CFExpansion(r, (a0, *quots), (0, *degs))
 
 
@@ -392,42 +205,42 @@ def profile_from_expansion(expansion: CFExpansion, n_max: int) -> Profile:
 
 
 def _denominators(expansion: CFExpansion):
-    """Q_0 = 1, Q_1, ..., Q_J in backend form, Q_j = A_j Q_{j-1} + Q_{j-2} from Q_{-1} = 0.
+    """Q_0 = 1, Q_1, ..., Q_J in ring form, Q_j = A_j Q_{j-1} + Q_{j-2} from Q_{-1} = 0.
 
     Holds two terms at a time, so memory stays linear in deg Q_J.
     """
-    backend = _Backend(expansion.field)
-    mul_add, value = backend.mul_add, backend.value
-    prev, cur = backend.term(backend.from_symbols(())), backend.term(backend.monomial(0))
+    ring = Ring(expansion.field)
+    mul_add, value = ring.mul_add, ring.value
+    prev, cur = ring.term(ring.from_coeffs(())), ring.term(ring.monomial(0))
     yield value(cur)
     for a in expansion.raw_quotients[1:]:
         prev, cur = cur, mul_add(a, cur, prev)
         yield value(cur)
 
 
-def _numerator(backend: _Backend, g, n: int, q):
+def _numerator(ring: Ring, g, n: int, q):
     """Pol(Q R) for a polynomial Q, from G = x^N R cut below x^0.
 
     Q times a coefficient of R below x^-deg Q lands below x^0, so only
     R's coefficients down to x^-deg Q, G's from x^(N - deg Q) up, take
     part (all of G when deg Q > N, which only a corrupted expansion has).
     """
-    k = min(backend.degree(q), n)
-    return backend.split(backend.mul(q, backend.split(g, n - k)[0]), k)[0]
+    k = min(ring.degree(q), n)
+    return ring.split(ring.mul(q, ring.split(g, n - k)[0]), k)[0]
 
 
-def _last_convergent_ok(expansion: CFExpansion, backend: _Backend, g, q_prev, q_last) -> bool:
+def _last_convergent_ok(expansion: CFExpansion, ring: Ring, g, q_prev, q_last) -> bool:
     """Determinant and approximation property at J, from Q_{J-1}, Q_J and G alone."""
     n, dq = expansion.precision, expansion.q_degrees[-1]
     j_last = len(expansion.raw_quotients) - 1
-    p_last, residual = backend.split(backend.mul(q_last, g), n)  # Q_J G = P_J x^N + residual
+    p_last, residual = ring.split(ring.mul(q_last, g), n)  # Q_J G = P_J x^N + residual
     # J = 0: (P_{-1}, Q_{-1}) = (1, 0) and the determinant is Q_0 = 1, checked already
     if j_last:
-        p_prev = _numerator(backend, g, n, q_prev)
-        det = backend.sub(backend.mul(p_prev, q_last), backend.mul(p_last, q_prev))
-        if backend.to_poly(det) != Poly(expansion.field, ((-1) ** j_last,)):
+        p_prev = _numerator(ring, g, n, q_prev)
+        det = ring.sub(ring.mul(p_prev, q_last), ring.mul(p_last, q_prev))
+        if ring.to_poly(det) != Poly(expansion.field, ((-1) ** j_last,)):
             return False
-    return backend.degree(residual) < min(n - dq, dq)
+    return ring.degree(residual) < min(n - dq, dq)
 
 
 def check_convergent_identities(expansion: CFExpansion):
@@ -474,21 +287,21 @@ def check_convergent_identities(expansion: CFExpansion):
     expansion cut short.  Returns the index of the first failing
     convergent or None.
     """
-    backend = _Backend(expansion.field)
+    ring = Ring(expansion.field)
     quots, degs = expansion.raw_quotients, expansion.q_degrees
     if len(degs) != len(quots):
         return min(len(degs), len(quots))
-    g = _scaled_input(backend, expansion.series)
-    a0 = backend.split(g, expansion.precision)[0]
-    if backend.to_poly(quots[0]) != backend.to_poly(a0) or degs[0] != 0:
+    g = _scaled_input(ring, expansion.series)
+    a0 = ring.split(g, expansion.precision)[0]
+    if ring.to_poly(quots[0]) != ring.to_poly(a0) or degs[0] != 0:
         return 0
     denominators = _denominators(expansion)
     q_prev = q_last = next(denominators)
     for j, q in enumerate(denominators, 1):
-        if backend.degree(quots[j]) < 1 or backend.degree(q) != degs[j]:
+        if ring.degree(quots[j]) < 1 or ring.degree(q) != degs[j]:
             return j
         q_prev, q_last = q_last, q
-    return None if _last_convergent_ok(expansion, backend, g, q_prev, q_last) else len(quots) - 1
+    return None if _last_convergent_ok(expansion, ring, g, q_prev, q_last) else len(quots) - 1
 
 
 def q_congruences(expansion: CFExpansion, k: int) -> tuple:

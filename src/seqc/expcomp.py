@@ -21,17 +21,19 @@ the unique kernel vector with a 1 at the first free column of the
 reduced echelon form and support at or below it, so the witness is
 deterministic; its tuple is rebuilt only when that vector changes.
 
-One loop serves every field; p alone picks one of three vector forms.
-Over F_2 (``_BitForm``) a vector and a row are each one int, bit c
-standing for column c, so the row test is the parity of ``v & row`` and
-a reduction is ``v ^ pivot``.  The powers G^i mod t^N are gf2 ints,
-each reversed once (``_Reversed``), so that the block of a row for one
-i is one shift and one mask.  Over F_3 (``_SliceForm``) a vector, a row
-and a power are gf3 slice pairs (h, l): each slice of a row is built as
-an F_2 row is, the row test is two popcounts, and a reduction is one
-slice addition of the pivot or its negation.  For p >= 5 (``_ListForm``)
-vectors and powers are lists of Python ints reduced mod p; at p = 2 and
-3 that form is the tests' reference.
+One loop serves every field.  It builds each power G^i mod t^N once,
+as G^(i-1) G cut at t^N, in the field's ``ring.Ring``, and hands its
+coefficients to the vector form, which p alone picks.  Over F_2
+(``_BitForm``) a vector and a row are each one int, bit c standing for
+column c, so the row test is the parity of ``v & row`` and a reduction
+is ``v ^ pivot``.  Each power is kept reversed as one int
+(``_Reversed``), so that the block of a row for one i is one shift and
+one mask.  Over F_3 (``_SliceForm``) a vector and a row are slice pairs
+(h, l) as in ``gf3``, each slice of a row is built as an F_2 row is, the
+row test is two popcounts, and a reduction is one slice addition of the
+pivot or its negation.  For p >= 5 (``_ListForm``) vectors and powers
+are lists of Python ints reduced mod p; at p = 2 and 3 that form is the
+tests' reference.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from . import gf2, gf3
-from .algebra import PrimeField, _kron_mul
+from .algebra import PrimeField
+from .ring import Ring
 
 
 @dataclass(frozen=True)
@@ -58,22 +60,27 @@ def monomials(d: int):
     return [(i, j) for i in range(d + 1) for j in range(d + 1 - i)]
 
 
-class _Reversed:
-    """The powers G^i mod t^N of one bit slice, each reversed.
+# coefficient byte -> ASCII binary digit: "1" where it equals the key
+_DIGIT_TABLES = {d: bytes(48 + (v == d) for v in range(256)) for d in (1, 2)}
 
-    ``rev[i]`` has the coefficient of t^e at bit N-1-e, so bits
-    N-1-k .. N-1-k+(D-i) hold G^i[k], G^i[k-1], ..., G^i[k-D+i], the
-    row's block for i in column order; bits past N-1 stand for negative
-    exponents and are 0.  ``rev[0]`` is the slice of G^0 = 1: ``one``
-    is its constant bit.
+
+class _Reversed:
+    """The powers G^i mod t^N as one bit slice each, reversed.
+
+    ``rev[i]`` has bit N-1-e set where G^i's coefficient of t^e is
+    ``digit``, so bits N-1-k .. N-1-k+(D-i) hold G^i[k], G^i[k-1], ...,
+    G^i[k-D+i], the row's block for i in column order; bits past N-1
+    stand for negative exponents and are 0.
     """
 
-    def __init__(self, n: int, one: int):
+    def __init__(self, n: int, digit: int = 1):
         self.n = n
-        self.rev = [one << (n - 1)]
+        self.rev = []
+        self.table = _DIGIT_TABLES[digit]
 
-    def append(self, a: int):
-        self.rev.append(int(format(a, f"0{self.n}b")[::-1], 2))
+    def append(self, coeffs):
+        digits = bytes(coeffs).translate(self.table)
+        self.rev.append(int(digits + b"0" * (self.n - len(digits)), 2))
 
     def row(self, k: int, d: int) -> int:
         shift = self.n - 1 - k
@@ -86,15 +93,6 @@ class _Reversed:
 
 class _BitForm(_Reversed):
     """F_2 vectors and rows as ints, bit c for column c; the powers are one ``_Reversed``."""
-
-    def __init__(self, prefix):
-        super().__init__(len(prefix), 1)
-        self.g = self.power = gf2.from_bits(prefix)
-        self.append(self.g)
-
-    def add_power(self):
-        self.power = gf2.mul(self.power, self.g) & ((1 << self.n) - 1)
-        self.append(self.power)
 
     @staticmethod
     def unit(m: int) -> list:
@@ -119,7 +117,7 @@ class _BitForm(_Reversed):
 
 
 class _SliceForm:
-    """F_3 vectors, rows and powers as ``gf3`` pairs (h, l), bit c for column c.
+    """F_3 vectors and rows as ``gf3`` pairs (h, l), bit c for column c.
 
     The reversed powers are one ``_Reversed`` per slice, so each slice of
     a row is built as ``_BitForm`` builds an F_2 row.  A product of
@@ -130,19 +128,12 @@ class _SliceForm:
     slices swapped) when s = s_pivot and the pivot itself otherwise.
     """
 
-    def __init__(self, prefix):
-        self.n = len(prefix)
-        self.g = self.power = gf3.from_coeffs(prefix)
-        self.h, self.l = _Reversed(self.n, 0), _Reversed(self.n, 1)
-        self._append(self.g)
+    def __init__(self, n: int):
+        self.h, self.l = _Reversed(n, 2), _Reversed(n, 1)
 
-    def _append(self, a):
-        self.h.append(a[0])
-        self.l.append(a[1])
-
-    def add_power(self):
-        self.power = gf3.split(gf3.mul(self.power, self.g), self.n)[1]
-        self._append(self.power)
+    def append(self, coeffs):
+        self.h.append(coeffs)
+        self.l.append(coeffs)
 
     def row(self, k: int, d: int) -> tuple:
         return self.h.row(k, d), self.l.row(k, d)
@@ -197,17 +188,12 @@ class _ListForm:
     once there are D(D+1)/2 <= N rows, so D <= N.
     """
 
-    def __init__(self, prefix, p: int):
-        self.n, self.p = len(prefix), p
-        self.g = self.power = list(prefix)
-        self.rev = [self._reverse([1] + [0] * (self.n - 1)), self._reverse(self.g)]
+    def __init__(self, n: int, p: int):
+        self.n, self.p = n, p
+        self.rev = []
 
-    def _reverse(self, a: list) -> list:
-        return a[::-1] + [0] * self.n
-
-    def add_power(self):
-        self.power = _kron_mul(self.power, self.g, self.p)[:self.n].tolist()
-        self.rev.append(self._reverse(self.power))
+    def append(self, coeffs):
+        self.rev.append([0] * (self.n - len(coeffs)) + list(coeffs[::-1]) + [0] * self.n)
 
     def row(self, k: int, d: int) -> list:
         start = self.n - 1 - k
@@ -254,16 +240,17 @@ def expansion_profile(prefix, field: PrimeField, d_max: int | None = None):
     if d_max is not None and d_max < 1:
         raise ValueError("d_max must be >= 1")
     prefix = field.validate_symbols(prefix)
-    if field.p == 2:
-        form = _BitForm(prefix)
-    elif field.p == 3:
-        form = _SliceForm(prefix)
-    else:
-        form = _ListForm(prefix, field.p)
-    return _profile(prefix, form, d_max)
+    n, p = len(prefix), field.p
+    form = _BitForm(n) if p == 2 else _SliceForm(n) if p == 3 else _ListForm(n, p)
+    return _profile(prefix, Ring(field), form, d_max)
 
 
-def _profile(prefix, form, d_max):
+def _profile(prefix, ring, form, d_max):
+    """The profile of ``prefix``; ``form.append`` gets the coefficients of G^0, G^1, ... in turn."""
+    n = len(prefix)
+    g = power = ring.from_coeffs(prefix)
+    form.append((1,))
+    form.append(prefix)
     d, mons = 1, monomials(1)
     basis = form.unit(len(mons))
     out = []
@@ -274,7 +261,8 @@ def _profile(prefix, form, d_max):
         while not basis and (d_max is None or d < d_max):
             d += 1
             mons = monomials(d)
-            form.add_power()
+            power = ring.split(ring.mul(power, g), n)[1]
+            form.append(ring.to_coeffs(power))
             basis = form.unit(len(mons))
             top = None
             for r in range(k + 1):

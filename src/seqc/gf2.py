@@ -164,11 +164,5 @@ def fold_mod(a: int, w: int) -> int:
     return a
 
 
-def from_poly(poly: Poly) -> int:
-    if poly.field.p != 2:
-        raise ValueError("bit-packed representation requires p = 2")
-    return from_bits(poly.coeffs)
-
-
 def to_poly(bits: int, field) -> Poly:
     return Poly(field, to_bits(bits))

@@ -10,7 +10,7 @@ from itertools import accumulate, islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqc import autoseq, contfrac, gf2, lincomp
+from seqc import autoseq, contfrac, gf2, lincomp, ring
 from seqc.algebra import LaurentSeries, Poly, PrecisionError, PrimeField
 from seqc.autoseq import Profile
 from test_algebra import (poly_coeff, poly_evaluate, poly_shift, polynomial_part, series_add,
@@ -149,13 +149,13 @@ class TestConvergents:
 
 
 def _to_poly(a, field):
-    """A stored polynomial, in the backend form in force, as Poly."""
-    return contfrac._Backend(field).to_poly(a)
+    """A stored polynomial, in the ring form in force, as Poly."""
+    return ring.Ring(field).to_poly(a)
 
 
 def _stored(poly, field):
-    """A Poly in the backend form in force."""
-    return contfrac._Backend(field).from_symbols(poly.coeffs[::-1])
+    """A Poly in the ring form in force."""
+    return ring.Ring(field).from_coeffs(poly.coeffs)
 
 
 def _bump(a, field, i):
@@ -164,11 +164,11 @@ def _bump(a, field, i):
 
 
 def _native_degree(a, field):
-    return contfrac._Backend(field).degree(a)
+    return ring.Ring(field).degree(a)
 
 
 def _forms(p):
-    """The backend forms a test at p runs in: at p = 3 gf3's slices and the int64 arrays."""
+    """The ring forms a test at p runs in: at p = 3 gf3's slices and the int64 arrays."""
     return (contextlib.nullcontext, int64_at_p3) if p == 3 else (contextlib.nullcontext,)
 
 
@@ -194,7 +194,7 @@ CONTROL_STREAMS.update({f"{name} (gf3)": CONTROL_STREAMS[name]
 
 @pytest.fixture
 def name(request):
-    """A CONTROL_STREAMS key, with the backend form it names in force for the test."""
+    """A CONTROL_STREAMS key, with the ring form it names in force for the test."""
     with (contextlib.nullcontext if request.param.endswith("(gf3)") else int64_at_p3)():
         yield request.param
 

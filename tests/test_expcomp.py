@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from seqc import autoseq, expcomp, lincomp
+from seqc import autoseq, expcomp, lincomp, ring
 from seqc.algebra import Poly, PrimeField
 from test_algebra import poly_coeff, poly_shift, poly_truncate
 from test_autoseq import total_degree
@@ -33,8 +33,17 @@ def evaluate_witness(witness, prefix, field: PrimeField) -> Poly:
 
 
 def list_profile(prefix, field: PrimeField, d_max=None):
-    """The profile through the list form at any p: the reference at p = 2 and 3."""
-    return expcomp._profile(prefix, expcomp._ListForm(prefix, field.p), d_max)
+    """The profile through the list form and the int64 ring at any p: the reference at p = 2 and 3.
+
+    The ring's int64 form is forced at p = 2 and 3 as ``int64_at_p3``
+    forces it, so the reference's powers are Kronecker products, not the
+    ``gf2.mul`` and ``gf3.mul`` products of the code it checks.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ring.Ring, "_bits", ring.Ring._arrays)
+        mp.setattr(ring.Ring, "_slices", ring.Ring._arrays)
+        int64_ring = ring.Ring(field)
+    return expcomp._profile(prefix, int64_ring, expcomp._ListForm(len(prefix), field.p), d_max)
 
 
 def bound_violation(values, h_degree: int, lin_profile):

@@ -225,7 +225,7 @@ def test_mul_add_is_one_on_last_convergents(spec, table_calls):
     exp = contfrac.cf_expand(LaurentSeries.from_prefix(autoseq.prefix(spec, n), spec.field))
     j = len(exp.raw_quotients) - 1
     (p_prev, q_prev), (p_last, q_last) = (
-        tuple(map(gf2.from_poly, exp.convergent(i))) for i in (j - 1, j))
+        tuple(gf2.from_bits(f.coeffs) for f in exp.convergent(i)) for i in (j - 1, j))
     assert q_last.bit_count() > switch_popcount(q_last.bit_length())
     table_calls.clear()
     assert gf2.mul_add_is_one(p_prev, q_last, p_last, q_prev)

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from seqc import autoseq, contfrac, gf3, lincomp
+from seqc import autoseq, contfrac, expcomp, gf3, lincomp, ring
 from seqc.algebra import LaurentSeries, Poly, PrimeField
 from test_int64_bound import int64_at_p3, poly_convergent, poly_euclid
 from test_lincomp import schoolbook_bm
@@ -135,7 +135,7 @@ _streams = st.one_of(
 
 def _expansion_outputs(symbols):
     exp = contfrac.cf_expand(LaurentSeries.from_prefix(symbols, F3))
-    to_poly = contfrac._Backend(F3).to_poly
+    to_poly = ring.Ring(F3).to_poly
     last = exp.degree_count
     convergents = {j: exp.convergent(j) for j in sorted({0, 1, last // 2, last}) if j <= last}
     return exp, [to_poly(a) for a in exp.raw_quotients], convergents
@@ -172,3 +172,23 @@ def test_sliced_kernels_match_int64_and_references(symbols):
     bumped = gf3.add(exp.raw_quotients[-1], pack([1]))
     bad = dataclasses.replace(exp, raw_quotients=exp.raw_quotients[:-1] + (bumped,))
     assert contfrac.check_convergent_identities(bad) is not None
+
+
+@pytest.mark.parametrize("spec", [autoseq.sum_of_digits(3), autoseq.pattern(3, 2, 4)],
+                         ids=["sum-of-digits(3)", "pattern(3,2,4)"])
+@pytest.mark.parametrize("bump", [None, 200])
+def test_residual_and_expansion_match_int64(spec, bump):
+    """witness_residual and expansion_profile give the same on slices and under ``int64_at_p3``."""
+    pref = autoseq.prefix(spec, 256)
+    if bump is not None:
+        pref[bump] = (pref[bump] + 1) % 3
+    w = autoseq.witness(spec)
+
+    def outputs():
+        return autoseq.witness_residual(w, pref, 256), expcomp.expansion_profile(pref, F3)
+
+    residual, profile = outputs()
+    assert residual.is_zero == (bump is None)
+    with int64_at_p3():
+        assert isinstance(ring.Ring(F3).from_coeffs([1]), np.ndarray)
+        assert outputs() == (residual, profile)

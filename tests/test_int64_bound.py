@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from seqc import algebra, contfrac, lincomp
+from seqc import algebra, contfrac, lincomp, ring
 from seqc.algebra import LaurentSeries, Poly, PrimeField
 from test_lincomp import schoolbook_bm
 
@@ -63,16 +63,16 @@ def low_limit(p, slack):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(algebra, "INT64_MAX", limit)
-        mp.setattr(contfrac, "_make_room", checked)
+        mp.setattr(ring, "_make_room", checked)
         mp.setattr(lincomp, "_make_room", checked)
         yield reductions
 
 
 @contextlib.contextmanager
 def int64_at_p3():
-    """``contfrac``'s int64 form at p = 3, where the field chooses ``gf3``'s slices."""
+    """``ring.Ring``'s int64 form at p = 3, where the field chooses ``gf3``'s slices."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(contfrac._Backend, "_slices", contfrac._Backend._arrays)
+        mp.setattr(ring.Ring, "_slices", ring.Ring._arrays)
         yield
 
 
@@ -205,7 +205,7 @@ def test_mul_add_chunks_under_a_low_limit(p, slack):
     prev, cur = [np.zeros(0, dtype=np.int64), p - 1], [np.ones(1, dtype=np.int64), p - 1]
     with low_limit(p, slack) as reductions:
         for a in quotients:
-            prev, cur = cur, contfrac._arr_mul_add(a, cur, prev, p)
+            prev, cur = cur, ring._arr_mul_add(a, cur, prev, p)
             q_prev, q_cur = q_cur, Poly(field, tuple(a.tolist())) * q_cur + q_prev
             for (arr, bound), want in ((prev, q_prev), (cur, q_cur)):
                 assert _abs_max(arr) <= bound <= algebra.INT64_MAX
@@ -249,7 +249,7 @@ def test_mul_add_slice_updates_across_the_threshold(p, slack):
     reference, within its tracked bound.
     """
     rng = np.random.default_rng(p)
-    entries = contfrac._SLICE_ENTRIES
+    entries = ring._SLICE_ENTRIES
     updates = []
 
     def counted(x, y, c, q):
@@ -258,7 +258,7 @@ def test_mul_add_slice_updates_across_the_threshold(p, slack):
 
     limit = low_limit(p, slack) if slack else contextlib.nullcontext()
     with limit, pytest.MonkeyPatch.context() as mp:
-        mp.setattr(contfrac, "_sub_multiple", counted)
+        mp.setattr(ring, "_sub_multiple", counted)
         for length in (2, 3, 5):
             for n in (length * entries - 1, length * entries):
                 a = _coeffs(length, rng, p)
@@ -268,7 +268,7 @@ def test_mul_add_slice_updates_across_the_threshold(p, slack):
                 for _ in range(2):
                     updates.clear()
                     sliced = length * entries <= len(term[0])
-                    out = contfrac._arr_mul_add(a, term, [c, p - 1], p)
+                    out = ring._arr_mul_add(a, term, [c, p - 1], p)
                     assert len(updates) == (np.count_nonzero(a) if sliced else 0)
                     ref = _schoolbook_mul_add(a.tolist(), ref_b, ref_c, p)
                     assert _abs_max(out[0]) <= out[1] <= algebra.INT64_MAX
@@ -280,7 +280,7 @@ def test_mul_add_slice_updates_across_the_threshold(p, slack):
 @contextlib.contextmanager
 def recorded_multipliers():
     """The multipliers c of every ``_sub_multiple`` update, by kernel module."""
-    seen = {lincomp: set(), contfrac: set()}
+    seen = {lincomp: set(), ring: set()}
     with pytest.MonkeyPatch.context() as mp:
         for module, log in seen.items():
             def record(x, y, c, p, _log=log):

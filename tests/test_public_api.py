@@ -12,7 +12,7 @@ be read as an attribute, ``x.name``, somewhere in the package outside its
 own definition, in the benchmark, or in README's example; a string equal
 to its name in the benchmark counts too.  The match is by name alone: no
 type is inferred, so any attribute of that name counts, except one read
-off a module (``gf2.from_poly`` is a function, not a method).  Dunders
+off a module (``gf2.from_bits`` is a function, not a method).  Dunders
 (``__mul__``, ``__divmod__``, ...) are out of its reach: operators and
 protocols call them without naming them.
 """

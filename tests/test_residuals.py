@@ -65,7 +65,7 @@ def test_builtin_residual_matches_reference(p, data, n, index, delta):
 
 # exponents with several base-p digit units, so the product branch runs:
 # s^3 = s^(2+1) over F_2; s^4 = s^(3+1) and s^5 = s^(3+1+1) over F_3
-MULTI_DIGIT = [(2, 3), (3, 4), (3, 5), (5, 6), (5, 7)]
+MULTI_DIGIT = [(2, 3), (3, 4), (3, 5), (5, 6), (5, 7), (2**31 - 1, 2), (2**31 - 1, 3)]
 
 
 @st.composite
