@@ -250,9 +250,13 @@ def check_convergent_identities(expansion: CFExpansion):
     three-term recurrence Q_j = A_j Q_{j-1} + Q_{j-2} from
     (Q_{-1}, Q_0) = (0, 1).  A_0 must be G div x^N, the polynomial part
     of the series, and at every j >= 1 deg A_j >= 1 and
-    deg Q_j = q_degrees[j] must hold, so the degrees the profile walk
-    reads are those of the rebuilt denominators.  The two checks below do
-    not imply deg A_j >= 1: the quotient matrices of 1, -1, 1 multiply to
+    q_degrees[j] = q_degrees[j-1] + deg A_j must hold, so the degrees the
+    profile walk reads are those of the rebuilt denominators: F_p[x] is a
+    domain, so once deg Q_{j-1} > deg Q_{j-2} and deg A_j >= 1,
+    deg(A_j Q_{j-1}) > deg Q_{j-2} and deg Q_j = deg A_j + deg Q_{j-1},
+    and this check fails at the same first j as deg Q_j = q_degrees[j]
+    would, without reading Q_j.  The two checks below do not imply
+    deg A_j >= 1: the quotient matrices of 1, -1, 1 multiply to
     diag(1, -1), so appending those three constants passes both.
 
     Last convergent J, with full products.  G = x^N R cut below x^0
@@ -298,7 +302,8 @@ def check_convergent_identities(expansion: CFExpansion):
     denominators = _denominators(expansion)
     q_prev = q_last = next(denominators)
     for j, q in enumerate(denominators, 1):
-        if ring.degree(quots[j]) < 1 or ring.degree(q) != degs[j]:
+        deg_a = ring.degree(quots[j])
+        if deg_a < 1 or degs[j] != degs[j - 1] + deg_a:
             return j
         q_prev, q_last = q_last, q
     return None if _last_convergent_ok(expansion, ring, g, q_prev, q_last) else len(quots) - 1

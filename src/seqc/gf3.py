@@ -8,8 +8,10 @@ implementation of eta-T pairing over GF(3^m)", Pairing 2008; Boothby and
 Bradshaw, "Bitslicing and the method of four Russians over larger finite
 fields", 2009).  Negation swaps the slices, since -1 = 2 and -2 = 1, and
 every nonzero coefficient is its own inverse, so the multiples of a
-polynomial that division and products need are the polynomial and its
-negation: no product of coefficients is ever formed.  It is exact for
+polynomial that division and sparse products need are the polynomial and
+its negation: no product of coefficients is formed.  A dense product
+reads the slices as digits in {-1, 0, 1} and convolves them exactly in
+floating point (``algebra._convolve``).  Every operation is exact for
 any length.  Conversions go through byte strings, in linear time.
 
 As in ``gf2``, no big int is shifted by 0: where a shift count can be
@@ -18,7 +20,9 @@ As in ``gf2``, no big int is shifted by 0: where a shift count can be
 
 from __future__ import annotations
 
-from .algebra import Poly, _kron_mul
+import numpy as np
+
+from .algebra import Poly, _convolve
 
 # coefficient byte -> ASCII binary digit of its l slice and of its h slice
 _ONE = bytes(48 + (v == 1) for v in range(256))
@@ -74,9 +78,9 @@ def split(a, n: int):
 
 # ``mul`` is shift-and-add while the shorter operand has at most
 # _SPARSE + (total length) // _SPACING nonzero coefficients, and one
-# Kronecker product above that
-_SPARSE = 128
-_SPACING = 16
+# float convolution (``algebra._convolve``) above that
+_SPARSE = 64
+_SPACING = 64
 
 
 def mul(a, b):
@@ -85,20 +89,23 @@ def mul(a, b):
     Let a be the shorter operand, of weight w (its nonzero coefficients).
     Shift-and-add costs one shifted add of b or -b per nonzero
     coefficient of a, nine operations on ints of b's length; the
-    constant term adds b or -b itself, with no shift.  The Kronecker
-    product (``algebra._kron_mul``) unpacks both operands, multiplies
-    two big ints and packs the result, at a cost that grows with both
-    lengths but not with w.  Shift-and-add runs while
-    w <= 128 + (len a + len b) / 16.  On random operands, b of 512, 4096
-    and 32768 coefficients and a of 8 up to b's length with w from
-    len a / 16 to 2 len a / 3 (33 shapes; a 2-vCPU VM, Python 3.11.7),
-    the two cost the same near w = 230 for 512 by 512, 1100 for 4096 by
-    4096 and 8500 for 32768 by 32768, and the rule took the faster path
-    on 30 shapes and one at most 1.64 times slower on the other 3.  A
-    quotient of the convergent recurrence times a denominator takes
-    shift-and-add unless the quotient is long and dense, as
-    sum-of-digits(3)'s ruler quotients are; the certificate's products
-    of dense halves of the input take the Kronecker product.
+    constant term adds b or -b itself, with no shift.  The dense product
+    reads each slice's bits into a uint8 array (``numpy.unpackbits``),
+    takes the digits l - h in {-1, 0, 1} and convolves them exactly
+    (``algebra._convolve``), reduces each sum to a digit z - 3 rint(z/3)
+    in {-1, 0, 1}, and packs the slices back (``numpy.packbits``), at a
+    cost that grows with both lengths but not with w.  Shift-and-add
+    runs while w <= 64 + (len a + len b) / 64.  On random operands, b of
+    512, 4096 and 32768 coefficients and a of 8 up to b's length with w
+    from len a / 16 to 2 len a / 3 and at 48 to 640 (81 shapes; a 2-vCPU
+    VM, Python 3.11.7, numpy 2.4.6), the two cost the same near w = 100
+    for 512 by 512, 120 for 4096 by 4096 and 400 for 32768 by 32768, and
+    the rule took the faster path on 77 shapes and one at most 1.36
+    times slower on the other 4; in all it took 1.04 times the time of
+    the faster path.  A quotient of the convergent recurrence times a
+    denominator takes shift-and-add unless the quotient is long and
+    dense, as sum-of-digits(3)'s ruler quotients are; the certificate's
+    products of dense halves of the input take the convolution.
     """
     da, db = degree(a), degree(b)
     if da > db:
@@ -106,7 +113,9 @@ def mul(a, b):
     (ah, al), (bh, bl) = a, b
     nz = ah | al
     if nz.bit_count() > _SPARSE + (da + db + 2) // _SPACING:
-        return from_coeffs(_kron_mul(to_coeffs(a), to_coeffs(b), 3).tolist())
+        z = _convolve(_digits(a, da + 1), _digits(b, db + 1))
+        r = z - 3 * np.rint(z / 3)  # z mod 3 as a digit in {-1, 0, 1}: |z| <= len a, exact
+        return _from_bits(r < 0), _from_bits(r > 0)
     out = (0, 0)
     if nz & 1:
         out = b if al & 1 else (bl, bh)
@@ -117,6 +126,23 @@ def mul(a, b):
         out = add(out, (bh << sh, bl << sh) if al & low else (bl << sh, bh << sh))
         nz ^= low
     return out
+
+
+def _digits(a, n: int):
+    """Coefficients 0..n-1 of a as int8 digits in {-1, 0, 1}: the l slice's bits less the h slice's."""
+    h, l = a
+    return _to_bits(l, n).view(np.int8) - _to_bits(h, n).view(np.int8)
+
+
+def _to_bits(v: int, n: int):
+    """Bits 0..n-1 of v, low first, as a uint8 array."""
+    raw = np.frombuffer(v.to_bytes(-(-n // 8), "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little")
+
+
+def _from_bits(bits) -> int:
+    """The int whose bit i is bits[i]."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 def divmod_(a, b):

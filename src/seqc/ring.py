@@ -9,8 +9,9 @@ divisor or its negation per quotient coefficient.  For p >= 5
 polynomials are numpy int64 coefficient arrays, low to high; the int64
 kernels are exact at p = 3 too, where the tests run them as the slices'
 reference.  A full product is exact in every form: ``gf2.mul``,
-``gf3.mul``, and for int64 arrays one Kronecker product
-(``algebra._kron_mul``) of the arrays reduced mod p.  A Frobenius power
+``gf3.mul``, and for int64 arrays, reduced mod p, slice updates while
+one factor has few nonzero entries beside the other's length and one
+exact float product (``algebra._fft_mul``) otherwise.  A Frobenius power
 a(x)^(p^j) = a(x^(p^j)) is one spread (``stretch``), with no product.
 
 A quotient has entries in [0, p).  A Euclid remainder and a denominator
@@ -38,7 +39,7 @@ from operator import xor
 import numpy as np
 
 from . import algebra, gf2, gf3
-from .algebra import Poly, PrimeField, _kron_mul, _make_room, _sub_multiple
+from .algebra import Poly, PrimeField, _fft_mul, _make_room, _sub_multiple
 
 
 class Ring:
@@ -102,7 +103,7 @@ class Ring:
         p = field.p
         self.term = lambda arr: [arr, p - 1]
         self.value = lambda term: term[0]
-        self.mul = lambda a, b: _kron_mul(a % p, b % p, p)
+        self.mul = lambda a, b: _arr_mul(a % p, b % p, p)
         self.add = lambda a, b: _arr_sub(a, -b, p)
         self.sub = lambda a, b: _arr_sub(a, b, p)
         self.split = lambda a, n: (a[n:].copy(), np.trim_zeros(a[:n], "b"))
@@ -190,10 +191,7 @@ def _arr_mul_add(a, b, c, p):
     out = np.zeros(max(len(a) + len(bv) - 1, len(cv)), dtype=np.int64)
     out[:len(cv)] = cv
     if len(a) * _SLICE_ENTRIES <= len(bv):
-        for i, coef in enumerate(a.tolist()):
-            if coef:
-                m_out, mb = _make_room(out, m_out, bv, mb, p)
-                m_out += _sub_multiple(out[i:i + len(bv)], bv, p - coef, p) * mb
+        m_out, mb = _add_slices(out, m_out, a, bv, mb, p)
     else:
         i = 0
         while len(bv) and i < len(a):
@@ -204,6 +202,39 @@ def _arr_mul_add(a, b, c, p):
             i += k
     b[1] = mb
     return [_arr_trim(out, p), m_out]
+
+
+def _add_slices(out, m_out, a, bv, mb, p):
+    """out += a*bv by one slice update per nonzero a_i; returns the new bounds of out and bv.
+
+    Each update is out[i:] += a_i bv, which is ``_sub_multiple`` by
+    p - a_i, with ``_make_room`` before it.
+    """
+    for i in np.flatnonzero(a).tolist():
+        m_out, mb = _make_room(out, m_out, bv, mb, p)
+        m_out += _sub_multiple(out[i:i + len(bv)], bv, p - int(a[i]), p) * mb
+    return m_out, mb
+
+
+def _arr_mul(a, b, p):
+    """a*b over F_p for a, b with entries in [0, p), reduced.
+
+    Let a be the factor with fewer nonzero entries.  While b has at least
+    _SLICE_ENTRIES entries per nonzero entry of a, the product is one
+    slice update per nonzero a_i (``_add_slices``, as ``_arr_mul_add``
+    adds a short quotient), and one ``algebra._fft_mul`` otherwise.  So
+    ``autoseq.witness_residual`` adds a 2-3-term h_i times a power of G
+    by slices, and a spread power of G, whose entries are mostly zero, by
+    as many slices as it has nonzero entries.
+    """
+    weights = np.count_nonzero(a), np.count_nonzero(b)
+    if weights[0] > weights[1]:
+        a, b = b, a
+    if min(weights) * _SLICE_ENTRIES > len(b):
+        return _fft_mul(a, b, p)
+    out = np.zeros(len(a) + len(b) - 1 if len(a) else 0, dtype=np.int64)  # a is () if one is
+    _add_slices(out, 0, a, b, p - 1, p)
+    return out % p
 
 
 def _arr_sub(x, y, p):

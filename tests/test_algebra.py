@@ -8,6 +8,9 @@ coefficients (``PrecisionError`` below the known range) and the
 polynomial part.
 """
 
+import contextlib
+import math
+import random
 import re
 from operator import add
 
@@ -15,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from seqc import expcomp, lincomp
+from seqc import algebra, expcomp, lincomp
 from seqc.algebra import (
     NEG_INF,
     FieldMismatchError,
@@ -24,9 +27,7 @@ from seqc.algebra import (
     PrecisionError,
     PrimeField,
     _check_same_field,
-    _kron_mul,
-    _kron_pack,
-    _kron_unpack,
+    _fft_mul,
 )
 
 F2 = PrimeField(2)
@@ -278,50 +279,137 @@ def schoolbook_mod_p(xs, ys, p):
     return [v % p for v in want]
 
 
+# one limb of 11 bits per coefficient up to p = 2039, two from 2053 on
+# (65521 too) and three at 2^31 - 1
+FFT_PRIMES = [2, 3, 5, 2039, 2053, 65521, P31]
+
+
+def percival_bound(length, magnitude):
+    """Percival's bound on a float64 FFT convolution's error: transform ``length`` (a power
+    of two), operands of at most ``length`` entries of magnitude at most ``magnitude``.
+
+    Unit roundoff e = 2^-53, and roots of unity off by at most e.
+    """
+    k = length.bit_length() - 1
+    e = 2.0**-53
+    growth = math.expm1(6 * k * math.log1p(e) + (3 * k + 1) * math.log1p(e * math.sqrt(5)))
+    return length * magnitude**2 * growth
+
+
+def triangle(la, lb):
+    """Entry k of the convolution of la ones with lb ones: the number of i + j = k."""
+    k = np.arange(la + lb - 1)
+    return np.minimum.reduce([k + 1, np.full_like(k, la), np.full_like(k, lb), la + lb - 1 - k])
+
+
+@contextlib.contextmanager
+def transforms(limit=None, direct=None):
+    """The sizes of the forward transforms taken, with ``_MAX_TRANSFORM`` and ``_DIRECT`` set."""
+    sizes = []
+    real = np.fft.rfft
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.fft, "rfft", lambda x, n: sizes.append(n) or real(x, n))
+        if limit is not None:
+            mp.setattr(algebra, "_MAX_TRANSFORM", limit)
+        if direct is not None:
+            mp.setattr(algebra, "_DIRECT", direct)
+        yield sizes
+
+
 @st.composite
-def kron_operands(draw):
-    p = draw(st.sampled_from([2, 3, 5, 65521, P31]))
+def fft_operands(draw):
+    p = draw(st.sampled_from(FFT_PRIMES))
     coeffs = st.lists(st.integers(0, p - 1) | st.just(p - 1), max_size=300)
     return p, draw(coeffs), draw(coeffs), draw(st.booleans())
 
 
-# a slot holds min(len a, len b) (p-1)^2: 1 byte at p = 2, 2 bytes at p = 3
-# and length 100, 8 bytes at p = 2^31 - 1 and length 1, 9 bytes from length 5
-@given(kron_operands())
-@example((2, [1] * 7, [1, 0, 1], False))
-@example((3, [2] * 100, [2] * 300, True))
-@example((P31, [P31 - 1], [P31 - 1, 5], False))
-@example((P31, [P31 - 1] * 300, [P31 - 1] * 300, True))
-@example((65521, [65520] * 300, [65520] * 7, False))
-@example((5, [], [1, 2], True))
+# limits: the real one, and 16 and 64, which split every transformed product
+# of a few coefficients; _DIRECT 0 sends every product through the transform
+@given(fft_operands(), st.sampled_from([None, 16, 64]), st.sampled_from([None, 0]))
+@example((2, [1] * 7, [1, 0, 1], False), None, None)
+@example((3, [2] * 100, [2] * 300, True), None, None)
+@example((P31, [P31 - 1], [P31 - 1, 5], False), 16, 0)
+@example((P31, [P31 - 1] * 300, [P31 - 1] * 300, True), None, None)
+@example((65521, [65520] * 300, [65520] * 7, False), 64, 0)
+@example((2039, [2038] * 200, [2038] * 201, False), None, None)
+@example((2053, [2052] * 200, [2052] * 201, False), 16, None)
+@example((5, [], [1, 2], True), None, 0)
 @settings(max_examples=80, deadline=None)
-def test_kron_mul_matches_schoolbook_mod_p(case):
+def test_fft_mul_matches_schoolbook_mod_p(case, limit, direct):
     p, xs, ys, as_array = case
     want = schoolbook_mod_p(xs, ys, p)
     if as_array:
         xs, ys = np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)
-    got = _kron_mul(xs, ys, p)
+    with transforms(limit, direct) as sizes:
+        got = _fft_mul(xs, ys, p)
     assert got.dtype == np.int64
     assert got.tolist() == want
+    assert all(size <= (limit or algebra._MAX_TRANSFORM) for size in sizes)
 
 
-@pytest.mark.parametrize("p, width", [(p, w) for p in (2, 3, P31) for w in (1, 2, 3, 4, 5, 8, 9, 16)
-                                      if 256**w > (p - 1) ** 2])
-def test_kron_slots_of_every_width(p, width):
-    """Packed, multiplied and unpacked at a forced slot width: the schoolbook product mod p.
+def test_the_bound_holds_at_the_limit():
+    """The docstring's figure: Percival's bound at 2^11 and 2^20 is 0.13, under 1/2."""
+    bound = percival_bound(algebra._MAX_TRANSFORM, 2**algebra._LIMB_BITS)
+    assert round(bound, 2) == 0.13
+    # one more bit, or a transform four times as long, would not be safe
+    assert percival_bound(algebra._MAX_TRANSFORM, 2**(algebra._LIMB_BITS + 1)) > 0.5
+    assert percival_bound(4 * algebra._MAX_TRANSFORM, 2**algebra._LIMB_BITS) > 0.5
 
-    Widths 1, 2, 4 and 8 go through one unsigned integer per slot, the
-    others through zero-padded uint64 words.  The shorter operand is as
-    long as the width allows, up to 40, and all p - 1, so the largest
-    slot sum fills the slot as far as it can.
-    """
-    n = min(40, (256**width - 1) // (p - 1) ** 2)
-    rng = np.random.default_rng(width)
-    a = np.full(n, p - 1, dtype=np.uint64)
-    b = rng.integers(0, p, n + 3).astype(np.uint64)
-    got = _kron_unpack(_kron_pack(a, width) * _kron_pack(b, width), 2 * n + 2, width, p)
-    assert got.dtype == np.int64
-    assert got.tolist() == schoolbook_mod_p(a, b, p)
+
+def test_convolve_worst_case_at_the_limit():
+    """Every entry +-2^11, one transform of the longest length: exact, within the bound."""
+    n = algebra._MAX_TRANSFORM
+    x, y = np.full(n // 2, 2**11), np.full(n // 2 + 1, -(2**11))
+    with transforms() as sizes:
+        got = algebra._convolve(x, y)
+    assert sizes == [n, n]
+    want = -triangle(len(x), len(y)) * 2**22
+    assert np.array_equal(got, want)
+    raw = np.fft.irfft(np.fft.rfft(x, n) * np.fft.rfft(y, n), n)
+    assert np.abs(raw - want).max() <= percival_bound(n, 2**11)
+
+
+@pytest.mark.parametrize("p, stride", [(65521, 3), (P31, 5)])
+def test_every_entry_p_minus_1_at_the_limit(p, stride):
+    """The longest operands of p - 1 that one transform takes: (p-1)^2 = 1, so a*b is the triangle."""
+    count = algebra._MAX_TRANSFORM // stride
+    la = count // 2
+    a, b = np.full(la, p - 1), np.full(count + 1 - la, p - 1)
+    with transforms() as sizes:
+        got = _fft_mul(a, b, p)
+    assert sizes == [algebra._MAX_TRANSFORM] * 2
+    assert np.array_equal(got, triangle(len(a), len(b)) % p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 2053, P31])
+@pytest.mark.parametrize("limit", [None, 64])
+def test_lowered_limit_splits_the_operands(p, limit):
+    """Under a limit of 64 every transform is at most 64 long, and the product is the same."""
+    rng = random.Random(p)
+    xs = [rng.randrange(p) for _ in range(150)]
+    ys = [rng.randrange(p) for _ in range(97)] + [p - 1] * 40
+    with transforms(limit, 0) as sizes:
+        got = _fft_mul(xs, ys, p)
+    assert got.tolist() == schoolbook_mod_p(xs, ys, p)
+    if limit:
+        assert max(sizes) <= limit and len(sizes) > 2
+        assert percival_bound(limit, 2**algebra._LIMB_BITS) < 0.5
+
+
+@pytest.mark.parametrize("p", FFT_PRIMES)
+def test_flipped_coefficient_moves_the_product(p):
+    """a*b is linear in a: a_i + delta moves the product by exactly delta x^i b."""
+    rng = random.Random(p)
+    a = [rng.randrange(p) for _ in range(700)]
+    b = np.array([rng.randrange(p) for _ in range(500)], dtype=np.int64)
+    base = _fft_mul(a, b, p)
+    for i in (0, rng.randrange(700), 699):
+        delta = rng.randrange(1, p)
+        flipped = list(a)
+        flipped[i] = (a[i] + delta) % p
+        want = np.zeros(len(base), dtype=np.int64)
+        want[i:i + len(b)] = b * delta % p
+        assert np.array_equal((_fft_mul(flipped, b, p) - base) % p, want)
 
 
 @given(coeff_lists, coeff_lists)

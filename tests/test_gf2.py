@@ -5,7 +5,7 @@
 product above that.  The tests pin each path by moving ``_SPARSE`` and
 check both on every shape, check the rule at its boundary, and compare
 with two independent products: schoolbook shifts over a binary string
-and the Kronecker product of ``algebra._kron_mul`` at p = 2.  No big int
+and the exact float product of ``algebra._fft_mul`` at p = 2.  No big int
 is shifted by 0, so a set constant term takes its own branch in ``mul``
 and ``divmod_``: the tests cover it set and clear.
 """
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from seqc import algebra, autoseq, contfrac, gf2
-from seqc.algebra import LaurentSeries, _kron_mul
+from seqc.algebra import LaurentSeries, _fft_mul
 
 # ``_SPARSE`` values that send every product down one path
 PATHS = {"shift": 1 << 40, "table": -(1 << 40)}
@@ -30,9 +30,9 @@ def shift_xor_mul(a, b):
     return out
 
 
-def kron_mul_f2(a, b):
-    """a*b by the shared Kronecker product at p = 2, on tuples of bits."""
-    return gf2.from_bits(_kron_mul(gf2.to_bits(a), gf2.to_bits(b), 2).tolist())
+def fft_mul_f2(a, b):
+    """a*b by the shared float product at p = 2, on tuples of bits."""
+    return gf2.from_bits(_fft_mul(gf2.to_bits(a), gf2.to_bits(b), 2).tolist())
 
 
 def switch_popcount(bits):
@@ -158,7 +158,7 @@ def test_mul_across_the_switch(kind, bits, monkeypatch):
     for ratio in (1, 2, 16) if bits <= 4097 else (1, 2):
         a, b = _operand(kind, bits * ratio, rng), _operand(kind, bits, rng)
         expected = shift_xor_mul(a, b)
-        assert kron_mul_f2(a, b) == expected
+        assert fft_mul_f2(a, b) == expected
         for sparse in PATHS.values():
             monkeypatch.setattr(gf2, "_SPARSE", sparse)
             assert gf2.mul(a, b) == gf2.mul(b, a) == expected
@@ -176,7 +176,7 @@ def test_rule_switches_at_its_popcount(bits, ratio, table_calls):
         table_calls.clear()
         got = gf2.mul(a, b)
         assert table_calls == [a] * tables
-        assert got == shift_xor_mul(a, b) == kron_mul_f2(a, b)
+        assert got == shift_xor_mul(a, b) == fft_mul_f2(a, b)
 
 
 def test_rule_is_shift_xor_below_the_switch_popcount(table_calls):
@@ -188,17 +188,18 @@ def test_rule_is_shift_xor_below_the_switch_popcount(table_calls):
     assert table_calls == []
 
 
-def test_mul_needs_no_kronecker_product(monkeypatch):
+def test_mul_needs_no_fft_product(monkeypatch):
     def refuse(*_args):
-        raise AssertionError("gf2.mul called algebra._kron_mul")
+        raise AssertionError("gf2.mul called algebra's float product")
 
     # operands on both sides of the rule, the dense one far past the old
-    # 4096-bit switch to the Kronecker product
+    # 4096-bit switch to a numpy product
     rng = random.Random(11)
     a = _operand("random", 40000, rng)
     dense, sparse = _operand("random", 20000, rng), _operand("sparse", 20000, rng)
-    expected = kron_mul_f2(a, dense), kron_mul_f2(a, sparse)
-    monkeypatch.setattr(algebra, "_kron_mul", refuse)
+    expected = fft_mul_f2(a, dense), fft_mul_f2(a, sparse)
+    monkeypatch.setattr(algebra, "_fft_mul", refuse)
+    monkeypatch.setattr(algebra, "_convolve", refuse)
     assert (gf2.mul(a, dense), gf2.mul(a, sparse)) == expected
 
 

@@ -1,11 +1,11 @@
 """Bit-sliced GF(3) polynomials, and the p = 3 kernels that run on them.
 
 ``gf3`` stores a polynomial as two ints, the positions of its 1s and of
-its 2s.  Its arithmetic is checked against ``Poly``, whose products are
-the Kronecker product of ``algebra._kron_mul`` and whose division is
-schoolbook.  ``gf3.mul`` is shift-and-add while the shorter operand's
-weight is at most ``gf3._SPARSE + (len a + len b) // gf3._SPACING`` and
-a Kronecker product above that; both paths are pinned by moving
+its 2s.  Its arithmetic is checked against ``Poly``, whose division is
+schoolbook, and its products against ``schoolbook_mod_p``.  ``gf3.mul``
+is shift-and-add while the shorter operand's weight is at most
+``gf3._SPARSE + (len a + len b) // gf3._SPACING`` and a float convolution
+(``algebra._convolve``) above that; both paths are pinned by moving
 ``_SPARSE``.  The public functions serve p = 3 from these slices; their
 outputs are compared with the int64 kernels, which ``int64_at_p3`` (and
 a direct call of ``lincomp._bm_modp``) runs at p = 3, and with the
@@ -21,15 +21,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from seqc import autoseq, contfrac, expcomp, gf3, lincomp, ring
+from seqc import algebra, autoseq, contfrac, expcomp, gf3, lincomp, ring
 from seqc.algebra import LaurentSeries, Poly, PrimeField
+from test_algebra import schoolbook_mod_p, transforms, triangle
 from test_int64_bound import int64_at_p3, poly_convergent, poly_euclid
 from test_lincomp import schoolbook_bm
 
 F3 = PrimeField(3)
 
 # ``_SPARSE`` values that send every product down one path
-PATHS = {"shift": 1 << 40, "kron": -(1 << 40)}
+PATHS = {"shift": 1 << 40, "fft": -(1 << 40)}
 
 coeff_lists = st.lists(st.integers(0, 2), max_size=200)
 
@@ -76,34 +77,66 @@ def test_divmod_by_zero_raises():
 
 
 @pytest.mark.parametrize("path", sorted(PATHS))
-@given(coeff_lists, coeff_lists)
-@example([2], [0, 1, 2])  # a constant -1: -b itself, unshifted
-@example([1, 0, 2], [2] * 150)
-@settings(max_examples=60)
-def test_mul_paths_match_poly(path, xs, ys):
-    with pytest.MonkeyPatch.context() as mp:
+@given(coeff_lists, coeff_lists, st.sampled_from([None, 16]))
+@example([2], [0, 1, 2], None)  # a constant -1: -b itself, unshifted
+@example([1, 0, 2], [2] * 150, 16)
+@example([], [1, 2], None)
+@settings(max_examples=60, deadline=None)
+def test_mul_paths_match_poly(path, xs, ys, limit):
+    """Each path against ``Poly`` and the schoolbook product; under a limit of 16 the
+    convolution is split into pieces of at most 16."""
+    with transforms(limit, 0 if limit else None) as sizes, pytest.MonkeyPatch.context() as mp:
         mp.setattr(gf3, "_SPARSE", PATHS[path])
-        assert gf3.to_poly(gf3.mul(pack(xs), pack(ys)), F3) == poly(xs) * poly(ys)
+        got = gf3.to_poly(gf3.mul(pack(xs), pack(ys)), F3)
+    assert got == poly(xs) * poly(ys) == poly(schoolbook_mod_p(xs, ys, 3))
+    assert all(size <= (limit or algebra._MAX_TRANSFORM) for size in sizes)
 
 
 @pytest.mark.parametrize("short, long", [(300, 300), (1000, 5000), (2000, 6000)])
 def test_mul_switches_at_the_weight_rule(monkeypatch, short, long):
-    """At the rule's weight shift-and-add runs, one more takes the Kronecker product."""
+    """At the rule's weight shift-and-add runs, one more takes the convolution."""
     rng = random.Random(short)
     b = [rng.randrange(3) for _ in range(long - 1)] + [1]
     limit = gf3._SPARSE + (short + long) // gf3._SPACING
-    krons = []
-    real = gf3._kron_mul
-    monkeypatch.setattr(gf3, "_kron_mul", lambda *args: krons.append(1) or real(*args))
+    convolutions = []
+    real = gf3._convolve
+    monkeypatch.setattr(gf3, "_convolve", lambda *args: convolutions.append(1) or real(*args))
     for weight in (limit, limit + 1):
         if weight > short:
             continue
         a = [0] * short
         for i in rng.sample(range(short - 1), weight - 1) + [short - 1]:
             a[i] = rng.randrange(1, 3)
-        krons.clear()
-        assert gf3.to_poly(gf3.mul(pack(a), pack(b)), F3) == poly(a) * poly(b)
-        assert krons == ([1] if weight > limit else [])
+        convolutions.clear()
+        assert gf3.to_poly(gf3.mul(pack(a), pack(b)), F3) == poly(schoolbook_mod_p(a, b, 3))
+        assert convolutions == ([1] if weight > limit else [])
+
+
+def test_dense_mul_worst_case_at_the_limit():
+    """Every digit -1 (coefficient 2), as long as one transform takes: (-1)^2 = 1, so the
+    product is the triangle mod 3."""
+    n = algebra._MAX_TRANSFORM
+    a, b = pack([2] * (n // 2)), pack([2] * (n // 2 + 1))
+    with transforms() as sizes:
+        got = gf3.mul(a, b)
+    assert sizes == [n, n]
+    assert gf3.to_coeffs(got) == tuple((triangle(n // 2, n // 2 + 1) % 3).tolist())
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+def test_flipped_coefficient_moves_the_product(path, monkeypatch):
+    """a_i + delta moves a*b by exactly delta x^i b, on either path."""
+    monkeypatch.setattr(gf3, "_SPARSE", PATHS[path])
+    rng = random.Random(7)
+    xs = [rng.randrange(3) for _ in range(699)] + [1]
+    b = pack([rng.randrange(3) for _ in range(499)] + [2])
+    base = gf3.mul(pack(xs), b)
+    for i, delta in ((0, 1), (rng.randrange(700), 2), (699, 1)):
+        flipped = list(xs)
+        flipped[i] = (xs[i] + delta) % 3
+        moved = gf3.sub(gf3.mul(pack(flipped), b), base)
+        bh, bl = b
+        assert moved == ((bh << i, bl << i) if delta == 1 else (bl << i, bh << i))
 
 
 SUM_OF_DIGITS = autoseq.prefix(autoseq.sum_of_digits(3), 800)

@@ -11,7 +11,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqc import autoseq, theory
+from seqc import autoseq, ring, theory
 from seqc.algebra import LaurentSeries, Poly, PrimeField
 from seqc.autoseq import AlgebraicWitness
 from test_algebra import poly_truncate, series_add, series_from_poly, series_shift
@@ -144,6 +144,43 @@ def test_all_one_residuals_fail_at_the_same_n(k, n):
         # at index i >= 1 shows at order i; at i = 0, h_1 and h_2 cancel
         if min(flips) >= 1:
             assert first == min(flips) + 1, (seed, flips)
+
+
+def truncated_power(g, i, n):
+    """g^i mod t^n by square-and-multiply, each product taken in full and then cut."""
+    out, base = Poly.one(g.field), g
+    while i:
+        if i & 1:
+            out = poly_truncate(out * base, n)
+        base = poly_truncate(base * base, n)
+        i >>= 1
+    return out
+
+
+@pytest.mark.parametrize("p", [257, 32749])
+@pytest.mark.parametrize("index", [None, 0, 1500, 4095])
+def test_large_p_sum_of_digits_residual_matches_reference(p, index, monkeypatch):
+    """At N = 4096 h_1 = -(1-t)^2 times G, of 4096 entries, takes ``ring.Ring.mul``'s
+    slice updates: no float product has an operand of n entries."""
+    n = 4096
+    spec = autoseq.sum_of_digits(p)
+    w = autoseq.witness(spec)
+    pref = autoseq.prefix(spec, n)
+    if index is not None:
+        pref = corrupt(pref, index, 1, p)
+    calls = []
+    real = ring._fft_mul
+    monkeypatch.setattr(ring, "_fft_mul",
+                        lambda a, b, q: calls.extend((len(a), len(b))) or real(a, b, q))
+    got = autoseq.witness_residual(w, pref, n)
+    assert n not in calls
+    g = Poly(w.field, tuple(pref))
+    want = Poly.zero(w.field)
+    for i, h in enumerate(w.h_coeffs):
+        if not h.is_zero:
+            want = want + poly_truncate(h * truncated_power(g, i, n), n)
+    assert got == want
+    assert got.is_zero == (index is None)
 
 
 class TestEdgeControls:
