@@ -22,18 +22,20 @@ reduced echelon form and support at or below it, so the witness is
 deterministic; its tuple is rebuilt only when that vector changes.
 
 One loop serves every field.  It builds each power G^i mod t^N once,
-as G^(i-1) G cut at t^N, in the field's ``ring.Ring``, and hands its
-coefficients to the vector form, which p alone picks.  Over F_2
-(``_BitForm``) a vector and a row are each one int, bit c standing for
-column c, so the row test is the parity of ``v & row`` and a reduction
-is ``v ^ pivot``.  Each power is kept reversed as one int
-(``_Reversed``), so that the block of a row for one i is one shift and
-one mask.  Over F_3 (``_SliceForm``) a vector and a row are slice pairs
-(h, l) as in ``gf3``, each slice of a row is built as an F_2 row is, the
-row test is two popcounts, and a reduction is one slice addition of the
-pivot or its negation.  For p >= 5 (``_ListForm``) vectors and powers
-are lists of Python ints reduced mod p; at p = 2 and 3 that form is the
-tests' reference.
+as G^(i-1) G cut at t^N, in the field's ``ring.Ring``, and hands the
+ring's value as it is to the vector form, which the type of that value
+picks, so the ring and the form cannot disagree.  An int, over F_2,
+goes to ``_BitForm``: a vector and a row are each one int, bit c
+standing for column c, so the row test is the parity of ``v & row`` and
+a reduction is ``v ^ pivot``.  Each power is kept reversed as one int,
+so that the block of a row for one i is one shift and one mask.  A
+``gf3`` slice pair, over F_3, goes to ``_SliceForm``: a vector and a row
+are slice pairs (h, l), each slice of a row is built as an F_2 row is,
+the row test is two popcounts, and a reduction is one slice addition of
+the pivot or its negation.  An int64 array, for p >= 5, goes to
+``_ListForm``, where vectors and powers are lists of Python ints reduced
+mod p; under the int64 ring at p = 2 and 3 that form is the tests'
+reference.
 """
 
 from __future__ import annotations
@@ -60,27 +62,21 @@ def monomials(d: int):
     return [(i, j) for i in range(d + 1) for j in range(d + 1 - i)]
 
 
-# coefficient byte -> ASCII binary digit: "1" where it equals the key
-_DIGIT_TABLES = {d: bytes(48 + (v == d) for v in range(256)) for d in (1, 2)}
+class _BitForm:
+    """F_2 vectors and rows as ints, bit c for column c.
 
-
-class _Reversed:
-    """The powers G^i mod t^N as one bit slice each, reversed.
-
-    ``rev[i]`` has bit N-1-e set where G^i's coefficient of t^e is
-    ``digit``, so bits N-1-k .. N-1-k+(D-i) hold G^i[k], G^i[k-1], ...,
-    G^i[k-D+i], the row's block for i in column order; bits past N-1
-    stand for negative exponents and are 0.
+    ``rev[i]`` is the power G^i mod t^N reversed: bit N-1-e is its
+    coefficient of t^e, so bits N-1-k .. N-1-k+(D-i) hold G^i[k],
+    G^i[k-1], ..., G^i[k-D+i], the row's block for i in column order;
+    bits past N-1 stand for negative exponents and are 0.
     """
 
-    def __init__(self, n: int, digit: int = 1):
+    def __init__(self, n: int):
         self.n = n
         self.rev = []
-        self.table = _DIGIT_TABLES[digit]
 
-    def append(self, coeffs):
-        digits = bytes(coeffs).translate(self.table)
-        self.rev.append(int(digits + b"0" * (self.n - len(digits)), 2))
+    def append(self, a: int):
+        self.rev.append(int(format(a, f"0{self.n}b")[::-1], 2))
 
     def row(self, k: int, d: int) -> int:
         shift = self.n - 1 - k
@@ -89,10 +85,6 @@ class _Reversed:
             width = d - i + 1
             out = out << width | (self.rev[i] >> shift) & ((1 << width) - 1)
         return out
-
-
-class _BitForm(_Reversed):
-    """F_2 vectors and rows as ints, bit c for column c; the powers are one ``_Reversed``."""
 
     @staticmethod
     def unit(m: int) -> list:
@@ -119,7 +111,7 @@ class _BitForm(_Reversed):
 class _SliceForm:
     """F_3 vectors and rows as ``gf3`` pairs (h, l), bit c for column c.
 
-    The reversed powers are one ``_Reversed`` per slice, so each slice of
+    The powers are kept in one ``_BitForm`` per slice, so each slice of
     a row is built as ``_BitForm`` builds an F_2 row.  A product of
     entries is 1 where both are 1 or both are 2 and 2 where they differ,
     so v . row counts the first set once and the second twice; h & l = 0
@@ -129,11 +121,11 @@ class _SliceForm:
     """
 
     def __init__(self, n: int):
-        self.h, self.l = _Reversed(n, 2), _Reversed(n, 1)
+        self.h, self.l = _BitForm(n), _BitForm(n)
 
-    def append(self, coeffs):
-        self.h.append(coeffs)
-        self.l.append(coeffs)
+    def append(self, a):
+        self.h.append(a[0])
+        self.l.append(a[1])
 
     def row(self, k: int, d: int) -> tuple:
         return self.h.row(k, d), self.l.row(k, d)
@@ -178,7 +170,8 @@ class _SliceForm:
 class _ListForm:
     """Vectors, rows and the powers G^i mod t^N as lists of ints in [0, p).
 
-    It serves p >= 5, and is the tests' reference at p = 2 and 3.
+    It reads the ring's int64 arrays: it serves p >= 5, and under the
+    int64 ring at p = 2 and 3 it is the tests' reference.
 
     A vector ends at its top, so its length is its top index plus one.
 
@@ -192,8 +185,8 @@ class _ListForm:
         self.n, self.p = n, p
         self.rev = []
 
-    def append(self, coeffs):
-        self.rev.append([0] * (self.n - len(coeffs)) + list(coeffs[::-1]) + [0] * self.n)
+    def append(self, a):
+        self.rev.append([0] * (self.n - len(a)) + a[::-1].tolist() + [0] * self.n)
 
     def row(self, k: int, d: int) -> list:
         start = self.n - 1 - k
@@ -240,29 +233,26 @@ def expansion_profile(prefix, field: PrimeField, d_max: int | None = None):
     if d_max is not None and d_max < 1:
         raise ValueError("d_max must be >= 1")
     prefix = field.validate_symbols(prefix)
-    n, p = len(prefix), field.p
-    form = _BitForm(n) if p == 2 else _SliceForm(n) if p == 3 else _ListForm(n, p)
-    return _profile(prefix, Ring(field), form, d_max)
-
-
-def _profile(prefix, ring, form, d_max):
-    """The profile of ``prefix``; ``form.append`` gets the coefficients of G^0, G^1, ... in turn."""
     n = len(prefix)
+    ring = Ring(field)
+    one = ring.monomial(0)
+    form = (_BitForm(n) if isinstance(one, int) else _SliceForm(n) if isinstance(one, tuple)
+            else _ListForm(n, field.p))
     g = power = ring.from_coeffs(prefix)
-    form.append((1,))
-    form.append(prefix)
+    form.append(one)
+    form.append(g)
     d, mons = 1, monomials(1)
     basis = form.unit(len(mons))
     out = []
     nonzero = False
     top = wit = None  # the smallest-top basis vector and its witness tuple
-    for k in range(len(prefix)):
+    for k in range(n):
         basis = form.shrink(basis, form.row(k, d))
         while not basis and (d_max is None or d < d_max):
             d += 1
             mons = monomials(d)
             power = ring.split(ring.mul(power, g), n)[1]
-            form.append(ring.to_coeffs(power))
+            form.append(power)
             basis = form.unit(len(mons))
             top = None
             for r in range(k + 1):

@@ -46,15 +46,17 @@ class Ring:
     """Polynomial operations on one field's form: ``_bits`` at p = 2,
     ``_slices`` at p = 3 and ``_arrays`` otherwise (exact at p = 3 too).
 
-    ``from_coeffs`` packs coefficients in [0, p), low to high,
-    ``to_coeffs`` and ``to_poly`` read them back, and ``monomial(n)`` is
-    x^n.  The Euclid remainders and the recurrence terms travel as terms:
-    over F_2 and F_3 the value itself, for int64 arrays a list
-    [coeffs, bound].  ``term`` makes one from a value with entries in
-    [0, p) and ``value`` gives back its polynomial.  ``divmod(a, b)``
-    takes two terms and ``mul_add(a, b, c)`` a quotient a and two terms;
-    for int64 arrays either may reduce b in place, lowering its bound
-    with it.  ``mul`` (the exact full product),
+    A value is an int, a ``gf3`` pair or an int64 array, so its type
+    names the form: ``expcomp``'s vector forms read the values as they
+    are, each form chosen by that type.  ``from_coeffs`` packs
+    coefficients in [0, p), low to high, ``to_poly`` reads them back as
+    a ``Poly``, and ``monomial(n)`` is x^n.  The Euclid remainders and
+    the recurrence terms travel as terms: over F_2 and F_3 the value
+    itself, for int64 arrays a list [coeffs, bound].  ``term`` makes one
+    from a value with entries in [0, p) and ``value`` gives back its
+    polynomial.  ``divmod(a, b)`` takes two terms and ``mul_add(a, b, c)``
+    a quotient a and two terms; for int64 arrays either may reduce b in
+    place, lowering its bound with it.  ``mul`` (the exact full product),
     ``add``, ``sub``, ``split(a, n)`` = (a div x^n, a mod x^n) and
     ``stretch(a, stride, n)`` = a(x^stride) mod x^n take values; for
     int64 arrays ``mul`` reduces its operands mod p first, and the parts
@@ -78,7 +80,6 @@ class Ring:
         self.divmod = gf2.divmod_
         self.degree = gf2.degree
         self.stretch = gf2.stretch
-        self.to_coeffs = gf2.to_bits
         self.to_poly = lambda bits: gf2.to_poly(bits, field)
         self.from_coeffs = gf2.from_bits
         self.monomial = lambda n: 1 << n
@@ -94,7 +95,6 @@ class Ring:
         self.degree = gf3.degree
         self.stretch = lambda a, stride, n: (gf2.stretch(a[0], stride, n),
                                              gf2.stretch(a[1], stride, n))
-        self.to_coeffs = gf3.to_coeffs
         self.to_poly = lambda pair: gf3.to_poly(pair, field)
         self.from_coeffs = gf3.from_coeffs
         self.monomial = lambda n: (0, 1 << n)
@@ -111,7 +111,6 @@ class Ring:
         self.divmod = lambda a, b: _arr_divmod(a, b, p)
         self.degree = _arr_degree
         self.stretch = _arr_stretch
-        self.to_coeffs = lambda arr: arr.tolist()
         self.to_poly = lambda arr: Poly(field, tuple(arr.tolist()))
         self.from_coeffs = lambda coeffs: _arr_trim(np.array(coeffs, dtype=np.int64), p)
         self.monomial = lambda n: np.array([0] * n + [1], dtype=np.int64)

@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from seqc import autoseq, expcomp, lincomp, ring
+from seqc import autoseq, expcomp, gf2, gf3, lincomp, ring
 from seqc.algebra import Poly, PrimeField
 from test_algebra import poly_coeff, poly_shift, poly_truncate
 from test_autoseq import total_degree
@@ -36,14 +36,14 @@ def list_profile(prefix, field: PrimeField, d_max=None):
     """The profile through the list form and the int64 ring at any p: the reference at p = 2 and 3.
 
     The ring's int64 form is forced at p = 2 and 3 as ``int64_at_p3``
-    forces it, so the reference's powers are Kronecker products, not the
+    forces it, so ``expansion_profile`` picks the list form, and the
+    reference's powers are ``_fft_mul`` or slice-update products, not the
     ``gf2.mul`` and ``gf3.mul`` products of the code it checks.
     """
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ring.Ring, "_bits", ring.Ring._arrays)
         mp.setattr(ring.Ring, "_slices", ring.Ring._arrays)
-        int64_ring = ring.Ring(field)
-    return expcomp._profile(prefix, int64_ring, expcomp._ListForm(len(prefix), field.p), d_max)
+        return expcomp.expansion_profile(prefix, field, d_max)
 
 
 def bound_violation(values, h_degree: int, lin_profile):
@@ -230,6 +230,9 @@ class TestBitPackedAgainstLists:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 200), st.integers(0, 2**200 - 1), st.sampled_from([3, 8, None]))
     @example(200, random.Random(0).getrandbits(200), None)  # a dense prefix, E_200 = 19
+    # G far shorter than N: each power's reversal is padded to N bits by append
+    @example(200, 1, None)
+    @example(200, 1 | 1 << 9, None)
     def test_random_f2_prefixes(self, n, word, d_max):
         bits = [word >> i & 1 for i in range(n)]
         assert expcomp.expansion_profile(bits, F2, d_max) == list_profile(bits, F2, d_max)
@@ -261,12 +264,28 @@ class TestSlicesAgainstLists:
     @example(96, _word(_bumped(SOD3, {17, 50, 81})), 8)
     @example(40, 0, None)
     @example(1, 2, 3)
+    # G far shorter than N: each slice's reversal is padded to N bits by append
+    @example(128, 2, None)
+    @example(128, 1 + 2 * 3**7, None)
     def test_random_f3_prefixes(self, n, word, d_max):
         syms = [word // 3**i % 3 for i in range(n)]
         res = expcomp.expansion_profile(syms, F3, d_max)
         assert res == list_profile(syms, F3, d_max)
         if res[-1].witness is not None:
             assert evaluate_witness(res[-1].witness, syms, F3).is_zero
+
+
+def test_powers_reach_the_forms_as_ring_values(monkeypatch):
+    """No power goes through a coefficient tuple on its way to the F_2 or F_3 form."""
+    def refuse(*_args):
+        raise AssertionError("expansion_profile read a power back as coefficients")
+
+    prefixes = [(autoseq.prefix(spec, 64), spec.field) for spec in autoseq.builtin_specs()
+                if spec.field.p in (2, 3)]
+    expected = [expcomp.expansion_profile(pref, field) for pref, field in prefixes]
+    monkeypatch.setattr(gf2, "to_bits", refuse)
+    monkeypatch.setattr(gf3, "to_coeffs", refuse)
+    assert [expcomp.expansion_profile(pref, field) for pref, field in prefixes] == expected
 
 
 N_BOUNDS = 256
