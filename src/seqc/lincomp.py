@@ -10,29 +10,28 @@ and a length change makes E the old D.  Coefficients of D below n are
 never read again, so neither D nor E needs them, and the profile needs
 no connection vector at all; only ``bm_connection`` asks for c.
 
-The field chooses the form.  Over F_2, D and E are bit-packed ints
-(``gf2``); over F_3 they are ``gf3`` slice pairs, on which an update is
-two shifts and one slice addition, run in the same 64-step blocks.  For
-p >= 5 they are numpy int64 arrays under one invariant
-(``algebra._make_room``): every array carries an int bound M with
-|x_i| <= M, an update x -= c y with c in [1, p) raises x's bound by
-(p-1) M_y, and an operand is reduced mod p only when the update could
-otherwise pass 2^63 - 1.  The updates by c = 1 and c = p - 1 are x -= y
-and x += y (``algebra._sub_multiple``): no product, and the bound rises
-by M_y alone.  So every step is exact at every supported p.  The int64
-kernel is exact at p = 3 too, where the tests run it as the slices'
-reference.  The zero-prefix and 0...0!=0 boundary conventions fall out
-of the standard initialization and are asserted in tests rather than
-special-cased here.
+The ring chooses the form.  ``_synthesize`` packs the prefix once with
+``ring.Ring(field).from_coeffs``, and the type of that value picks the
+kernel, as in ``expcomp``: an int (F_2) goes to ``_bm_f2``, bit-packed
+in 64-step blocks; a ``gf3`` slice pair (F_3) to ``_bm_f3``, in the same
+blocks; an int64 array (p >= 5, and p = 3 under the tests' int64 ring)
+to ``_bm_modp``, exact at every supported p under the bound invariant
+of ``ring`` and ``algebra._make_room``.  Each kernel returns c in its
+form, read back once by ``to_poly``.  The zero-prefix and 0...0!=0
+boundary conventions fall out of the standard initialization and are
+asserted in tests rather than special-cased here.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
-from . import gf2, gf3
+from . import gf3
 from .algebra import PrimeField, _make_room, _sub_multiple
 from .autoseq import Profile
+from .ring import Ring
 
 # steps per shift of D over F_2 and F_3: D moves right once per block and
 # the block's discrepancies are read from a BLOCK-bit window
@@ -40,8 +39,8 @@ _BLOCK = 64
 _MASK = (1 << _BLOCK) - 1
 
 
-def _bm_f2(bits, connection):
-    """Bit-packed residual synthesis; returns (L values, (C_L, ..., C_1) or None, final L).
+def _bm_f2(d, n_len, connection):
+    """Bit-packed residual synthesis of a packed prefix; returns (L values, c, final L).
 
     At block start s the int ``d`` holds D >> s, and ``w`` its low _BLOCK
     bits, so bit t of ``w`` is the discrepancy of step n = s + t.  E is
@@ -61,10 +60,8 @@ def _bm_f2(bits, connection):
 
     Start: c = b = 1 and m = -1, so D = S and E = S; e_sh = -1 is
     folded into e as (e, e_sh) = (S << 1, 0).  c and b are tracked only
-    when ``connection`` is set.
+    when ``connection`` is set; c stays 1 otherwise.
     """
-    n_len = len(bits)
-    d = gf2.from_bits(bits)
     e, e_sh = d << 1, 0
     c = b = 1
     m = -1
@@ -89,14 +86,12 @@ def _bm_f2(bits, connection):
                 d ^= x
                 w ^= x & _MASK
             prof.append(ell)
-    # -C_i = C_i for c = 1 + C_1 x + ... + C_L x^L; a set bit for C_(L+1)
-    # keeps to_bits from trimming a zero C_L, and the slice drops it
-    return prof, (gf2.to_bits(c >> 1 | 1 << ell)[-2::-1] if connection else None), ell
+    return prof, c, ell
 
 
-def _bm_f3(symbols, connection):
+def _bm_f3(d, n_len, connection):
     """Bit-sliced residual synthesis over F_3, as ``_bm_f2`` runs it; returns
-    (L values, (-c_L, ..., -c_1) or None, final L).
+    (L values, c, final L).
 
     D, E, c and b are ``gf3`` slice pairs, and (dh, dl), (wh, wl) and
     (eh, el, e_sh) play the parts of d, w and (e, e_sh) in ``_bm_f2``,
@@ -110,8 +105,7 @@ def _bm_f3(symbols, connection):
 
     Start: c = b = 1, b_d = 1 and m = -1, as in ``_bm_f2``.
     """
-    n_len = len(symbols)
-    dh, dl = gf3.from_coeffs(symbols)
+    dh, dl = d
     eh, el, e_sh = dh << 1, dl << 1, 0
     c = b = (0, 1)
     m = -1
@@ -150,17 +144,12 @@ def _bm_f3(symbols, connection):
                 u = (wl | xh) ^ (wh | xl)
                 wh, wl = (wl | xl) ^ u, (wh | xh) ^ u
             prof.append(ell)
-    if not connection:
-        return prof, None, ell
-    # -c swaps the slices; a 1 at x^L past c_1..c_L keeps to_coeffs from
-    # trimming a zero c_L, and the slice drops it
-    ch, cl = c
-    return prof, gf3.to_coeffs((cl >> 1, ch >> 1 | 1 << ell))[-2::-1], ell
+    return prof, c, ell
 
 
-def _bm_modp(seq, p, connection):
-    """Residual synthesis on int64 arrays over F_p, for odd p; returns
-    (L values, (-c_L, ..., -c_1) mod p or None, final L).
+def _bm_modp(seq, n_len, connection, p):
+    """Residual synthesis of a packed prefix on int64 arrays over F_p, for
+    odd p; returns (L values, c[:L+1] unreduced or None, final L).
 
     ``res[i]`` holds coefficient i of D = c S for every i >= n; entries
     below n are stale and never read.  ``e[k]`` holds coefficient m + k
@@ -173,9 +162,9 @@ def _bm_modp(seq, p, connection):
 
     Start: c = b = 1 and m = -1, so res = S and e = [0] + S.
     """
-    n_len = len(seq)
-    res = np.array(seq, dtype=np.int64)
-    e = np.concatenate((np.zeros(1, dtype=np.int64), res))
+    e = np.zeros(n_len + 1, dtype=np.int64)
+    e[1:len(seq) + 1] = seq
+    res = e[1:].copy()
     m_res = m_e = p - 1  # bounds on |res[n:]| and |e[:N-n]|
     if connection:
         c = np.zeros(n_len + 1, dtype=np.int64)
@@ -208,22 +197,32 @@ def _bm_modp(seq, p, connection):
                 e, m_e = e_next, m_e_next
                 ell, m = n + 1 - ell, n
         prof.append(ell)
-    return prof, (tuple((-c[ell:0:-1] % p).tolist()) if connection else None), ell
+    return prof, (c[:ell + 1] if connection else None), ell
 
 
 def _synthesize(prefix, field: PrimeField, connection=False):
+    """(L values, (-c_L, ..., -c_1) mod p or None, final L).
+
+    The packed prefix drops trailing zeros, so a kernel takes N too, and
+    c_L may be 0, so the connection read back is padded to L + 1.
+    """
     prefix = field.validate_symbols(prefix)
-    if field.p == 2:
-        return _bm_f2(prefix, connection)
-    if field.p == 3:
-        return _bm_f3(prefix, connection)
-    return _bm_modp(prefix, field.p, connection)
+    if not prefix:
+        raise ValueError("prefix must contain at least one symbol")
+    ring, p = Ring(field), field.p
+    seq = ring.from_coeffs(prefix)
+    kernel = (_bm_f2 if isinstance(seq, int) else _bm_f3 if isinstance(seq, tuple)
+              else partial(_bm_modp, p=p))
+    prof, c, ell = kernel(seq, len(prefix), connection)
+    if not connection:
+        return prof, None, ell
+    coeffs = ring.to_poly(c).coeffs
+    coeffs += (0,) * (ell + 1 - len(coeffs))
+    return prof, tuple([-a % p for a in coeffs[ell:0:-1]]), ell
 
 
 def bm_profile(prefix, field: PrimeField) -> Profile:
     """L(u_n, N) for every N = 1..len(prefix)."""
-    if len(prefix) < 1:
-        raise ValueError("prefix must contain at least one symbol")
     prof, _, _ = _synthesize(prefix, field)
     return Profile(tuple(prof))
 
@@ -234,7 +233,5 @@ def bm_connection(prefix, field: PrimeField):
     Replaying the recurrence from the first L symbols regenerates the
     whole prefix.
     """
-    if len(prefix) < 1:
-        raise ValueError("prefix must contain at least one symbol")
     _, c, ell = _synthesize(prefix, field, connection=True)
     return ell, c

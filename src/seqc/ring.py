@@ -47,8 +47,9 @@ class Ring:
     ``_slices`` at p = 3 and ``_arrays`` otherwise (exact at p = 3 too).
 
     A value is an int, a ``gf3`` pair or an int64 array, so its type
-    names the form: ``expcomp``'s vector forms read the values as they
-    are, each form chosen by that type.  ``from_coeffs`` packs
+    names the form: ``expcomp``'s vector forms and ``lincomp``'s
+    Berlekamp-Massey kernels read the values as they are, each chosen
+    by that type.  ``from_coeffs`` packs
     coefficients in [0, p), low to high, ``to_poly`` reads them back as
     a ``Poly``, and ``monomial(n)`` is x^n.  The Euclid remainders and
     the recurrence terms travel as terms: over F_2 and F_3 the value

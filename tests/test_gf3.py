@@ -7,10 +7,9 @@ is shift-and-add while the shorter operand's weight is at most
 ``gf3._SPARSE + (len a + len b) // gf3._SPACING`` and a float convolution
 (``algebra._convolve``) above that; both paths are pinned by moving
 ``_SPARSE``.  The public functions serve p = 3 from these slices; their
-outputs are compared with the int64 kernels, which ``int64_at_p3`` (and
-a direct call of ``lincomp._bm_modp``) runs at p = 3, and with the
-Python references ``schoolbook_bm``, ``poly_euclid`` and
-``poly_convergent``.
+outputs are compared with the int64 kernels, which ``int64_at_p3`` runs
+at p = 3, and with the Python references ``schoolbook_bm``,
+``poly_euclid`` and ``poly_convergent``.
 """
 
 import dataclasses
@@ -181,9 +180,11 @@ def _expansion_outputs(symbols):
 def test_sliced_kernels_match_int64_and_references(symbols):
     prof, c, ell = schoolbook_bm(symbols, 3)
     connection = tuple(-c[ell - i] % 3 for i in range(ell))
-    assert lincomp._bm_modp(symbols, 3, True) == (prof, connection, ell)
     assert list(lincomp.bm_profile(symbols, F3)) == prof
     assert lincomp.bm_connection(symbols, F3) == (ell, connection)
+    with int64_at_p3():
+        assert list(lincomp.bm_profile(symbols, F3)) == prof
+        assert lincomp.bm_connection(symbols, F3) == (ell, connection)
 
     exp, quotients, convergents = _expansion_outputs(symbols)
     with int64_at_p3():
@@ -225,3 +226,17 @@ def test_residual_and_expansion_match_int64(spec, bump):
     with int64_at_p3():
         assert isinstance(ring.Ring(F3).from_coeffs([1]), np.ndarray)
         assert outputs() == (residual, profile)
+
+
+@pytest.mark.parametrize("symbols", [[random.Random(3).randrange(3) for _ in range(512)],
+                                     autoseq.prefix(autoseq.sum_of_digits(3), 512)],
+                         ids=["random", "sum-of-digits(3)"])
+def test_int64_ring_runs_bm_without_slices(symbols, monkeypatch):
+    """Under ``int64_at_p3`` the ring's value picks BM's int64 kernel: the slices never run."""
+    def refuse(*_args):
+        raise AssertionError("BM ran the slice kernel under the int64 ring")
+
+    outputs = lincomp.bm_profile(symbols, F3), lincomp.bm_connection(symbols, F3)
+    monkeypatch.setattr(lincomp, "_bm_f3", refuse)
+    with int64_at_p3():
+        assert (lincomp.bm_profile(symbols, F3), lincomp.bm_connection(symbols, F3)) == outputs

@@ -15,8 +15,9 @@ Python ints.
 
 The public functions serve p = 3 from ``gf3``'s bit slices, and the int64
 kernels every p >= 5; here they run at p = 3 too, as they can at any odd
-p: Berlekamp-Massey is called directly, and ``int64_at_p3`` gives the
-continued fractions the int64 form.
+p: ``int64_at_p3`` gives ``ring.Ring`` the int64 form there, and the
+form of the ring's values picks the Berlekamp-Massey kernel and the
+continued fractions' arithmetic alike.
 """
 
 import contextlib
@@ -110,9 +111,9 @@ def check_kernels(symbols, p):
 def _check_kernels(symbols, p):
     field = PrimeField(p)
     prof, c, ell = schoolbook_bm(symbols, p)
-    assert lincomp._bm_modp(symbols, p, False) == (prof, None, ell)
-    assert lincomp._bm_modp(symbols, p, True) == (prof, tuple(-c[ell - i] % p for i in range(ell)),
-                                                 ell)
+    assert list(lincomp.bm_profile(symbols, field)) == prof
+    assert lincomp.bm_connection(symbols, field) == (ell,
+                                                     tuple(-c[ell - i] % p for i in range(ell)))
     if not any(symbols):
         return
     exp = contfrac.cf_expand(LaurentSeries.from_prefix(symbols, field))

@@ -158,6 +158,16 @@ def _bits(seed, n):
 P31 = 2**31 - 1
 
 
+def _at_every_p(*prefixes):
+    """``@example((p, xs))`` for each prefix xs at each p in 2, 3, 5 and 2^31 - 1."""
+    def wrap(test):
+        for p in (2, 3, 5, P31):
+            for xs in prefixes:
+                test = example((p, xs))(test)
+        return test
+    return wrap
+
+
 @given(st.sampled_from([2, 3, 5, P31]).flatmap(lambda p: st.tuples(
     st.just(p), st.lists(st.integers(0, p - 1) | st.just(0), min_size=1, max_size=300))))
 # F_2 runs in 64-step blocks: a first nonzero symbol past block 0, whole and
@@ -177,6 +187,11 @@ P31 = 2**31 - 1
 # symbols run about a hundred reductions of each
 @example((P31, [P31 - 1 - v for v in _bits(9, 200)]))
 @example((P31, (lambda rng: [rng.randrange(P31) for _ in range(200)])(random.Random(10))))
+# the packed prefix drops trailing zeros, so a kernel takes N apart from
+# it: a packed value far shorter than N, and an empty one.  The connection
+# is read back from c and padded to L + 1: c = 1 - x^L, with zeros
+# between c_0 and c_L, and c = 1 with c_L = 0 at L = 1 and L = 2
+@_at_every_p([1] + [0] * 63, [0] * 64, [0, 0, 1], [1, 0, 0, 0, 0, 0, 0, 1], [1, 1, 0, 0])
 @settings(max_examples=80)
 def test_live_span_bm_matches_schoolbook(case):
     p, xs = case
