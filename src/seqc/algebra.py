@@ -177,6 +177,9 @@ class PrimeField:
     def validate_symbols(self, symbols) -> tuple:
         """The symbols as a tuple of ints, if each is an integer in [0, p); else ValueError.
 
+        An empty sequence is a ValueError too: every prefix that seqc
+        reads holds at least one symbol.
+
         An integer is whatever ``operator.index`` accepts: int, bool and
         numpy integers, alone or as a numpy array.  The check is one pass
         over the symbols in C: ``bytes`` for p < 256, which rejects a
@@ -186,6 +189,8 @@ class PrimeField:
         bad one.
         """
         p = self.p
+        if not len(symbols):
+            raise ValueError("prefix must contain at least one symbol")
         try:
             if p < 256:
                 if not isinstance(symbols, (list, tuple)):
@@ -195,7 +200,7 @@ class PrimeField:
                     return tuple(raw)
             else:
                 values = np.fromiter(map(index, symbols), np.int64, len(symbols))
-                if not len(values) or (values.min() >= 0 and values.max() < p):
+                if values.min() >= 0 and values.max() < p:
                     return tuple(values.tolist())
         except (TypeError, ValueError, OverflowError):
             pass
@@ -315,22 +320,15 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other):
+        """The product, by the float product ``_fft_mul``.
+
+        No seqc code calls it.  It stays as the tests' reference and
+        because perfbench/spans.py times it as ``algebra.poly_mul``.
+        """
         _check_same_field(self, other)
         if self.is_zero or other.is_zero:
             return Poly.zero(self.field)
         return Poly(self.field, tuple(_fft_mul(self.coeffs, other.coeffs, self.field.p).tolist()))
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative exponent")
-        result = Poly.one(self.field)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def __divmod__(self, other):
         _check_same_field(self, other)
@@ -413,8 +411,6 @@ class LaurentSeries:
         mod p again, a second pass over N symbols.  Only the leading zeros
         are dropped, so that c_top != 0.
         """
-        if len(prefix) < 1:
-            raise ValueError("prefix must contain at least one symbol")
         symbols = field.validate_symbols(prefix)
         lead = next((i for i, v in enumerate(symbols) if v), len(symbols))
         coeffs = symbols[lead:]

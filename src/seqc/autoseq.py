@@ -1,8 +1,9 @@
 """Automatic sequence generators and their algebraic witnesses.
 
 Each built-in sequence comes with the bivariate polynomial h(s,t) whose
-root is the sequence's generating function, plus the derived parameters
-(d, M) that feed the general complexity bounds.
+root is the sequence's generating function, each h_i(t) written as its
+coefficients by two identities over F_p (``witness``).  The parameters
+d and M that feed the general complexity bounds are read off h.
 """
 
 from __future__ import annotations
@@ -161,24 +162,26 @@ def prefix(spec: SequenceSpec, n: int):
 
 @dataclass(frozen=True)
 class AlgebraicWitness:
-    """h(s,t) = sum_i h_i(t) s^i with the derived parameters d and M."""
+    """h(s,t) = sum_i h_i(t) s^i, with d and M read off h.
+
+    d = deg_s h, and M = max_i (deg h_i - i) over the nonzero h_i: the
+    two numbers that bound L(N) in Theorem 1.
+    """
 
     field: PrimeField
     h_coeffs: tuple  # Poly, index i = h_i(t)
-    m: int
 
     def __post_init__(self):
         if not self.h_coeffs or self.h_coeffs[-1].is_zero:
             raise ValueError("leading coefficient h_d must be nonzero")
-        if self.m != self._recompute_m():
-            raise ValueError("stored M disagrees with the coefficients")
-
-    def _recompute_m(self) -> int:
-        return max(int(h.degree) - i for i, h in enumerate(self.h_coeffs) if not h.is_zero)
 
     @property
     def d(self) -> int:
         return len(self.h_coeffs) - 1
+
+    @property
+    def m(self) -> int:
+        return max(int(h.degree) - i for i, h in enumerate(self.h_coeffs) if not h.is_zero)
 
 
 # largest total degree of a witness that ``witness`` builds
@@ -189,6 +192,9 @@ WITNESS_DEGREE_CAP = 2**16
 def witness(spec: SequenceSpec) -> AlgebraicWitness:
     """h(s,t) for a built-in spec, with dense coefficients in s and in t.
 
+    Each h_i is written as its coefficient tuple, by two identities over
+    F_p: (t-1)^(p^k) = t^(p^k) - 1, since the p-th power map is additive,
+    and (t-1)^(p-1) = 1 + t + ... + t^(p-1), since binom(p-1, i) = (-1)^i.
     Its total degree is p^k + 2p - 1 for pattern(p,k,a) and 2p + 1 for
     sum-of-digits(p), so it grows with p.  Above WITNESS_DEGREE_CAP
     (2^16; p up to 32749 for sum-of-digits and p^k + 2p - 1 <= 65536
@@ -210,33 +216,31 @@ def witness(spec: SequenceSpec) -> AlgebraicWitness:
     one = Poly.one(field)
     zero = Poly.zero(field)
     if spec.kind == PATTERN:
-        # (t-1)^{p^k + p - 1} s^p - (t-1)^{p^k} s - t^a
+        # (t-1)^(p^k + p - 1) s^p - (t-1)^(p^k) s - t^a, with
+        # (t-1)^(p^k + p - 1) = (t^(p^k) - 1)(1 + t + ... + t^(p-1))
         p, pk = spec.p, spec.p ** spec.k
-        tm1 = t - one
         h = [zero] * (p + 1)
-        h[0] = -Poly.monomial(field, spec.a)
-        h[1] = -(tm1 ** pk)
-        h[p] = tm1 ** (pk + p - 1)
-        return AlgebraicWitness(field, tuple(h), m=pk - 1)
+        h[0] = Poly.monomial(field, spec.a, -1)
+        h[1] = Poly(field, (1,) + (0,) * (pk - 1) + (-1,))
+        h[p] = Poly(field, (-1,) * p + (0,) * (pk - p) + (1,) * p)
+        return AlgebraicWitness(field, tuple(h))
     if spec.kind == SUM_OF_DIGITS:
-        # (1-t)^{p+1} s^p - (1-t)^2 s + t
+        # (1-t)^(p+1) s^p - (1-t)^2 s + t, with (1-t)^(p+1) = (1 - t^p)(1 - t)
         p = spec.p
-        omt = one - t
         h = [zero] * (p + 1)
         h[0] = t
-        h[1] = -(omt * omt)
-        h[p] = omt ** (p + 1)
-        return AlgebraicWitness(field, tuple(h), m=1)
+        h[1] = Poly(field, (-1, 2, -1))
+        h[p] = Poly(field, (1, -1) + (0,) * (p - 2) + (-1, 1))
+        return AlgebraicWitness(field, tuple(h))
     if spec.kind == BAUM_SWEET:
         # s^3 + t s + 1
-        return AlgebraicWitness(field, (one, t, zero, one), m=0)
+        return AlgebraicWitness(field, (one, t, zero, one))
     if spec.kind == PAPER_FOLDING:
         # (t^4 + 1) s^2 + (t^4 + 1) s + t
         t4p1 = Poly(field, (1, 0, 0, 0, 1))
-        return AlgebraicWitness(field, (t, t4p1, t4p1), m=3)
+        return AlgebraicWitness(field, (t, t4p1, t4p1))
     # perfect-profile: t(t+1) s^2 + (t+1) s + 1
-    tp1 = t + one
-    return AlgebraicWitness(field, (one, tp1, t * tp1), m=0)
+    return AlgebraicWitness(field, (one, Poly(field, (1, 1)), Poly(field, (0, 1, 1))))
 
 
 def witness_residual(w: AlgebraicWitness, pref, n: int) -> Poly:

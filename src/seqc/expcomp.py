@@ -228,11 +228,9 @@ class _ListForm:
 
 def expansion_profile(prefix, field: PrimeField, d_max: int | None = None):
     """[E_1, ..., E_len] as ExpansionResults; d_max, if given, caps the total degree."""
-    if len(prefix) < 1:
-        raise ValueError("prefix must contain at least one symbol")
+    prefix = field.validate_symbols(prefix)
     if d_max is not None and d_max < 1:
         raise ValueError("d_max must be >= 1")
-    prefix = field.validate_symbols(prefix)
     n = len(prefix)
     ring = Ring(field)
     one = ring.monomial(0)

@@ -207,8 +207,6 @@ def _synthesize(prefix, field: PrimeField, connection=False):
     c_L may be 0, so the connection read back is padded to L + 1.
     """
     prefix = field.validate_symbols(prefix)
-    if not prefix:
-        raise ValueError("prefix must contain at least one symbol")
     ring, p = Ring(field), field.p
     seq = ring.from_coeffs(prefix)
     kernel = (_bm_f2 if isinstance(seq, int) else _bm_f3 if isinstance(seq, tuple)

@@ -113,7 +113,7 @@ class Ring:
         self.degree = _arr_degree
         self.stretch = _arr_stretch
         self.to_poly = lambda arr: Poly(field, tuple(arr.tolist()))
-        self.from_coeffs = lambda coeffs: _arr_trim(np.array(coeffs, dtype=np.int64), p)
+        self.from_coeffs = lambda coeffs: np.trim_zeros(np.array(coeffs, dtype=np.int64), "b")
         self.monomial = lambda n: np.array([0] * n + [1], dtype=np.int64)
 
 
@@ -122,7 +122,12 @@ def _arr_degree(a) -> int:
 
 
 def _arr_trim(a, p):
-    """Drop entries that vanish mod p from the top; reduce the new top in place."""
+    """Drop entries that vanish mod p from the top; reduce the new top in place.
+
+    It serves unreduced terms, whose entries need not be in [0, p);
+    ``from_coeffs`` takes entries in [0, p) and drops its zeros by one
+    ``np.trim_zeros`` in place of this loop over them.
+    """
     top = len(a)
     while top and not int(a[top - 1]) % p:
         top -= 1

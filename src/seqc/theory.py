@@ -219,10 +219,7 @@ def functional_equation_residual(spec: SequenceSpec, n: int, pref=None) -> Laure
     step = 2 ** spec.k
     if pref is None:
         pref = autoseq.prefix(spec, n)
-    symbols = pref[:n]
-    if not symbols:
-        raise ValueError("prefix must contain at least one symbol")
-    symbols = field.validate_symbols(symbols)
+    symbols = field.validate_symbols(pref[:n])
     m = len(symbols)
     g = gf2.from_bits(symbols)
     r2 = gf2.stretch(g, 2, m)

@@ -422,18 +422,6 @@ def test_poly_divmod_roundtrip_f3(xs, ys):
     assert r.degree < b.degree
 
 
-@given(st.integers(min_value=0, max_value=4), coeff_lists)
-def test_frobenius_power_property(e, xs):
-    # a(t)^(p^e) = a(t^(p^e)) in characteristic p
-    a = P(F3, *xs)
-    q = 3 ** e
-    lhs = a ** q
-    spread = [0] * (q * len(a.coeffs))
-    for i, c in enumerate(a.coeffs):
-        spread[q * i] = c
-    assert lhs == P(F3, *spread)
-
-
 class TestLaurentSeries:
     def test_from_prefix_reindexes(self):
         # u_0..u_3 = 0,1,1,0 becomes x^-2 + x^-3 known down to x^-4

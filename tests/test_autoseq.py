@@ -1,11 +1,13 @@
 """Sequence generators, pattern-count oracle, algebraic witnesses and profiles."""
 
-import pytest
-from hypothesis import given, strategies as st
+from unittest import mock
 
-from seqc import autoseq, lincomp
-from seqc.algebra import PrimeField
-from seqc.autoseq import Profile
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from seqc import autoseq, cli, lincomp, theory
+from seqc.algebra import Poly, PrimeField
+from seqc.autoseq import AlgebraicWitness, Profile
 
 
 def total_degree(w) -> int:
@@ -208,13 +210,6 @@ class TestWitness:
         assert w.m == 0
         assert total_degree(w) == 4
 
-    def test_rejects_a_wrong_m(self):
-        w = autoseq.witness(autoseq.pattern(2, 3, 7))
-        assert autoseq.AlgebraicWitness(w.field, w.h_coeffs, w.m) == w
-        for m in (w.m - 1, w.m + 1):
-            with pytest.raises(ValueError, match="stored M disagrees"):
-                autoseq.AlgebraicWitness(w.field, w.h_coeffs, m)
-
     def test_built_once(self):
         assert autoseq.witness(autoseq.thue_morse()) is autoseq.witness(autoseq.pattern(2, 1, 1))
 
@@ -241,6 +236,80 @@ class TestWitness:
         pref[13] ^= 1
         w = autoseq.witness(spec)
         assert not autoseq.witness_residual(w, pref, 64).is_zero
+
+
+def _power(f, e):
+    """f^e by e - 1 multiplications, the plain definition of a power."""
+    out = f
+    for _ in range(e - 1):
+        out = out * f
+    return out
+
+
+def product_form(spec):
+    """h_0, h_1 and h_p of the witness as products of powers of t - 1 and 1 - t."""
+    field, p = spec.field, spec.p
+    t, one = Poly.x(field), Poly.one(field)
+    if spec.kind == autoseq.PATTERN:
+        # (t-1)^(p^k + p - 1) s^p - (t-1)^(p^k) s - t^a
+        pk = p ** spec.k
+        return -Poly.monomial(field, spec.a), -_power(t - one, pk), _power(t - one, pk + p - 1)
+    # (1-t)^(p+1) s^p - (1-t)^2 s + t
+    return t, -_power(one - t, 2), _power(one - t, p + 1)
+
+
+@st.composite
+def closed_form_specs(draw):
+    """pattern(p, k, a) for p <= 7, k <= 3 and every valid a, or sum-of-digits(p <= 31)."""
+    if draw(st.booleans()):
+        p, k = draw(st.sampled_from([2, 3, 5, 7])), draw(st.integers(1, 3))
+        return autoseq.pattern(p, k, draw(st.integers(1, p ** k - 1)))
+    return autoseq.sum_of_digits(draw(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(closed_form_specs(), st.data())
+def test_closed_form_witness_equals_the_product_form(spec, data):
+    """(t-1)^(p^k) = t^(p^k) - 1 and (t-1)^(p-1) = 1 + t + ... + t^(p-1) over F_p: the
+    witness written by its coefficients equals the one built by products.  As a control,
+    one coefficient of h_p moved breaks that equality and the verifier's residual_zero."""
+    w = autoseq.witness(spec)
+    p = spec.p
+    h = list(w.h_coeffs)
+    assert (h[0], h[1], h[p]) == product_form(spec)
+    assert all(c.is_zero for c in h[2:p])
+
+    j = data.draw(st.integers(0, len(h[p].coeffs) - 1))
+    moved = list(h[p].coeffs)
+    moved[j] += data.draw(st.integers(1, p - 1))
+    h[p] = Poly(spec.field, tuple(moved))
+    assert h[p] != product_form(spec)[2]
+    # the first nonzero symbol is u_i for some i <= a (a = 1 for sum-of-digits), so the
+    # moved term c t^j G(t^p) reaches below t^n
+    n = p * (spec.a + 1) + len(moved)
+    bent = AlgebraicWitness(spec.field, tuple(h))
+    with mock.patch.object(autoseq, "witness", lambda _spec: bent):
+        checks = {c.name: c for c in theory.verify(spec, n).checks}
+    assert not checks["residual_zero"].passed
+
+
+def test_runs_without_poly_arithmetic(monkeypatch, capsys):
+    """Witnesses, the verifier and the CLI compute in ``ring.Ring``: no ``Poly`` sum,
+    difference, negation, product or division runs."""
+    def refuse(*_args):
+        raise AssertionError("Poly arithmetic ran")
+
+    for name in ("__add__", "__sub__", "__neg__", "__mul__", "__divmod__"):
+        monkeypatch.setattr(Poly, name, refuse)
+    autoseq.witness.cache_clear()
+    assert all(report.ok for report in theory.verify_suite(256))
+    for argv in (["profile", "--seq", "pattern", "--p", "3", "--k", "2", "--a", "4",
+                  "--n-max", "256"],
+                 ["profile", "--seq", "sum-of-digits", "--p", "5", "--n-max", "256"],
+                 ["expansion", "--seq", "sum-of-digits", "--p", "3", "--n", "64"],
+                 ["verify", "--seq", "pattern", "--p", "5", "--k", "2", "--a", "7",
+                  "--n-max", "256"]):
+        assert cli.main(argv) == 0, capsys.readouterr().err
 
 
 class TestProfile:

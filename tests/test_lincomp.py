@@ -6,8 +6,8 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from seqc import autoseq, lincomp
-from seqc.algebra import PrimeField
+from seqc import autoseq, contfrac, lincomp
+from seqc.algebra import LaurentSeries, PrimeField
 from test_autoseq import validate_profile
 
 F2 = PrimeField(2)
@@ -199,6 +199,19 @@ def test_live_span_bm_matches_schoolbook(case):
     prof, c, ell = schoolbook_bm(xs, p)
     assert list(lincomp.bm_profile(xs, field)) == prof
     assert lincomp.bm_connection(xs, field) == (ell, tuple(-c[ell - i] % p for i in range(ell)))
+
+
+@pytest.mark.parametrize("p", [5, P31])
+@pytest.mark.parametrize("xs", [[1] + [0] * 4095, [0] * 4096], ids=["one-then-zeros", "zeros"])
+def test_long_zero_tail_matches_schoolbook(p, xs):
+    """The packed prefix drops a long zero tail in one step; the profile and the
+    connection stay Massey's, and the CF profile stays BM's."""
+    field = PrimeField(p)
+    prof, c, ell = schoolbook_bm(xs, p)
+    bm = lincomp.bm_profile(xs, field)
+    assert list(bm) == prof
+    assert lincomp.bm_connection(xs, field) == (ell, tuple(-c[ell - i] % p for i in range(ell)))
+    assert contfrac.profile_from_cf(LaurentSeries.from_prefix(xs, field), len(xs)) == bm
 
 
 symbol_lists = st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=40)

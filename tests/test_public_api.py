@@ -127,8 +127,9 @@ def test_init_binds_only_the_submodules():
             bound |= {t.id for t in node.targets}
         else:
             assert isinstance(node, ast.Expr), ast.dump(node)  # the docstring
-    assert bound == {"algebra", "autoseq", "contfrac", "expcomp", "gf2", "gf3", "lincomp", "theory",
-                     "__version__"}
+    # every module but ``cli``, which ``python -m seqc.cli`` runs as __main__: bound by
+    # the package, it would be imported a second time
+    assert bound == set(MODULES) - {"cli"} | {"__version__"}
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -75,8 +75,7 @@ def multi_digit_witnesses(draw):
     short = st.lists(st.integers(0, p - 1), max_size=5)
     h = [Poly(field, tuple(draw(short))) for _ in range(d)]
     h.append(Poly(field, tuple(draw(short)) + (draw(st.integers(1, p - 1)),)))
-    m = max(int(c.degree) - i for i, c in enumerate(h) if not c.is_zero)
-    return AlgebraicWitness(field, tuple(h), m=m)
+    return AlgebraicWitness(field, tuple(h))
 
 
 @settings(max_examples=200, deadline=None)

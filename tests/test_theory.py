@@ -1,6 +1,5 @@
 """Closed-form formulas, bounds, structural predictions, and verify()."""
 
-import copy
 from fractions import Fraction
 from itertools import groupby
 from unittest import mock
@@ -270,13 +269,16 @@ class TestVerify:
         assert feq.first_fail_n > 1024
 
     def test_bound_attainment_reads_the_witness(self, monkeypatch):
-        # M one higher moves both Theorem 1 bounds, not the profile: the
-        # upper bound floor((N+3)/2) = 3 misses L(3) = 2 first
+        # M one higher, by h_0 = t^2 in place of t, moves both Theorem 1
+        # bounds, not the profile: the upper bound floor((N+3)/2) = 3
+        # misses L(3) = 2 first
         spec = autoseq.thue_morse()
         assert theory.verify(spec, 64).ok
-        w = copy.copy(autoseq.witness(spec))
-        object.__setattr__(w, "m", w.m + 1)
-        monkeypatch.setattr(autoseq, "witness", lambda _spec: w)
+        w = autoseq.witness(spec)
+        h = (Poly.monomial(w.field, 2),) + w.h_coeffs[1:]
+        raised = autoseq.AlgebraicWitness(w.field, h)
+        assert (raised.d, raised.m) == (w.d, w.m + 1)
+        monkeypatch.setattr(autoseq, "witness", lambda _spec: raised)
         checks = {c.name: c for c in theory.verify(spec, 64).checks}
         assert checks["exact_formula"].passed
         attain = checks["bound_attainment"]
