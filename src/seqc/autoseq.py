@@ -253,11 +253,12 @@ def witness_residual(w: AlgebraicWitness, pref, n: int) -> Poly:
     (for the built-ins, Baum-Sweet's s^3 over F_2).  Every factor and
     power is cut mod t^n as it is built, which changes no coefficient
     below t^n, so the known range is t^0..t^(n-1) as for the full products.
+    The prefix is checked by ``PrimeField.validate_symbols``, so a symbol
+    outside [0, p), a non-integer or n < 1 raises ValueError.
     """
-    n = max(n, 0)
     p = w.field.p
     ring = Ring(w.field)
-    g = ring.from_coeffs([v % p for v in pref[:n]])
+    g = ring.from_coeffs(w.field.validate_symbols(pref[:max(n, 0)]))  # no slice from the end
     acc = ring.from_coeffs(())
     for i, h in enumerate(w.h_coeffs):
         if h.is_zero:

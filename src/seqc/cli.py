@@ -22,14 +22,17 @@ from .autoseq import SequenceSpec
 
 CSV_HEADER = "N,L_bm,L_cf,L_formula,lower_num,lower_den,upper_num,upper_den"
 
-SEQ_NAMES = (
-    "thue-morse", "rudin-shapiro", "pattern", "sum-of-digits",
-    "baum-sweet", "paper-folding", "perfect-profile",
-)
-
-
-# the spec options each sequence takes; giving any other is a usage error
-SPEC_OPTIONS = {"pattern": ("p", "k", "a"), "sum-of-digits": ("p",), "paper-folding": ("v0",)}
+# each --seq name: its autoseq constructor, the spec options it requires and those
+# it may take; giving any other spec option is a usage error
+SEQUENCES = {
+    "thue-morse": (autoseq.thue_morse, (), ()),
+    "rudin-shapiro": (autoseq.rudin_shapiro, (), ()),
+    "pattern": (autoseq.pattern, ("p", "k", "a"), ()),
+    "sum-of-digits": (autoseq.sum_of_digits, ("p",), ()),
+    "baum-sweet": (autoseq.baum_sweet, (), ()),
+    "paper-folding": (autoseq.paper_folding, (), ("v0",)),
+    "perfect-profile": (autoseq.perfect_profile, (), ()),
+}
 
 
 class UsageError(Exception):
@@ -44,24 +47,14 @@ def _reject_spec_options(args, what, takes=()):
 
 def spec_from_args(args) -> SequenceSpec:
     name = args.seq
-    _reject_spec_options(args, name, SPEC_OPTIONS.get(name, ()))
-    if name == "thue-morse":
-        return autoseq.thue_morse()
-    if name == "rudin-shapiro":
-        return autoseq.rudin_shapiro()
-    if name == "pattern":
-        if args.p is None or args.k is None or args.a is None:
-            raise UsageError("pattern requires --p, --k and --a")
-        return autoseq.pattern(args.p, args.k, args.a)
-    if name == "sum-of-digits":
-        if args.p is None:
-            raise UsageError("sum-of-digits requires --p")
-        return autoseq.sum_of_digits(args.p)
-    if name == "baum-sweet":
-        return autoseq.baum_sweet()
-    if name == "paper-folding":
-        return autoseq.paper_folding(1 if args.v0 is None else args.v0)
-    return autoseq.perfect_profile()  # the last of argparse's SEQ_NAMES choices
+    make, required, optional = SEQUENCES[name]
+    _reject_spec_options(args, name, required + optional)
+    given = {key: getattr(args, key) for key in required + optional
+             if getattr(args, key) is not None}
+    if not given.keys() >= set(required):
+        *rest, last = (f"--{key}" for key in required)
+        raise UsageError(f"{name} requires " + (f"{', '.join(rest)} and " if rest else "") + last)
+    return make(**given)
 
 
 def _emit(path, text):
@@ -234,7 +227,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_spec_args(sp):
-        sp.add_argument("--seq", choices=SEQ_NAMES, help="sequence name")
+        sp.add_argument("--seq", choices=tuple(SEQUENCES), help="sequence name")
         sp.add_argument("--p", type=int, default=None)
         sp.add_argument("--k", type=int, default=None)
         sp.add_argument("--a", type=int, default=None)

@@ -20,8 +20,6 @@ quotient.
 
 from __future__ import annotations
 
-from .algebra import Poly
-
 # ASCII binary digit -> coefficient byte, and coefficient byte -> ASCII digit of its parity
 _DIGIT = bytes.maketrans(b"01", b"\x00\x01")
 _PARITY = bytes(48 + (v & 1) for v in range(256))
@@ -162,7 +160,3 @@ def fold_mod(a: int, w: int) -> int:
         h >>= 1
         a = (a >> h) ^ (a & ((1 << h) - 1))
     return a
-
-
-def to_poly(bits: int, field) -> Poly:
-    return Poly(field, to_bits(bits))

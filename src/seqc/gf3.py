@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import Poly, _convolve
+from .algebra import _convolve
 
 # coefficient byte -> ASCII binary digit of its l slice and of its h slice
 _ONE = bytes(48 + (v == 1) for v in range(256))
@@ -177,7 +177,3 @@ def divmod_(a, b):
         rh, rl = (rl | xl) ^ u, (rh | xh) ^ u
         lr = (rh | rl).bit_length()
     return (qh, ql), (rh, rl)
-
-
-def to_poly(a, field) -> Poly:
-    return Poly(field, to_coeffs(a))

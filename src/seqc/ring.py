@@ -49,9 +49,9 @@ class Ring:
     A value is an int, a ``gf3`` pair or an int64 array, so its type
     names the form: ``expcomp``'s vector forms and ``lincomp``'s
     Berlekamp-Massey kernels read the values as they are, each chosen
-    by that type.  ``from_coeffs`` packs
-    coefficients in [0, p), low to high, ``to_poly`` reads them back as
-    a ``Poly``, and ``monomial(n)`` is x^n.  The Euclid remainders and
+    by that type.  ``from_coeffs`` packs coefficients in [0, p), low to
+    high, ``to_poly`` reads them back as a ``Poly`` (the one way a value
+    becomes one), and ``monomial(n)`` is x^n.  The Euclid remainders and
     the recurrence terms travel as terms: over F_2 and F_3 the value
     itself, for int64 arrays a list [coeffs, bound].  ``term`` makes one
     from a value with entries in [0, p) and ``value`` gives back its
@@ -81,7 +81,7 @@ class Ring:
         self.divmod = gf2.divmod_
         self.degree = gf2.degree
         self.stretch = gf2.stretch
-        self.to_poly = lambda bits: gf2.to_poly(bits, field)
+        self.to_poly = lambda bits: Poly(field, gf2.to_bits(bits))
         self.from_coeffs = gf2.from_bits
         self.monomial = lambda n: 1 << n
 
@@ -96,7 +96,7 @@ class Ring:
         self.degree = gf3.degree
         self.stretch = lambda a, stride, n: (gf2.stretch(a[0], stride, n),
                                              gf2.stretch(a[1], stride, n))
-        self.to_poly = lambda pair: gf3.to_poly(pair, field)
+        self.to_poly = lambda pair: Poly(field, gf3.to_coeffs(pair))
         self.from_coeffs = gf3.from_coeffs
         self.monomial = lambda n: (0, 1 << n)
 

@@ -88,7 +88,7 @@ def cf_prediction(k: int, j: int) -> Poly:
     """Predicted partial quotient A_j of the all-one-pattern series."""
     if k < 1 or j < 1:
         raise ValueError("k and j must be >= 1")
-    return gf2.to_poly(_cf_prediction_bits(k, _quotient_shape(j)), PrimeField(2))
+    return Poly(PrimeField(2), gf2.to_bits(_cf_prediction_bits(k, _quotient_shape(j))))
 
 
 def _quotient_shape(j: int) -> int:

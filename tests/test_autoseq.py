@@ -237,6 +237,29 @@ class TestWitness:
         w = autoseq.witness(spec)
         assert not autoseq.witness_residual(w, pref, 64).is_zero
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 2**31 - 1])
+    @pytest.mark.parametrize("bad", ["p", -1, 1.5], ids=["p", "minus-one", "float"])
+    def test_residual_rejects_what_validate_symbols_rejects(self, p, bad):
+        # read mod p, a symbol p + u counted as u: Thue-Morse with one symbol
+        # raised by 2 had a zero residual while ``bm_profile`` refused it
+        field = PrimeField(p)
+        w = AlgebraicWitness(field, (Poly.x(field), Poly.one(field), Poly.one(field)))
+        pref = [0, 1, 0, 1, 1]
+        pref[3] = p if bad == "p" else bad
+        with pytest.raises(ValueError) as want:
+            field.validate_symbols(pref)
+        with pytest.raises(ValueError) as got:
+            autoseq.witness_residual(w, pref, len(pref))
+        assert str(got.value) == str(want.value)
+        autoseq.witness_residual(w, pref, 3)  # only pref[:n] is read
+
+    @pytest.mark.parametrize("n", [0, -1, -4])
+    def test_residual_rejects_n_below_1(self, n):
+        # a negative n reads no symbol, never a slice from the end
+        spec = autoseq.thue_morse()
+        with pytest.raises(ValueError, match="at least one symbol"):
+            autoseq.witness_residual(autoseq.witness(spec), autoseq.prefix(spec, 8), n)
+
 
 def _power(f, e):
     """f^e by e - 1 multiplications, the plain definition of a power."""

@@ -496,6 +496,38 @@ class TestSubprocess:
         assert "first failing N=" in proc.stderr
 
 
+# each --seq name, in argparse's order, with its spec options and the spec it names
+SPEC_NAMES = [
+    ("thue-morse", [], "thue-morse"),
+    ("rudin-shapiro", [], "rudin-shapiro"),
+    ("pattern", ["--p", "3", "--k", "2", "--a", "4"], "pattern(p=3,k=2,a=4)"),
+    ("sum-of-digits", ["--p", "5"], "sum-of-digits(p=5)"),
+    ("baum-sweet", [], "baum-sweet"),
+    ("paper-folding", [], "paper-folding(v0=1)"),
+    ("paper-folding", ["--v0", "0"], "paper-folding(v0=0)"),
+    ("perfect-profile", [], "perfect-profile"),
+]
+
+
+class TestSpecFromArgs:
+    @pytest.mark.parametrize("name, options, canonical", SPEC_NAMES)
+    def test_every_name_gives_its_spec(self, name, options, canonical):
+        args = cli.build_parser().parse_args(["generate", "--seq", name, *options])
+        assert cli.spec_from_args(args).canonical_name == canonical
+
+    def test_choices_in_order(self):
+        assert tuple(cli.SEQUENCES) == tuple(dict.fromkeys(name for name, _, _ in SPEC_NAMES))
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--seq", "pattern"], "pattern requires --p, --k and --a"),
+        (["--seq", "pattern", "--p", "3", "--a", "4"], "pattern requires --p, --k and --a"),
+        (["--seq", "sum-of-digits"], "sum-of-digits requires --p"),
+    ])
+    def test_missing_option_message(self, capsys, argv, message):
+        code, out, err = run_cli(["generate", *argv, "--n", "8"], capsys)
+        assert (code, out, err) == (2, "", f"usage error: {message}\n")
+
+
 def test_seed_flag_is_gone():
     with pytest.raises(SystemExit) as exc:
         cli.main(["generate", "--seq", "thue-morse", "--n", "4", "--seed", "1"])

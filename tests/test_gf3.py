@@ -53,21 +53,21 @@ def test_add_and_sub_on_every_pair():
 def test_packing_round_trip(coeffs):
     h, l = a = pack(coeffs)
     assert h & l == 0
-    assert gf3.to_poly(a, F3) == poly(coeffs)
+    assert Poly(F3, gf3.to_coeffs(a)) == poly(coeffs)
     assert gf3.degree(a) == len(poly(coeffs).coeffs) - 1
 
 
 @given(coeff_lists, coeff_lists, st.integers(0, 70))
 def test_arithmetic_matches_poly(xs, ys, n):
     a, b = pack(xs), pack(ys)
-    assert gf3.to_poly(gf3.add(a, b), F3) == poly(xs) + poly(ys)
-    assert gf3.to_poly(gf3.sub(a, b), F3) == poly(xs) - poly(ys)
+    assert Poly(F3, gf3.to_coeffs(gf3.add(a, b))) == poly(xs) + poly(ys)
+    assert Poly(F3, gf3.to_coeffs(gf3.sub(a, b))) == poly(xs) - poly(ys)
     high, low = gf3.split(a, n)
-    assert gf3.to_poly(high, F3) == poly(xs[n:])
-    assert gf3.to_poly(low, F3) == poly(xs[:n])
+    assert Poly(F3, gf3.to_coeffs(high)) == poly(xs[n:])
+    assert Poly(F3, gf3.to_coeffs(low)) == poly(xs[:n])
     if any(ys):
         q, r = gf3.divmod_(a, b)
-        assert (gf3.to_poly(q, F3), gf3.to_poly(r, F3)) == divmod(poly(xs), poly(ys))
+        assert (Poly(F3, gf3.to_coeffs(q)), Poly(F3, gf3.to_coeffs(r))) == divmod(poly(xs), poly(ys))
 
 
 def test_divmod_by_zero_raises():
@@ -86,7 +86,7 @@ def test_mul_paths_match_poly(path, xs, ys, limit):
     convolution is split into pieces of at most 16."""
     with transforms(limit, 0 if limit else None) as sizes, pytest.MonkeyPatch.context() as mp:
         mp.setattr(gf3, "_SPARSE", PATHS[path])
-        got = gf3.to_poly(gf3.mul(pack(xs), pack(ys)), F3)
+        got = Poly(F3, gf3.to_coeffs(gf3.mul(pack(xs), pack(ys))))
     assert got == poly(xs) * poly(ys) == poly(schoolbook_mod_p(xs, ys, 3))
     assert all(size <= (limit or algebra._MAX_TRANSFORM) for size in sizes)
 
@@ -107,7 +107,7 @@ def test_mul_switches_at_the_weight_rule(monkeypatch, short, long):
         for i in rng.sample(range(short - 1), weight - 1) + [short - 1]:
             a[i] = rng.randrange(1, 3)
         convolutions.clear()
-        assert gf3.to_poly(gf3.mul(pack(a), pack(b)), F3) == poly(schoolbook_mod_p(a, b, 3))
+        assert Poly(F3, gf3.to_coeffs(gf3.mul(pack(a), pack(b)))) == poly(schoolbook_mod_p(a, b, 3))
         assert convolutions == ([1] if weight > limit else [])
 
 

@@ -15,6 +15,8 @@ type is inferred, so any attribute of that name counts, except one read
 off a module (``gf2.from_bits`` is a function, not a method).  Dunders
 (``__mul__``, ``__divmod__``, ...) are out of its reach: operators and
 protocols call them without naming them.
+
+A name a module imports must be used in that module.
 """
 
 import ast
@@ -160,3 +162,16 @@ def test_every_public_method_is_reached(module):
               and node.name not in _outside_attribute_names()
               and not any(node.name in _attribute_names(tree, node) for tree in package.values())]
     assert not unused, f"seqc.{module}: nothing in the program reads {unused}"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_import_is_used(module):
+    """``annotations`` is a compiler switch, not a name to use, and ``__init__.py``
+    is not in MODULES: it binds the submodules for others.  No linter is a
+    dependency, so this is pyflakes' unused-import check alone."""
+    tree = _parse(PACKAGE / f"{module}.py")
+    imported = {(alias.asname or alias.name).split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(imported - used - {"annotations"})
+    assert not unused, f"seqc.{module} imports {unused} and does not use them"
