@@ -107,12 +107,12 @@ def _profile_rows(spec, n_max, method):
 def _bound_columns(d: int, m: int, ns):
     """Numerators and denominators of ``theory.general_bounds`` at every N of ns, in lowest terms.
 
-    The lower bound is (N - M)/d and the upper ((d-1)N + M + 1)/d, each
-    divided through by its gcd with d > 0, as ``Fraction`` would; int64
-    is exact by the witness cap (``theory`` docstring).
+    Each of ``theory.bound_numerators`` is divided through, with d > 0,
+    by its gcd with d, as ``Fraction`` would; int64 is exact by the
+    witness cap (``theory`` docstring).
     """
     columns = []
-    for num in (ns - m, (d - 1) * ns + m + 1):
+    for num in theory.bound_numerators(d, m, ns):
         g = np.gcd(num, d)
         columns += [(num // g).tolist(), (d // g).tolist()]
     return columns

@@ -1,8 +1,8 @@
 """Continued fractions of truncated Laurent series over F_p.
 
 A series is read as one polynomial, G = x^N R cut below x^0, which
-``_scaled_input`` alone builds; the expansion, the convergents and the
-certificate all read it.  One split gives G = A_0 x^N + g, deg g < N,
+``cf_expand`` packs once and the expansion keeps; the convergents and
+the certificate read that G.  One split gives G = A_0 x^N + g, deg g < N,
 and the primary engine runs the Euclidean algorithm on (x^N, g); it is
 integer-exact and needs no precision bookkeeping inside the loop.  It
 works on the remainders only: each step records the partial quotient A_j
@@ -59,34 +59,28 @@ from .ring import Ring
 class CFExpansion:
     """Partial quotients A_0..A_J of a series, with denominator degrees.
 
-    ``series`` is the expanded input, known down to x^-N.
-    ``raw_quotients`` holds A_0 and every degree-certified quotient
-    (deg Q_{j-1} + deg Q_j <= N) in ring form: bit-packed ints over
-    F_2, ``gf3`` slice pairs over F_3, int64 coefficient arrays
-    otherwise.  ``q_degrees`` holds deg Q_0..deg Q_J, the running sums of
-    the quotient degrees, which the profile walk reads.  ``quotients``
-    converts only the value-certified quotients (2 deg Q_j <= N) to Poly,
-    on first use.  No convergent pair is stored: ``convergent(j)``
-    rebuilds Q_j by the three-term recurrence in memory linear in
-    deg Q_j, and reads P_j = Pol(Q_j R) off one product.  P_j is the
-    numerator of the j-th convergent because
+    ``scaled_input`` is the input as ``cf_expand`` packed it, G = x^N R
+    cut below x^0 in ring form, for R known down to x^-N
+    (N = ``precision``).  ``raw_quotients`` holds A_0 and every
+    degree-certified quotient (deg Q_{j-1} + deg Q_j <= N) in ring form:
+    bit-packed ints over F_2, ``gf3`` slice pairs over F_3, int64
+    coefficient arrays otherwise.  ``q_degrees`` holds deg Q_0..deg Q_J,
+    the running sums of the quotient degrees, which the profile walk
+    reads.  ``quotients`` converts only the value-certified quotients
+    (2 deg Q_j <= N) to Poly, on first use.  No convergent pair is
+    stored: ``convergent(j)`` rebuilds Q_j by the three-term recurrence
+    in memory linear in deg Q_j, and reads P_j = Pol(Q_j R) off one
+    product with G.  P_j is the numerator of the j-th convergent because
     |Q_j R - P_j| = 1 / |Q_{j+1}| < 1 (or 0 at the last convergent of a
     rational R); ``check_convergent_identities`` proves that the stored
-    quotients make these the input's convergents.
+    quotients make these the convergents of the stored G.
     """
 
-    series: LaurentSeries
+    field: PrimeField
+    precision: int  # N: the number of known coefficients below x^0
+    scaled_input: object  # G = x^N R cut below x^0, in ring form
     raw_quotients: tuple  # A_0, A_1, ..., A_J in ring form
     q_degrees: tuple  # deg Q_0, ..., deg Q_J
-
-    @property
-    def field(self) -> PrimeField:
-        return self.series.field
-
-    @property
-    def precision(self) -> int:
-        """N: the number of known coefficients below x^0."""
-        return -self.series.low
 
     @cached_property
     def reliable_count(self) -> int:
@@ -110,8 +104,7 @@ class CFExpansion:
             raise IndexError(f"convergent index {j} outside [0, {len(self.raw_quotients)})")
         ring = Ring(self.field)
         q = next(islice(_denominators(self), j, None))
-        g = _scaled_input(ring, self.series)
-        return ring.to_poly(_numerator(ring, g, self.precision, q)), ring.to_poly(q)
+        return ring.to_poly(_numerator(ring, self.scaled_input, self.precision, q)), ring.to_poly(q)
 
 
 def _euclid(ring: Ring, r_prev, r_cur, n: int):
@@ -146,26 +139,20 @@ def _value_certified_count(degs, n) -> int:
     return rc
 
 
-def _scaled_input(ring: Ring, series: LaurentSeries):
-    """G = x^N R cut below x^0 in ring form, for R known down to x^-N.
-
-    R's known coefficients, top first, are G's from x^(top + N) down to
-    x^0, so ``split(G, N)`` gives A_0 = Pol(R) and g = x^N (R - A_0).
-    """
-    return ring.from_coeffs(series.coeffs[::-1])
-
-
 def cf_expand(r: LaurentSeries) -> CFExpansion:
     """Certified continued-fraction expansion of a truncated series.
 
     One split of G = x^N R gives A_0 and g, and Euclid on (x^N, g) the
     rest; at g = 0, the zero series included, A_0 is the whole expansion.
+    G is packed once, from R's known coefficients reversed: top first,
+    they are G's from x^(top + N) down to x^0.
     """
     ring = Ring(r.field)
     n = -r.low
-    a0, g = ring.split(_scaled_input(ring, r), n)
+    scaled = ring.from_coeffs(r.coeffs[::-1])
+    a0, g = ring.split(scaled, n)
     quots, degs = _euclid(ring, ring.monomial(n), g, n)
-    return CFExpansion(r, (a0, *quots), (0, *degs))
+    return CFExpansion(r.field, n, scaled, (a0, *quots), (0, *degs))
 
 
 def profile_from_cf(r: LaurentSeries, n_max: int) -> Profile:
@@ -229,9 +216,9 @@ def _numerator(ring: Ring, g, n: int, q):
     return ring.split(ring.mul(q, ring.split(g, n - k)[0]), k)[0]
 
 
-def _last_convergent_ok(expansion: CFExpansion, ring: Ring, g, q_prev, q_last) -> bool:
+def _last_convergent_ok(expansion: CFExpansion, ring: Ring, q_prev, q_last) -> bool:
     """Determinant and approximation property at J, from Q_{J-1}, Q_J and G alone."""
-    n, dq = expansion.precision, expansion.q_degrees[-1]
+    g, n, dq = expansion.scaled_input, expansion.precision, expansion.q_degrees[-1]
     j_last = len(expansion.raw_quotients) - 1
     p_last, residual = ring.split(ring.mul(q_last, g), n)  # Q_J G = P_J x^N + residual
     # J = 0: (P_{-1}, Q_{-1}) = (1, 0) and the determinant is Q_0 = 1, checked already
@@ -244,7 +231,7 @@ def _last_convergent_ok(expansion: CFExpansion, ring: Ring, g, q_prev, q_last) -
 
 
 def check_convergent_identities(expansion: CFExpansion):
-    """Certify the stored quotients and degrees as the expansion of the stored series.
+    """Certify the stored quotients and degrees as the expansion of the stored G.
 
     The denominators are rebuilt from the stored quotients by the
     three-term recurrence Q_j = A_j Q_{j-1} + Q_{j-2} from
@@ -260,7 +247,7 @@ def check_convergent_identities(expansion: CFExpansion):
     diag(1, -1), so appending those three constants passes both.
 
     Last convergent J, with full products.  G = x^N R cut below x^0
-    (``_scaled_input``) holds the N known symbols plus A_0 x^N.  The
+    (``scaled_input``) holds the N known symbols plus A_0 x^N.  The
     numerators are read off the denominators: P_j = Pol(Q_j R), so
     Q_J G = P_J x^N + r with deg r < N, where r is up to sign the
     remainder r_J that the Euclid loop holds at J, of degree
@@ -295,8 +282,7 @@ def check_convergent_identities(expansion: CFExpansion):
     quots, degs = expansion.raw_quotients, expansion.q_degrees
     if len(degs) != len(quots):
         return min(len(degs), len(quots))
-    g = _scaled_input(ring, expansion.series)
-    a0 = ring.split(g, expansion.precision)[0]
+    a0 = ring.split(expansion.scaled_input, expansion.precision)[0]
     if ring.to_poly(quots[0]) != ring.to_poly(a0) or degs[0] != 0:
         return 0
     denominators = _denominators(expansion)
@@ -306,7 +292,7 @@ def check_convergent_identities(expansion: CFExpansion):
         if deg_a < 1 or degs[j] != degs[j - 1] + deg_a:
             return j
         q_prev, q_last = q_last, q
-    return None if _last_convergent_ok(expansion, ring, g, q_prev, q_last) else len(quots) - 1
+    return None if _last_convergent_ok(expansion, ring, q_prev, q_last) else len(quots) - 1
 
 
 def q_congruences(expansion: CFExpansion, k: int) -> tuple:

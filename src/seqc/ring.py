@@ -55,9 +55,12 @@ class Ring:
     the recurrence terms travel as terms: over F_2 and F_3 the value
     itself, for int64 arrays a list [coeffs, bound].  ``term`` makes one
     from a value with entries in [0, p) and ``value`` gives back its
-    polynomial.  ``divmod(a, b)`` takes two terms and ``mul_add(a, b, c)``
-    a quotient a and two terms; for int64 arrays either may reduce b in
-    place, lowering its bound with it.  ``mul`` (the exact full product),
+    polynomial.  An int64 term owns its storage: ``term`` copies the
+    array, since ``divmod`` overwrites its dividend's and a value may be
+    a view of a polynomial kept elsewhere (the low part of ``split``).
+    ``divmod(a, b)`` takes two terms and ``mul_add(a, b, c)`` a quotient
+    a and two terms; for int64 arrays either may reduce b in place,
+    lowering its bound with it.  ``mul`` (the exact full product),
     ``add``, ``sub``, ``split(a, n)`` = (a div x^n, a mod x^n) and
     ``stretch(a, stride, n)`` = a(x^stride) mod x^n take values; for
     int64 arrays ``mul`` reduces its operands mod p first, and the parts
@@ -102,7 +105,7 @@ class Ring:
 
     def _arrays(self, field):
         p = field.p
-        self.term = lambda arr: [arr, p - 1]
+        self.term = lambda arr: [arr.copy(), p - 1]
         self.value = lambda term: term[0]
         self.mul = lambda a, b: _arr_mul(a % p, b % p, p)
         self.add = lambda a, b: _arr_sub(a, -b, p)

@@ -33,12 +33,18 @@ class BoundPair:
     upper: Fraction
 
 
+def bound_numerators(d: int, m: int, n):
+    """Theorem 1's numerators (N - M, (d-1)N + M + 1) over d, for an int N or an int64 array."""
+    return n - m, (d - 1) * n + m + 1
+
+
 def general_bounds(d: int, m: int, n: int) -> BoundPair:
     if d < 1:
         raise ValueError("d must be >= 1")
     if n < 1:
         raise ValueError("N must be >= 1")
-    return BoundPair(Fraction(n - m, d), Fraction((d - 1) * n + m + 1, d))
+    lower, upper = bound_numerators(d, m, n)
+    return BoundPair(Fraction(lower, d), Fraction(upper, d))
 
 
 def bounds_hold(d: int, m: int, n, ell):
@@ -46,7 +52,8 @@ def bounds_hold(d: int, m: int, n, ell):
 
     ``n`` and ``ell`` are ints, or int64 arrays compared entry by entry.
     """
-    return (n - m <= d * ell) & (d * ell <= (d - 1) * n + m + 1)
+    lower, upper = bound_numerators(d, m, n)
+    return (lower <= d * ell) & (d * ell <= upper)
 
 
 def _require_positive(n):
@@ -273,7 +280,8 @@ def verify(spec: SequenceSpec, n_max: int, mutate=None) -> VerifyReport:
     if spec.is_all_one_pattern and spec.k == 1:
         # Thue-Morse attains the lower bound ceil((N-M)/d) for N = 0, 1 mod 4
         # and the upper bound floor(((d-1)N+M+1)/d) for N = 2, 3 mod 4
-        attained = np.where(ns % 4 < 2, -((m - ns) // d), ((d - 1) * ns + m + 1) // d)
+        lower, upper = bound_numerators(d, m, ns)
+        attained = np.where(ns % 4 < 2, -(-lower // d), upper // d)
         checks.append(_check("bound_attainment", _first_fail(
             attained != ell, ell, lambda n: "lower" if n % 4 < 2 else "upper")))
 

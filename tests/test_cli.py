@@ -1,5 +1,6 @@
 """Command-line interface: output formats, determinism, exit codes."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -266,7 +267,7 @@ class TestVerify:
             assert exp.reliable_count > j
             quots = list(exp.raw_quotients)
             quots[j] ^= 1
-            return contfrac.CFExpansion(exp.series, tuple(quots), exp.q_degrees)
+            return dataclasses.replace(exp, raw_quotients=tuple(quots))
 
         monkeypatch.setattr(contfrac, "cf_expand", cf_expand)
         code, out, _ = run_cli(["verify", "--seq", *seq, "--n-max", "64"], capsys)

@@ -248,7 +248,8 @@ class TestConvergentIdentityControls:
     def test_checked_against_flipped_u0(self, name):
         field, stream, exp = _control(name)
         flipped = [(stream[0] + 1) % field.p] + list(stream[1:])
-        bad = dataclasses.replace(exp, series=LaurentSeries.from_prefix(flipped, field))
+        # G = x^N R holds u_i at x^(N-1-i)
+        bad = dataclasses.replace(exp, scaled_input=_stored(P(field, *flipped[::-1]), field))
         assert contfrac.check_convergent_identities(exp) is None
         assert contfrac.check_convergent_identities(bad) == exp.degree_count
 
@@ -309,6 +310,33 @@ class TestConvergentIdentityControls:
                                                                    field))
                 assert exp.degree_count == count
                 self._negated_fails(exp, field)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_certificate_and_convergents_read_the_packed_input(p, monkeypatch):
+    # cf_expand packs G = x^N R once and the expansion keeps it: with every
+    # ring's from_coeffs refusing coefficients, the certificate and the last
+    # convergent are what they were
+    field = PrimeField(p)
+    exp = contfrac.cf_expand(LaurentSeries.from_prefix(_random_stream(p, 96, p), field))
+    last = exp.convergent(exp.degree_count)
+    build = ring.Ring.__init__
+
+    def no_packing(self, field):
+        build(self, field)
+        pack = self.from_coeffs
+
+        def from_coeffs(coeffs):
+            # _denominators builds Q_{-1} = 0 from no coefficients
+            if len(coeffs):
+                raise AssertionError("an input was packed again")
+            return pack(coeffs)
+
+        self.from_coeffs = from_coeffs
+
+    monkeypatch.setattr(ring.Ring, "__init__", no_packing)
+    assert contfrac.check_convergent_identities(exp) is None
+    assert exp.convergent(exp.degree_count) == last
 
 
 class TestZeroSeries:

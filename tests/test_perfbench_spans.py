@@ -3,7 +3,9 @@
 ``perfbench/spans.py`` wraps each (module or class, attribute) of its
 ``SPANS`` table by name, so a refactor that renames or moves one breaks
 ``perfbench/run.py --trace 1`` while every other test passes.  The table
-is read from the benchmark's own file, never copied or edited here.
+is read from the benchmark's own file, never copied or edited here.  A
+traced run of the verifier and a CF profile must count what the span
+counters read off the wrapped calls' arguments and results.
 """
 
 import importlib.util
@@ -11,6 +13,8 @@ import inspect
 from pathlib import Path
 
 import seqc
+from seqc import autoseq, contfrac, theory
+from seqc.algebra import LaurentSeries, PrimeField
 
 SPANS_FILE = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -44,3 +48,22 @@ def test_tracer_installs_and_restores_every_span():
     finally:
         tracer.uninstall()
     assert [owner.__dict__[attr] for owner, attr, _, _ in spans.SPANS] == before
+
+
+def test_traced_calls_are_counted():
+    # the counters read cf_expand's argument and result and autoseq.prefix's
+    # arguments, so a change to either shows here before in a traced benchmark run
+    spans = _spans_module()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for spec in (autoseq.thue_morse(), autoseq.sum_of_digits(3)):
+            assert theory.verify(spec, 64).ok
+        stream = [(i * i + 3 * i) % 5 for i in range(64)]
+        contfrac.profile_from_cf(LaurentSeries.from_prefix(stream, PrimeField(5)), 64)
+    finally:
+        tracer.uninstall()
+    totals = tracer.totals()
+    for key in ("contfrac.cf_f2:calls", "contfrac.cf_oddp:calls", "contfrac.quotients",
+                "contfrac.convergent_identities:calls", "autoseq.symbols"):
+        assert totals[key] > 0, key
