@@ -8,6 +8,7 @@ d and M that feed the general complexity bounds are read off h.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cache
 
@@ -125,8 +126,8 @@ def _pattern_modulus(spec: SequenceSpec, n: int) -> int:
 
 def prefix(spec: SequenceSpec, n: int):
     """The first n terms u_0..u_(n-1), filled in one pass: u_i from terms below i."""
-    if n < 1:
-        raise ValueError("prefix length must be >= 1")
+    if not 1 <= n <= sys.maxsize:  # past sys.maxsize, [0] * n raises OverflowError
+        raise ValueError(f"prefix length must lie in [1, {sys.maxsize}], got {n}")
     kind = spec.kind
     if kind == PATTERN:
         p, pk, a = spec.p, _pattern_modulus(spec, n - 1), spec.a
@@ -243,8 +244,8 @@ def witness(spec: SequenceSpec) -> AlgebraicWitness:
     return AlgebraicWitness(field, (one, Poly(field, (1, 1)), Poly(field, (0, 1, 1))))
 
 
-def witness_residual(w: AlgebraicWitness, pref, n: int) -> Poly:
-    """sum_i h_i(t) G(t)^i mod t^n, for G = pref[0] + pref[1] t + ... + pref[n-1] t^(n-1).
+def witness_residual(w: AlgebraicWitness, pref) -> Poly:
+    """sum_i h_i(t) G(t)^i mod t^n, for G = pref[0] + ... + pref[n-1] t^(n-1), n = len(pref).
 
     Over F_p, G(t)^p = G(t^p): the p-th power map is additive and fixes
     every coefficient.  So G^i is the product over the base-p digits d_j
@@ -254,11 +255,11 @@ def witness_residual(w: AlgebraicWitness, pref, n: int) -> Poly:
     power is cut mod t^n as it is built, which changes no coefficient
     below t^n, so the known range is t^0..t^(n-1) as for the full products.
     The prefix is checked by ``PrimeField.validate_symbols``, so a symbol
-    outside [0, p), a non-integer or n < 1 raises ValueError.
+    outside [0, p), a non-integer or an empty prefix raises ValueError.
     """
-    p = w.field.p
-    ring = Ring(w.field)
-    g = ring.from_coeffs(w.field.validate_symbols(pref[:max(n, 0)]))  # no slice from the end
+    p, ring = w.field.p, Ring(w.field)
+    symbols = w.field.validate_symbols(pref)
+    g, n = ring.from_coeffs(symbols), len(symbols)
     acc = ring.from_coeffs(())
     for i, h in enumerate(w.h_coeffs):
         if h.is_zero:

@@ -204,13 +204,11 @@ def _first_fail(bad, ell, expected):
     return (i + 1, expected(i + 1), int(ell[i])) if bad[i] else None
 
 
-def functional_equation_residual(spec: SequenceSpec, n: int, pref=None) -> LaurentSeries:
+def functional_equation_residual(spec: SequenceSpec, pref) -> LaurentSeries:
     """(1+x) R^2 + R + U^{2^k} x^{-2^k} for an all-one-pattern sequence.
 
-    R = sum_{i=1..m} u_{i-1} x^-i over the first m = len(pref[:n]) symbols
-    and U = sum_{i=0..n} x^-i.  Must vanish to the available precision.
-    ``pref`` overrides the generated prefix (used to propagate corrupted
-    fixtures).
+    R = sum_{i=1..m} u_{i-1} x^-i over all m = len(pref) symbols of ``pref``
+    and U = sum_{i=0..m} x^-i.  Must vanish to the available precision.
 
     Over F_2, A(x)^2 = A(x^2) for every series A: squaring is additive
     and fixes every coefficient.  So in y = x^-1, with G = sum u_i y^i,
@@ -224,9 +222,7 @@ def functional_equation_residual(spec: SequenceSpec, n: int, pref=None) -> Laure
         raise ValueError("functional equation applies to all-one patterns only")
     field = spec.field
     step = 2 ** spec.k
-    if pref is None:
-        pref = autoseq.prefix(spec, n)
-    symbols = field.validate_symbols(pref[:n])
+    symbols = field.validate_symbols(pref)
     m = len(symbols)
     g = gf2.from_bits(symbols)
     r2 = gf2.stretch(g, 2, m)
@@ -243,8 +239,9 @@ def functional_equation_residual(spec: SequenceSpec, n: int, pref=None) -> Laure
 def verify(spec: SequenceSpec, n_max: int, mutate=None) -> VerifyReport:
     """Run every applicable cross-check for one sequence up to n_max.
 
-    ``mutate`` (prefix -> prefix) lets tests inject a corrupted generator;
-    failures become report entries, never exceptions.
+    ``mutate`` (prefix -> prefix) corrupts the prefix for the tests, the CLI's
+    ``--corrupt-index`` and ``perfbench/scan_controls.py``; a result not n_max
+    symbols long raises ValueError.  A failed check is a report entry, never an exception.
     """
     if n_max < 4:
         raise ValueError("n_max must be >= 4")
@@ -254,6 +251,8 @@ def verify(spec: SequenceSpec, n_max: int, mutate=None) -> VerifyReport:
     pref = autoseq.prefix(spec, n_max)
     if mutate is not None:
         pref = list(mutate(list(pref)))
+        if len(pref) != n_max:
+            raise ValueError(f"mutate returned {len(pref)} symbols, not n_max = {n_max}")
 
     prof_bm = lincomp.bm_profile(pref, field)
     r = LaurentSeries.from_prefix(pref, field)
@@ -298,11 +297,11 @@ def verify(spec: SequenceSpec, n_max: int, mutate=None) -> VerifyReport:
 
         checks.append(_check("q_congruences", next(iter(contfrac.q_congruences(exp, k)), None)))
 
-        feq = functional_equation_residual(spec, n_max, pref=pref)
+        feq = functional_equation_residual(spec, pref)
         checks.append(_check("functional_equation", None if feq.is_zero else (
             -int(feq.valuation), 0, list(feq.coeffs[:8])), expected=0))
 
-    res = autoseq.witness_residual(w, pref, n_max)
+    res = autoseq.witness_residual(w, pref)
     # a nonzero Poly's top coefficient is nonzero, so filter finds the lowest nonzero one
     first = None if res.is_zero else res.coeffs.index(next(filter(None, res.coeffs)))
     checks.append(_check("residual_zero", None if first is None else (

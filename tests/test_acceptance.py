@@ -157,11 +157,11 @@ def test_criterion_07_expansion_complexity():
 
 def test_criterion_08_functional_equation_residuals():
     """Witness residuals vanish for all built-ins; pattern equation for k = 1..4."""
-    ok = all(autoseq.witness_residual(autoseq.witness(s), autoseq.prefix(s, 1024), 1024).is_zero
+    ok = all(autoseq.witness_residual(autoseq.witness(s), autoseq.prefix(s, 1024)).is_zero
              for s in autoseq.builtin_specs())
     for k in (1, 2, 3, 4):
         spec = autoseq.pattern(2, k, 2 ** k - 1)
-        if not theory.functional_equation_residual(spec, 1024).is_zero:
+        if not theory.functional_equation_residual(spec, autoseq.prefix(spec, 1024)).is_zero:
             ok = False
     report("criterion 8: functional-equation residuals", ok)
 

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -495,6 +496,17 @@ class TestSubprocess:
                           "--n-max", "64", "--corrupt-index", "5")
         assert proc.returncode == 1
         assert "first failing N=" in proc.stderr
+
+
+@pytest.mark.parametrize("command, option", [("profile", "--n-max"), ("generate", "--n"),
+                                             ("expansion", "--n"), ("verify", "--n-max")])
+def test_length_past_maxsize_is_an_error(capsys, command, option):
+    # no list of sys.maxsize + 1 entries can be sized: one error line and
+    # exit 2, for exit 1 means a failed verification
+    n = sys.maxsize + 1
+    code, out, err = run_cli([command, "--seq", "thue-morse", option, str(n)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: prefix length must lie in [1, {sys.maxsize}], got {n}\n"
 
 
 # each --seq name, in argparse's order, with its spec options and the spec it names

@@ -219,7 +219,7 @@ def test_residual_and_expansion_match_int64(spec, bump):
     w = autoseq.witness(spec)
 
     def outputs():
-        return autoseq.witness_residual(w, pref, 256), expcomp.expansion_profile(pref, F3)
+        return autoseq.witness_residual(w, pref), expcomp.expansion_profile(pref, F3)
 
     residual, profile = outputs()
     assert residual.is_zero == (bump is None)

@@ -3,7 +3,9 @@
 ``witness_residual`` and ``functional_equation_residual`` build powers of G
 by Frobenius spreads and take a full product only where an exponent has
 more than one base-p digit unit.  The references below are the plain
-schoolbook definitions, with every power and product taken in full.
+schoolbook definitions, with every power and product taken in full.  Both
+residuals, and both references, read N off the prefix they are handed:
+N = len(pref), with no length argument beside it.
 """
 
 import random
@@ -17,8 +19,9 @@ from seqc.autoseq import AlgebraicWitness
 from test_algebra import poly_truncate, series_add, series_from_poly, series_shift
 
 
-def reference_witness_residual(w, pref, n):
-    g = Poly(w.field, tuple(pref[:n]))
+def reference_witness_residual(w, pref):
+    n = len(pref)
+    g = Poly(w.field, tuple(pref))
     acc = Poly.zero(w.field)
     gpow = Poly.one(w.field)
     for i, h in enumerate(w.h_coeffs):
@@ -29,9 +32,9 @@ def reference_witness_residual(w, pref, n):
     return poly_truncate(acc, n)
 
 
-def reference_functional_equation(spec, n, pref):
-    field = spec.field
-    r = LaurentSeries.from_prefix(pref[:n], field)
+def reference_functional_equation(spec, pref):
+    field, n = spec.field, len(pref)
+    r = LaurentSeries.from_prefix(pref, field)
     u = LaurentSeries(field, 0, (1,) * (n + 1), -n)
     u_pow = u
     for _ in range(spec.k):
@@ -60,7 +63,7 @@ def test_builtin_residual_matches_reference(p, data, n, index, delta):
     spec = data.draw(st.sampled_from(SPECS[p]))
     w = autoseq.witness(spec)
     pref = corrupt(autoseq.prefix(spec, n), index, delta, p)
-    assert autoseq.witness_residual(w, pref, n) == reference_witness_residual(w, pref, n)
+    assert autoseq.witness_residual(w, pref) == reference_witness_residual(w, pref)
 
 
 # exponents with several base-p digit units, so the product branch runs:
@@ -83,20 +86,18 @@ def multi_digit_witnesses(draw):
 def test_multi_digit_residual_matches_reference(w, data, n):
     p = w.field.p
     pref = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=n))
-    assert autoseq.witness_residual(w, pref, n) == reference_witness_residual(w, pref, n)
+    assert autoseq.witness_residual(w, pref) == reference_witness_residual(w, pref)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 4), st.integers(1, 300), st.integers(0, 10),
-       st.integers(0, 299), st.booleans())
-def test_functional_equation_matches_reference(k, n, extra, index, flip):
+@given(st.integers(1, 4), st.integers(1, 300), st.integers(0, 299), st.booleans())
+def test_functional_equation_matches_reference(k, n, index, flip):
     spec = autoseq.pattern(2, k, 2 ** k - 1)
-    # the prefix may be longer or shorter than n: only pref[:n] is read
-    pref = autoseq.prefix(spec, max(1, n + extra - 5))
+    pref = autoseq.prefix(spec, n)
     if flip:
-        pref[index % len(pref)] ^= 1
-    got = theory.functional_equation_residual(spec, n, pref)
-    want = reference_functional_equation(spec, n, pref)
+        pref[index % n] ^= 1
+    got = theory.functional_equation_residual(spec, pref)
+    want = reference_functional_equation(spec, pref)
     assert (got.top, got.low, got.coeffs) == (want.top, want.low, want.coeffs)
     assert got == want
 
@@ -106,19 +107,19 @@ def test_functional_equation_zero_prefix_matches_reference(k):
     spec = autoseq.pattern(2, k, 2 ** k - 1)
     for n in (1, 2, 5, 16, 17):
         pref = [0] * n
-        assert (theory.functional_equation_residual(spec, n, pref)
-                == reference_functional_equation(spec, n, pref))
+        assert (theory.functional_equation_residual(spec, pref)
+                == reference_functional_equation(spec, pref))
 
 
-def _first_fail_functional_equation(spec, n, pref):
+def _first_fail_functional_equation(spec, pref):
     """The first failing N that ``verify`` reports for ``functional_equation``."""
-    feq = theory.functional_equation_residual(spec, n, pref)
+    feq = theory.functional_equation_residual(spec, pref)
     return None if feq.is_zero else -int(feq.valuation)
 
 
-def _first_fail_witness_residual(spec, n, pref):
+def _first_fail_witness_residual(spec, pref):
     """The first failing N that ``verify`` reports for ``residual_zero``."""
-    res = autoseq.witness_residual(autoseq.witness(spec), pref, n)
+    res = autoseq.witness_residual(autoseq.witness(spec), pref)
     return next((m for m, c in enumerate(res.coeffs, start=1) if c), None)
 
 
@@ -129,20 +130,32 @@ def test_all_one_residuals_fail_at_the_same_n(k, n):
     # functional equation F and the witness h vanish to the same order
     spec = autoseq.pattern(2, k, 2 ** k - 1)
     base = autoseq.prefix(spec, n)
-    assert _first_fail_functional_equation(spec, n, base) is None
-    assert _first_fail_witness_residual(spec, n, base) is None
+    assert _first_fail_functional_equation(spec, base) is None
+    assert _first_fail_witness_residual(spec, base) is None
     for seed in range(10):
         rng = random.Random(seed)
         flips = rng.sample(range(n), rng.randint(1, 3))
         pref = list(base)
         for i in flips:
             pref[i] ^= 1
-        first = _first_fail_witness_residual(spec, n, pref)
-        assert _first_fail_functional_equation(spec, n, pref) == first, (seed, flips)
+        first = _first_fail_witness_residual(spec, pref)
+        assert _first_fail_functional_equation(spec, pref) == first, (seed, flips)
         # h is additive and h_1 = (t+1)^(2^k) has constant term 1, so a flip
         # at index i >= 1 shows at order i; at i = 0, h_1 and h_2 cancel
         if min(flips) >= 1:
             assert first == min(flips) + 1, (seed, flips)
+
+
+@pytest.mark.parametrize("spec", theory.suite_specs(), ids=lambda s: s.canonical_name)
+def test_wrong_last_symbol_shows_at_n(spec):
+    # N is the prefix's length, so its last symbol is read: a wrong one
+    # makes each residual nonzero at order N, at t^(N-1) and at x^-N
+    n = 64
+    pref = autoseq.prefix(spec, n)
+    pref[-1] = (pref[-1] + 1) % spec.field.p
+    assert _first_fail_witness_residual(spec, pref) == n
+    if spec.is_all_one_pattern:
+        assert _first_fail_functional_equation(spec, pref) == n
 
 
 def truncated_power(g, i, n):
@@ -171,7 +184,7 @@ def test_large_p_sum_of_digits_residual_matches_reference(p, index, monkeypatch)
     real = ring._fft_mul
     monkeypatch.setattr(ring, "_fft_mul",
                         lambda a, b, q: calls.extend((len(a), len(b))) or real(a, b, q))
-    got = autoseq.witness_residual(w, pref, n)
+    got = autoseq.witness_residual(w, pref)
     assert n not in calls
     g = Poly(w.field, tuple(pref))
     want = Poly.zero(w.field)
@@ -206,5 +219,5 @@ class TestEdgeControls:
         pref = autoseq.prefix(spec, self.N)
         pref[0] ^= 1
         assert pref == autoseq.prefix(autoseq.paper_folding(0), self.N)
-        assert autoseq.witness_residual(autoseq.witness(spec), pref, self.N).is_zero
+        assert autoseq.witness_residual(autoseq.witness(spec), pref).is_zero
         assert theory.verify(spec, self.N, mutate=lambda _: list(pref)).ok

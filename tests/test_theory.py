@@ -201,18 +201,19 @@ class TestFunctionalEquation:
     def test_vanishes_for_all_one_patterns(self):
         for k in (1, 2, 3, 4):
             spec = autoseq.pattern(2, k, 2 ** k - 1)
-            res = theory.functional_equation_residual(spec, 256)
+            res = theory.functional_equation_residual(spec, autoseq.prefix(spec, 256))
             assert res.is_zero, k
 
     def test_rejects_non_pattern(self):
+        spec = autoseq.baum_sweet()
         with pytest.raises(ValueError):
-            theory.functional_equation_residual(autoseq.baum_sweet(), 64)
+            theory.functional_equation_residual(spec, autoseq.prefix(spec, 64))
 
     def test_detects_corruption(self):
         spec = autoseq.thue_morse()
         pref = autoseq.prefix(spec, 128)
         pref[10] ^= 1
-        res = theory.functional_equation_residual(spec, 128, pref=pref)
+        res = theory.functional_equation_residual(spec, pref)
         assert not res.is_zero
 
 
@@ -244,6 +245,19 @@ class TestVerify:
         fail = report.first_failure
         assert fail is not None
         assert fail.first_fail_n is not None
+
+    @pytest.mark.parametrize("change", [4, -4], ids=["lengthened", "shortened"])
+    def test_mutate_must_keep_n_max_symbols(self, change):
+        # a residual reads N off the prefix it is handed, so a prefix of any
+        # other length than n_max is refused before any check runs
+        def mutate(pref):
+            return pref + [0] * change if change > 0 else pref[:change]
+
+        with mock.patch.object(lincomp, "bm_profile") as bm:
+            with pytest.raises(ValueError) as exc:
+                theory.verify(autoseq.thue_morse(), 64, mutate=mutate)
+        assert str(exc.value) == f"mutate returned {64 + change} symbols, not n_max = 64"
+        bm.assert_not_called()
 
     @pytest.mark.parametrize("spec", [autoseq.sum_of_digits(3), autoseq.baum_sweet()])
     def test_corruption_past_1024_fails(self, spec):
