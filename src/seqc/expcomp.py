@@ -3,10 +3,31 @@
 E_N is the least total degree D of a nonzero h(s,t) with
 h(G(t), t) = 0 mod t^N.  The coefficients of h over the monomials
 s^i t^j with i + j <= D (lexicographic in (i, j)) form a vector v, and
-row k of the condition reads sum_(i,j) v_(i,j) G^i[k - j] = 0.  The
-profile keeps one kernel basis for the current D and shrinks it row by
-row, ker A_(N+1) = ker A_N ∩ (row N)^⊥; when it empties, D steps up and
-the basis is rebuilt from rows 0..N-1.  All arithmetic is exact.
+row k of the condition reads sum_(i,j) v_(i,j) G^i[k - j] = 0: it is
+coefficient k of the residual r_v = sum_(i,j) v_(i,j) t^j G^i mod t^N.
+The profile keeps one kernel basis for the current D and shrinks it,
+ker A_(k+1) = ker A_k ∩ (row k)^⊥; when it empties, D steps up and the
+basis starts again from the unit vectors, shrunk by rows 0..k.  All
+arithmetic is exact.
+
+A basis vector v is kept as one entry x_v = r_v + t^N v(t), with v's
+coordinate at column c as the coefficient of t^(N+c), together with the
+valuation of x_v: that of r_v, or N or more when r_v = 0.  Both halves
+are linear in v, so one reduction of x_v reduces the vector and its
+residual alike.  The unit vector of column c = (i, j) has the entry
+t^j G^i mod t^N + t^(N+c).
+
+Invariant: after rows 0..k-1, every basis residual vanishes below t^k,
+since that is what v in ker A_k means.  So row k is nonzero only at the
+entries of valuation k, where its value is their coefficient k.  The
+first of them in basis order is the pivot and leaves; every other one is
+reduced by it, so that its residual vanishes at t^k too.  No row below
+the least valuation in the basis touches any entry, so skipping those
+rows is exact: the profile works only at the rows where the least
+valuation lies (events), each shrink finds the next one in the same
+pass, and the rows from one event to the next share one result, each
+with its own N.  After a step of D the entry of s^0 t^0, 1 + t^N, has
+valuation 0, and the events up to the current row are replayed.
 
 By default the search has no cap: D steps up until the kernel is
 non-empty.  That always ends, because a kernel vector exists once there
@@ -21,27 +42,25 @@ the unique kernel vector with a 1 at the first free column of the
 reduced echelon form and support at or below it, so the witness is
 deterministic; its tuple is rebuilt only when that vector changes.
 
-One loop serves every field.  It builds each power G^i mod t^N once,
-as G^(i-1) G cut at t^N, in the field's ``ring.Ring``, and hands the
-ring's value as it is to the vector form, which the type of that value
-picks, so the ring and the form cannot disagree.  An int, over F_2,
-goes to ``_BitForm``: a vector and a row are each one int, bit c
-standing for column c, so the row test is the parity of ``v & row`` and
-a reduction is ``v ^ pivot``.  Each power is kept reversed as one int,
-so that the block of a row for one i is one shift and one mask.  A
-``gf3`` slice pair, over F_3, goes to ``_SliceForm``: a vector and a row
-are slice pairs (h, l), each slice of a row is built as an F_2 row is,
-the row test is two popcounts, and a reduction is one slice addition of
-the pivot or its negation.  An int64 array, for p >= 5, goes to
-``_ListForm``, where vectors and powers are lists of Python ints reduced
-mod p; under the int64 ring at p = 2 and 3 that form is the tests'
-reference.
+One loop serves every field.  It builds each power G^i mod t^N once, in
+the field's ``ring.Ring``: G^(pm) as the Frobenius spread G^m(t^p)
+(``ring.stretch``, no product), and any other as G^(i-1) G cut at t^N.
+The type of the ring's values picks the form of the entries, so the
+ring and the form cannot disagree.  An int, over F_2, goes to
+``_BitForm``: an entry is one int, coefficient k is bit k, the
+valuation is the lowest set bit and a reduction is one XOR.  A ``gf3``
+slice pair, over F_3, goes to ``_SliceForm``: an entry is a slice pair,
+and a reduction is one slice addition of the pivot or its negation.  An
+int64 array, for p >= 5, goes to ``_ArrayForm``, where a reduction
+subtracts c times the pivot mod p; under the int64 ring at p = 2 and 3
+it cross-checks the other two forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+
+import numpy as np
 
 from .algebra import PrimeField
 from .ring import Ring
@@ -63,167 +82,136 @@ def monomials(d: int):
 
 
 class _BitForm:
-    """F_2 vectors and rows as ints, bit c for column c.
-
-    ``rev[i]`` is the power G^i mod t^N reversed: bit N-1-e is its
-    coefficient of t^e, so bits N-1-k .. N-1-k+(D-i) hold G^i[k],
-    G^i[k-1], ..., G^i[k-D+i], the row's block for i in column order;
-    bits past N-1 stand for negative exponents and are 0.
-    """
+    """F_2: an entry is one int, bit e for t^e below N and bit N + c for column c."""
 
     def __init__(self, n: int):
-        self.n = n
-        self.rev = []
+        self.n, self.mask = n, (1 << n) - 1
 
-    def append(self, a: int):
-        self.rev.append(int(format(a, f"0{self.n}b")[::-1], 2))
+    def unit(self, power: int, j: int, c: int) -> tuple:
+        x = (power << j) & self.mask | 1 << (self.n + c)
+        return x, (x & -x).bit_length() - 1
 
-    def row(self, k: int, d: int) -> int:
-        shift = self.n - 1 - k
-        out = 0
-        for i in range(d, -1, -1):  # block 0 ends at the bottom
-            width = d - i + 1
-            out = out << width | (self.rev[i] >> shift) & ((1 << width) - 1)
-        return out
+    def shrink(self, basis, k: int):
+        """The basis that row k leaves, and the least valuation in it.
 
-    @staticmethod
-    def unit(m: int) -> list:
-        return [1 << c for c in range(m)]
-
-    @staticmethod
-    def shrink(basis, row) -> list:
-        out = []
-        pivot = None
-        for v in basis:
-            if (v & row).bit_count() & 1:
+        The first entry of valuation k is the pivot and leaves; each later
+        one has the pivot cleared from it, which keeps its top, since the
+        pivot's lies below; the others are kept as they are.
+        """
+        out, pivot, low = [], None, self.n
+        for e in basis:
+            if e[1] == k:
                 if pivot is None:
-                    pivot = v
+                    pivot = e[0]
                     continue
-                v ^= pivot
-            out.append(v)
-        return out
+                x = e[0] ^ pivot
+                e = x, (x & -x).bit_length() - 1
+            out.append(e)
+            if e[1] < low:
+                low = e[1]
+        return out, low
 
-    @staticmethod
-    def entries(v: int):
+    def entries(self, x: int):
+        v = x >> self.n
         return [(c, 1) for c in range(v.bit_length()) if v >> c & 1]
 
 
 class _SliceForm:
-    """F_3 vectors and rows as ``gf3`` pairs (h, l), bit c for column c.
+    """F_3: an entry is a ``gf3`` pair (h, l), each slice laid out as an F_2 entry.
 
-    The powers are kept in one ``_BitForm`` per slice, so each slice of
-    a row is built as ``_BitForm`` builds an F_2 row.  A product of
-    entries is 1 where both are 1 or both are 2 and 2 where they differ,
-    so v . row counts the first set once and the second twice; h & l = 0
-    keeps the sets disjoint.  The multiplier s / s_pivot of a reduction
-    is 1 or 2, so v - (s / s_pivot) pivot adds the pivot negated (its
-    slices swapped) when s = s_pivot and the pivot itself otherwise.
+    Coefficient k of an entry is 1 where bit k of l is set and 2 where
+    that of h is.  The multiplier s / s_pivot of a reduction is 1 or 2,
+    so x - (s / s_pivot) pivot adds the pivot negated (its slices
+    swapped) when s = s_pivot and the pivot itself otherwise.
     """
 
     def __init__(self, n: int):
-        self.h, self.l = _BitForm(n), _BitForm(n)
+        self.n, self.mask = n, (1 << n) - 1
 
-    def append(self, a):
-        self.h.append(a[0])
-        self.l.append(a[1])
+    def unit(self, power, j: int, c: int) -> tuple:
+        h, l = (power[0] << j) & self.mask, (power[1] << j) & self.mask | 1 << (self.n + c)
+        y = h | l
+        return (h, l), (y & -y).bit_length() - 1
 
-    def row(self, k: int, d: int) -> tuple:
-        return self.h.row(k, d), self.l.row(k, d)
+    def shrink(self, basis, k: int):
+        """As ``_BitForm.shrink``, with the slice sum of ``gf3.add`` written out.
 
-    @staticmethod
-    def unit(m: int) -> list:
-        return [(0, 1 << c) for c in range(m)]
-
-    @staticmethod
-    def shrink(basis, row) -> list:
-        """As ``_ListForm.shrink``, with the slice sum of ``gf3.add`` written out.
-
-        As a call to ``gf3.add``, random F_3 profiles took about 4% longer
-        (medians of 15 alternated runs: 28.4 -> 31.5 ms at N = 128 and
-        80.8 -> 84.0 ms at N = 200, 2-vCPU VM); sum-of-digits(3) and
-        pattern(3,2,4) did not move beyond their spread.
+        As a call to ``gf3.add``, random F_3 profiles took 2-9% longer at
+        N = 128 to 512, and sum-of-digits(3) about 3% at N = 256 and 4096
+        (medians of 7 alternated runs, 2-vCPU VM).
         """
-        rh, rl = row
-        out = []
-        pivot = None
-        for v in basis:
-            vh, vl = v
-            s = (((vl & rl) | (vh & rh)).bit_count()
-                 + 2 * ((vl & rh) | (vh & rl)).bit_count()) % 3
-            if not s:
-                out.append(v)
-            elif pivot is None:
-                pivot, s_pivot, negated = v, s, v[::-1]
-            else:
-                bh, bl = pivot if s != s_pivot else negated
-                u = (vl | bh) ^ (vh | bl)
-                out.append(((vl | bl) ^ u, (vh | bh) ^ u))
-        return out
+        bit = 1 << k
+        out, pivot, low = [], None, self.n
+        for e in basis:
+            if e[1] == k:
+                one = e[0][1] & bit  # bit where coefficient k is 1, 0 where it is 2
+                if pivot is None:
+                    pivot, one_pivot, negated = e[0], one, e[0][::-1]
+                    continue
+                bh, bl = negated if one == one_pivot else pivot
+                xh, xl = e[0]
+                u = (xl | bh) ^ (xh | bl)
+                xh, xl = (xl | bl) ^ u, (xh | bh) ^ u
+                y = xh | xl
+                e = (xh, xl), (y & -y).bit_length() - 1
+            out.append(e)
+            if e[1] < low:
+                low = e[1]
+        return out, low
 
-    @staticmethod
-    def entries(v):
-        h, l = v
+    def entries(self, x):
+        h, l = x[0] >> self.n, x[1] >> self.n
         nz = h | l
         return [(c, 1 if l >> c & 1 else 2) for c in range(nz.bit_length()) if nz >> c & 1]
 
 
-class _ListForm:
-    """Vectors, rows and the powers G^i mod t^N as lists of ints in [0, p).
+class _ArrayForm:
+    """p >= 5: an entry is an int64 array, t^e at index e and column c at N + c.
 
-    It reads the ring's int64 arrays: it serves p >= 5, and under the
-    int64 ring at p = 2 and 3 it is the tests' reference.
-
-    A vector ends at its top, so its length is its top index plus one.
-
-    ``rev[i]`` is G^i mod t^N reversed, t^e at index N-1-e, so a row's
-    block for i is one slice from N-1-k, as in ``_BitForm``.  N zeros
-    follow for the negative exponents: the kernel at D - 1 is empty only
-    once there are D(D+1)/2 <= N rows, so D <= N.
+    A unit entry ends at its vector's top; a reduced one is as long as
+    the longest entry of its event, so entries differ in length.
     """
 
     def __init__(self, n: int, p: int):
         self.n, self.p = n, p
-        self.rev = []
 
-    def append(self, a):
-        self.rev.append([0] * (self.n - len(a)) + a[::-1].tolist() + [0] * self.n)
+    def unit(self, power, j: int, c: int) -> tuple:
+        x = np.zeros(self.n + c + 1, dtype=np.int64)
+        head = power[:self.n - j]
+        x[j:j + len(head)] = head
+        x[-1] = 1
+        return x, int((x != 0).argmax())
 
-    def row(self, k: int, d: int) -> list:
-        start = self.n - 1 - k
-        out = []
-        for i in range(d + 1):
-            out += self.rev[i][start:start + d - i + 1]
-        return out
+    def shrink(self, basis, k: int):
+        """As ``_BitForm.shrink``, reducing the entries after the pivot as the rows of one array.
 
-    @staticmethod
-    def unit(m: int) -> list:
-        return [[0] * r + [1] for r in range(m)]
-
-    def shrink(self, basis, row) -> list:
-        """Echelon basis of {v in span(basis) : row . v = 0}, tops kept.
-
-        The vector of smallest top among those the row does not annihilate
-        is the pivot: it is dropped, and its multiples cleared from the
-        others, whose tops lie above it and so stay put.  A vector is kept
-        only up to its top, so a reduction touches the pivot's columns alone.
+        A numpy call costs about a microsecond at any length, and reducing
+        the entries one at a time took nine calls each: random prefixes at
+        p = 5 and 2^31 - 1 took 1.8-2.8x longer at N = 64 and 128 that way.
         """
         p = self.p
-        out = []
-        pivot = None
-        for v in basis:
-            s = sum(map(mul, v, row)) % p
-            if not s:
-                out.append(v)
-            elif pivot is None:
-                pivot, pivot_inv = v, pow(s, -1, p)
-            else:
-                c = s * pivot_inv % p
-                out.append([(a - c * b) % p for a, b in zip(v, pivot)] + v[len(pivot):])
-        return out
+        hits = [e[0] for e in basis if e[1] == k]
+        pivot, rest = hits[0], hits[1:]
+        if rest:
+            xs = np.zeros((len(rest), max(map(len, hits))), dtype=np.int64)
+            for row, x in zip(xs, rest):
+                row[:len(x)] = x
+            xs[:, :len(pivot)] -= (xs[:, k] * pow(int(pivot[k]), -1, p) % p)[:, None] * pivot
+            xs -= xs // p * p  # xs mod p: numpy's // divides by a scalar faster than its %
+            rest = iter(zip(xs, (xs != 0).argmax(axis=1).tolist()))
+        out, low = [], self.n
+        for e in basis:
+            if e[1] == k:
+                if e[0] is pivot:
+                    continue
+                e = next(rest)
+            out.append(e)
+            if e[1] < low:
+                low = e[1]
+        return out, low
 
-    @staticmethod
-    def entries(v: list):
-        return [(c, a) for c, a in enumerate(v) if a]
+    def entries(self, x):
+        return [(c, a) for c, a in enumerate(x[self.n:].tolist()) if a]
 
 
 def expansion_profile(prefix, field: PrimeField, d_max: int | None = None):
@@ -231,40 +219,40 @@ def expansion_profile(prefix, field: PrimeField, d_max: int | None = None):
     prefix = field.validate_symbols(prefix)
     if d_max is not None and d_max < 1:
         raise ValueError("d_max must be >= 1")
-    n = len(prefix)
+    n, p = len(prefix), field.p
     ring = Ring(field)
     one = ring.monomial(0)
     form = (_BitForm(n) if isinstance(one, int) else _SliceForm(n) if isinstance(one, tuple)
-            else _ListForm(n, field.p))
-    g = power = ring.from_coeffs(prefix)
-    form.append(one)
-    form.append(g)
+            else _ArrayForm(n, p))
+    g = ring.from_coeffs(prefix)
+    powers = [one, g]
+
+    def units(mons):
+        return [form.unit(powers[i], j, c) for c, (i, j) in enumerate(mons)]
+
     d, mons = 1, monomials(1)
-    basis = form.unit(len(mons))
-    out = []
-    nonzero = False
+    basis, low = units(mons), 0  # the unit vector of s^0 t^0 has residual 1, valuation 0
+    first = next((k for k, a in enumerate(prefix) if a), n)  # E_N = 0 for N <= first
+    out = [ExpansionResult(m, 0) for m in range(1, first + 1)]
     top = wit = None  # the smallest-top basis vector and its witness tuple
-    for k in range(n):
-        basis = form.shrink(basis, form.row(k, d))
-        while not basis and (d_max is None or d < d_max):
-            d += 1
-            mons = monomials(d)
-            power = ring.split(ring.mul(power, g), n)[1]
-            form.append(power)
-            basis = form.unit(len(mons))
-            top = None
-            for r in range(k + 1):
-                basis = form.shrink(basis, form.row(r, d))
-                if not basis:
-                    break
-        nonzero = nonzero or prefix[k] != 0
-        if not nonzero:
-            out.append(ExpansionResult(k + 1, 0))
-        elif basis:
-            if basis[0] is not top:
-                top = basis[0]
+    k = 0
+    while k < n:
+        while low <= k:  # the event at row k, or after a step of D those up to k
+            basis, low = form.shrink(basis, low)
+            if not basis and (d_max is None or d < d_max):
+                d += 1
+                mons = monomials(d)
+                powers.append(ring.stretch(powers[d // p], p, n) if d % p == 0
+                              else ring.split(ring.mul(powers[-1], g), n)[1])
+                basis, low, top = units(mons), 0, None
+        stop = min(low, n)  # rows k .. stop - 1 end with this basis
+        rows = range(max(k, first) + 1, stop + 1)
+        if not basis:
+            out += [ExpansionResult(m, d_max, capped=True) for m in rows]
+        elif rows:
+            if basis[0][0] is not top:
+                top = basis[0][0]
                 wit = tuple((*mons[c], a) for c, a in form.entries(top))
-            out.append(ExpansionResult(k + 1, d, wit))
-        else:
-            out.append(ExpansionResult(k + 1, d_max, capped=True))
+            out += [ExpansionResult(m, d, wit) for m in rows]
+        k = stop
     return out

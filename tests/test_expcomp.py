@@ -33,17 +33,102 @@ def evaluate_witness(witness, prefix, field: PrimeField) -> Poly:
 
 
 def list_profile(prefix, field: PrimeField, d_max=None):
-    """The profile through the list form and the int64 ring at any p: the reference at p = 2 and 3.
+    """The profile through the array form and the int64 ring at any p.
 
     The ring's int64 form is forced at p = 2 and 3 as ``int64_at_p3``
-    forces it, so ``expansion_profile`` picks the list form, and the
-    reference's powers are ``_fft_mul`` or slice-update products, not the
-    ``gf2.mul`` and ``gf3.mul`` products of the code it checks.
+    forces it, so ``expansion_profile`` picks the array form, and its
+    powers are ``_fft_mul`` or slice-update products, not the ``gf2.mul``
+    and ``gf3.mul`` products of the code it checks.  It shares the event
+    loop with the bit and slice forms; ``row_by_row_profile`` is the
+    reference that shares none of it.
     """
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ring.Ring, "_bits", ring.Ring._arrays)
         mp.setattr(ring.Ring, "_slices", ring.Ring._arrays)
         return expcomp.expansion_profile(prefix, field, d_max)
+
+
+def _truncated_product(a, b, p):
+    """a*b mod t^len(a) mod p, schoolbook, for coefficient lists of one length."""
+    n = len(a)
+    out = [0] * n
+    for i, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b[:n - i]):
+                out[i + k] += x * y
+    return [c % p for c in out]
+
+
+def _shrink(basis, row, p):
+    """Echelon basis of {v in span(basis) : row . v = 0}, tops kept.
+
+    The vector of smallest top among those the row does not annihilate
+    is the pivot: it is dropped, and its multiples cleared from the
+    others, whose tops lie above it and so stay put.  A vector ends at
+    its top, so a reduction touches the pivot's columns alone.
+    """
+    out = []
+    pivot = None
+    for v in basis:
+        s = sum(a * b for a, b in zip(v, row)) % p
+        if not s:
+            out.append(v)
+        elif pivot is None:
+            pivot, pivot_inv = v, pow(s, -1, p)
+        else:
+            c = s * pivot_inv % p
+            out.append([(a - c * b) % p for a, b in zip(v, pivot)] + v[len(pivot):])
+    return out
+
+
+def row_by_row_profile(prefix, p, d_max=None):
+    """The reference profile: every row built and applied, in Python ints at any p.
+
+    Row k of the condition at total degree D is read off the powers
+    G^i mod t^N, each kept reversed and padded (t^e at index N-1-e, then
+    N zeros for the negative exponents), so its block for i is one slice
+    from N-1-k.  Every row shrinks the basis, and a step of D rebuilds it
+    from the unit vectors by rows 0..k.  No residual is kept, no row is
+    skipped, the powers are schoolbook products, and nothing of
+    ``seqc.ring`` runs: it is independent of ``expansion_profile``.
+    """
+    n = len(prefix)
+    g = list(prefix)
+    power = g
+    rev = [[0] * (n - 1) + [1] + [0] * n, g[::-1] + [0] * n]
+
+    def row(k, d):
+        start = n - 1 - k
+        return [a for i in range(d + 1) for a in rev[i][start:start + d - i + 1]]
+
+    def units(d):
+        return [[0] * c + [1] for c in range(len(expcomp.monomials(d)))]
+
+    d = 1
+    basis = units(d)
+    out = []
+    nonzero = False
+    for k in range(n):
+        basis = _shrink(basis, row(k, d), p)
+        while not basis and (d_max is None or d < d_max):
+            d += 1
+            power = _truncated_product(power, g, p)
+            rev.append(power[::-1] + [0] * n)
+            basis = units(d)
+            for r in range(k + 1):
+                basis = _shrink(basis, row(r, d), p)
+                if not basis:
+                    break
+        nonzero = nonzero or prefix[k] != 0
+        if not nonzero:
+            out.append(expcomp.ExpansionResult(k + 1, 0))
+        elif basis:
+            mons = expcomp.monomials(d)
+            witness = tuple((*mons[c], a) for c, a in enumerate(basis[0]) if a)
+            out.append(expcomp.ExpansionResult(k + 1, d, witness))
+        else:
+            out.append(expcomp.ExpansionResult(k + 1, d_max, capped=True))
+    return out
 
 
 def bound_violation(values, h_degree: int, lin_profile):
@@ -203,6 +288,16 @@ class TestKernelShrink:
         assert (hashlib.sha256(repr(rows).encode()).hexdigest()
                 == "40c16e17b188faaeeb5b415c3eda3bfc79dc6c6c418a5879b2e44ef646bbc80f")
 
+    def test_uncapped_profiles_pinned_at_1024(self):
+        # digest of the default profile at N=1024 of every built-in plus
+        # pattern(3,2,4), recorded from the row-by-row search before the
+        # profile skipped the rows that leave the kernel unchanged
+        rows = [(r.n, r.value, r.witness, r.capped)
+                for spec in (*autoseq.builtin_specs(), PATTERN_3_2_4)
+                for r in expcomp.expansion_profile(autoseq.prefix(spec, 1024), spec.field)]
+        assert (hashlib.sha256(repr(rows).encode()).hexdigest()
+                == "654fb4c45d4f9793485dbdd86c4d5d7b6c6bff50755b9f243faeedb34de96f61")
+
     @pytest.mark.parametrize("seed", range(3))
     def test_witnesses_exact_at_largest_p(self, seed):
         field = PrimeField(2**31 - 1)
@@ -230,7 +325,7 @@ class TestBitPackedAgainstLists:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 200), st.integers(0, 2**200 - 1), st.sampled_from([3, 8, None]))
     @example(200, random.Random(0).getrandbits(200), None)  # a dense prefix, E_200 = 19
-    # G far shorter than N: each power's reversal is padded to N bits by append
+    # G far shorter than N: every residual ends far below t^N, where the vector starts
     @example(200, 1, None)
     @example(200, 1 | 1 << 9, None)
     def test_random_f2_prefixes(self, n, word, d_max):
@@ -264,7 +359,7 @@ class TestSlicesAgainstLists:
     @example(96, _word(_bumped(SOD3, {17, 50, 81})), 8)
     @example(40, 0, None)
     @example(1, 2, 3)
-    # G far shorter than N: each slice's reversal is padded to N bits by append
+    # G far shorter than N: every residual ends far below t^N, where the vector starts
     @example(128, 2, None)
     @example(128, 1 + 2 * 3**7, None)
     def test_random_f3_prefixes(self, n, word, d_max):
@@ -273,6 +368,47 @@ class TestSlicesAgainstLists:
         assert res == list_profile(syms, F3, d_max)
         if res[-1].witness is not None:
             assert evaluate_witness(res[-1].witness, syms, F3).is_zero
+
+
+PRIMES = (2, 3, 5, 2**31 - 1)
+D_MAXES = (1, 3, 8, None)
+
+
+class TestAgainstRowByRow:
+    """The profile equals the row-by-row reference at every p, prefix shape and cap."""
+
+    @pytest.mark.parametrize("p", PRIMES)
+    @pytest.mark.parametrize("d_max", D_MAXES)
+    def test_seeded_prefixes(self, p, d_max):
+        rng = random.Random(p)
+        field = PrimeField(p)
+        for pref in ([rng.randrange(p) for _ in range(48)],
+                     [0] * 9 + [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(30)],
+                     [0] * 40):
+            assert expcomp.expansion_profile(pref, field, d_max) == row_by_row_profile(pref, p, d_max)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(PRIMES), st.integers(1, 64), st.integers(0, 64),
+           st.randoms(use_true_random=False), st.sampled_from(D_MAXES))
+    @example(5, 40, 40, random.Random(0), None)  # all zero
+    @example(2**31 - 1, 40, 12, random.Random(1), 3)  # leading zeros, capped
+    def test_random_prefixes(self, p, n, zeros, rng, d_max):
+        zeros = min(zeros, n)
+        pref = [0] * zeros + [rng.randrange(p) for _ in range(n - zeros)]
+        assert (expcomp.expansion_profile(pref, PrimeField(p), d_max)
+                == row_by_row_profile(pref, p, d_max))
+
+
+@pytest.mark.parametrize("spec", [autoseq.thue_morse(), autoseq.sum_of_digits(3)],
+                         ids=lambda spec: spec.canonical_name)
+def test_frobenius_powers_take_no_product(monkeypatch, spec):
+    """G^(pm) is G^m spread by t -> t^p: only an exponent prime to p takes a product."""
+    module = gf2 if spec.field.p == 2 else gf3
+    calls = []
+    product = module.mul
+    monkeypatch.setattr(module, "mul", lambda a, b: calls.append(1) or product(a, b))
+    top = expcomp.expansion_profile(autoseq.prefix(spec, 256), spec.field)[-1].value
+    assert len(calls) == sum(1 for i in range(2, top + 1) if i % spec.field.p)
 
 
 def test_powers_reach_the_forms_as_ring_values(monkeypatch):
