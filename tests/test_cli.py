@@ -198,6 +198,39 @@ class TestExpansion:
                                                     "witness": None}
 
 
+class TestExpansionOutputPin:
+    """``seqc expansion`` stdout, byte for byte, pinned by one digest per cap.
+
+    Each digest covers stdout, stderr and the exit code of ``expansion
+    --n 256`` on the 7 built-ins and pattern(3,2,4), run through
+    ``cli.main``, recorded before ``ExpansionResult`` became a tuple.
+    """
+
+    SPECS = [
+        ["--seq", "thue-morse"],
+        ["--seq", "rudin-shapiro"],
+        ["--seq", "pattern", "--p", "2", "--k", "3", "--a", "7"],
+        ["--seq", "sum-of-digits", "--p", "3"],
+        ["--seq", "baum-sweet"],
+        ["--seq", "paper-folding", "--v0", "1"],
+        ["--seq", "perfect-profile"],
+        ["--seq", "pattern", "--p", "3", "--k", "2", "--a", "4"],
+    ]
+    DIGESTS = {
+        None: "cd7194447174773c7bdea60ad2bb59a3d5eca6d9fe9514e1224604c33db710c6",
+        3: "a5ae7f0af80be231086e854627fe36ef96237720ee29f879ef00efc5b089c17c",
+    }
+
+    @pytest.mark.parametrize("d_max", [None, 3])
+    def test_stdout_matches_pinned_digest(self, capsys, d_max):
+        cap = [] if d_max is None else ["--d-max", str(d_max)]
+        digest = hashlib.sha256()
+        for spec in self.SPECS:
+            code, out, err = run_cli(["expansion", *spec, "--n", "256", *cap], capsys)
+            digest.update(f"{out}\0{err}\0{code}\n".encode())
+        assert digest.hexdigest() == self.DIGESTS[d_max]
+
+
 class TestVerify:
     def test_single_spec_ok(self, capsys):
         code, out, _ = run_cli(
