@@ -29,6 +29,11 @@ pass, and the rows from one event to the next share one result, each
 with its own N.  After a step of D the entry of s^0 t^0, 1 + t^N, has
 valuation 0, and the events up to the current row are replayed.
 
+Each result is a tuple-backed record (``typing.NamedTuple``), so one
+costs a tuple allocation and no Python-level ``__init__``.  Building the
+results is still most of a long profile's work: past the first events
+nearly every result is a copy of the plateau E_N = deg h.
+
 By default the search has no cap: D steps up until the kernel is
 non-empty.  That always ends, because a kernel vector exists once there
 are more monomials than rows, (D+1)(D+2)/2 > N; for an automatic
@@ -58,17 +63,16 @@ it cross-checks the other two forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import PrimeField
+from .algebra import PrimeField, _reduce
 from .ring import Ring
 
 
-@dataclass(frozen=True)
-class ExpansionResult:
-    """E_N with an optional witness as ((i, j, coeff), ...) monomials."""
+class ExpansionResult(NamedTuple):
+    """E_N with an optional witness as ((i, j, coeff), ...) monomials; a tuple, immutable."""
 
     n: int
     value: int
@@ -197,7 +201,7 @@ class _ArrayForm:
             for row, x in zip(xs, rest):
                 row[:len(x)] = x
             xs[:, :len(pivot)] -= (xs[:, k] * pow(int(pivot[k]), -1, p) % p)[:, None] * pivot
-            xs -= xs // p * p  # xs mod p: numpy's // divides by a scalar faster than its %
+            _reduce(xs, p)
             rest = iter(zip(xs, (xs != 0).argmax(axis=1).tolist()))
         out, low = [], self.n
         for e in basis:

@@ -39,7 +39,7 @@ from operator import xor
 import numpy as np
 
 from . import algebra, gf2, gf3
-from .algebra import Poly, PrimeField, _fft_mul, _make_room, _sub_multiple
+from .algebra import Poly, PrimeField, _fft_mul, _make_room, _reduce, _sub_multiple
 
 
 class Ring:
@@ -107,7 +107,7 @@ class Ring:
         p = field.p
         self.term = lambda arr: [arr.copy(), p - 1]
         self.value = lambda term: term[0]
-        self.mul = lambda a, b: _arr_mul(a % p, b % p, p)
+        self.mul = lambda a, b: _arr_mul(_reduce(a.copy(), p), _reduce(b.copy(), p), p)
         self.add = lambda a, b: _arr_sub(a, -b, p)
         self.sub = lambda a, b: _arr_sub(a, b, p)
         self.split = lambda a, n: (a[n:].copy(), np.trim_zeros(a[:n], "b"))
@@ -242,7 +242,7 @@ def _arr_mul(a, b, p):
         return _fft_mul(a, b, p)
     out = np.zeros(len(a) + len(b) - 1 if len(a) else 0, dtype=np.int64)  # a is () if one is
     _add_slices(out, 0, a, b, p - 1, p)
-    return out % p
+    return _reduce(out, p)
 
 
 def _arr_sub(x, y, p):
@@ -250,7 +250,7 @@ def _arr_sub(x, y, p):
     out = np.zeros(max(len(x), len(y)), dtype=np.int64)
     out[:len(x)] = x
     out[:len(y)] -= y
-    return np.trim_zeros(out % p, "b")
+    return np.trim_zeros(_reduce(out, p), "b")
 
 
 def _arr_stretch(a, stride: int, n: int):

@@ -195,6 +195,47 @@ class TestExpansionComplexity:
         assert res.witness is None
 
 
+class TestResultRecord:
+    """``ExpansionResult``: its fields, defaults, immutability, hash and repr."""
+
+    R = expcomp.ExpansionResult
+
+    def test_fields_in_order(self):
+        assert self.R._fields == ("n", "value", "witness", "capped")
+        assert tuple(self.R(3, 1, ((0, 1, 1),), False)) == (3, 1, ((0, 1, 1),), False)
+
+    def test_defaults(self):
+        res = self.R(5, 2)
+        assert (res.witness, res.capped) == (None, False)
+
+    def test_keyword_construction(self):
+        res = self.R(7, 8, capped=True)
+        assert (res.n, res.value, res.witness, res.capped) == (7, 8, None, True)
+        assert self.R(n=1, value=0) == self.R(1, 0)
+
+    @pytest.mark.parametrize("field", ["n", "value", "witness", "capped"])
+    def test_fields_cannot_be_assigned(self, field):
+        res = self.R(2, 1, ((0, 1, 1), (1, 0, 1)))
+        with pytest.raises(AttributeError):
+            setattr(res, field, 0)
+        assert res == self.R(2, 1, ((0, 1, 1), (1, 0, 1)))
+
+    def test_hashable(self):
+        a, b = self.R(2, 1, ((0, 1, 1), (1, 0, 1))), self.R(2, 1, ((0, 1, 1), (1, 0, 1)))
+        assert hash(a) == hash(b) and len({a, b, self.R(2, 1)}) == 2
+
+    def test_repr(self):
+        assert (repr(self.R(2, 1, ((0, 1, 1), (1, 0, 1))))
+                == "ExpansionResult(n=2, value=1, witness=((0, 1, 1), (1, 0, 1)), capped=False)")
+        assert repr(self.R(9, 3, capped=True)) == (
+            "ExpansionResult(n=9, value=3, witness=None, capped=True)")
+
+    def test_profile_returns_the_record(self):
+        res = expcomp.expansion_profile([0, 1, 1], F2)
+        assert all(type(r) is self.R for r in res)
+        assert res[0] == self.R(1, 0)
+
+
 class TestWitnesses:
     def test_witnesses_reevaluate_to_zero(self):
         for spec in autoseq.builtin_specs():

@@ -341,3 +341,31 @@ class TestMakeRoom:
 
     def test_one_product_fits_at_the_largest_prime(self):
         assert (P31 - 1) + (P31 - 1) ** 2 <= algebra.INT64_MAX
+
+
+class TestReduce:
+    """``algebra._reduce``, the one in-place reduction of an int64 array mod p."""
+
+    @pytest.mark.parametrize("p", (3, 5, P31))
+    @pytest.mark.parametrize("size", (1, algebra._FLOOR_MIN - 1, algebra._FLOOR_MIN, 4200))
+    def test_equals_numpy_mod(self, p, size):
+        x = np.random.default_rng(size + p).integers(-2**62, 2**62, size, dtype=np.int64,
+                                                     endpoint=True)
+        x[0] = -2**62
+        want = x % p
+        out = algebra._reduce(x, p)
+        assert out is x
+        assert np.array_equal(x, want)
+
+    @pytest.mark.parametrize("p", (3, 5, P31))
+    @pytest.mark.parametrize("size", (7, 3000))
+    def test_reduces_a_view_in_place(self, p, size):
+        base = np.random.default_rng(p).integers(-2**62, 2**62, size + 6, dtype=np.int64)
+        before = base.copy()
+        algebra._reduce(base[3:-3], p)
+        assert np.array_equal(base[3:-3], before[3:-3] % p)
+        assert np.array_equal(base[:3], before[:3]) and np.array_equal(base[-3:], before[-3:])
+
+    def test_reduces_a_2d_array_by_its_size(self):
+        x = np.full((3, algebra._FLOOR_MIN // 2), -7, dtype=np.int64)
+        assert np.array_equal(algebra._reduce(x, 5), np.full(x.shape, 3))
