@@ -209,26 +209,16 @@ class PrimeField:
 
 INT64_MAX = 2**63 - 1
 
-# ``_reduce`` takes numpy's % below this many entries, where one call costs less than three
-_FLOOR_MIN = 512
-
 
 def _reduce(x, p: int):
     """x mod p in place, for an int64 array x (or a view); returns x.
 
-    numpy 2.4.6 divides an int64 array by a scalar faster than it takes
-    its %, so from _FLOOR_MIN entries on x is reduced by the floor form
-    x -= (x // p) p, exact for negative entries too since // floors: at
-    p = 5 and 2^31 - 1 it took 0.3-0.65 of the time of ``x %= p`` on
-    2048-16384 entries, and the same near 512 (``timeit``, 2-vCPU VM).
-    Below that its three calls cost more than the one, about 1 us more
-    at 16 entries: with the floor form at every size, p = 2^31 - 1
-    Berlekamp-Massey and CF profiles at N = 512 took 1.07-1.18x longer.
+    It takes the floor form x -= (x // p) p, exact for negative entries
+    too since // floors: numpy 2.4.6 divides an int64 array by a scalar
+    faster than it takes its %, and at p = 5 and 2^31 - 1 this took
+    0.3-0.65 of the time of ``x %= p`` on 2048-16384 entries (``timeit``).
     """
-    if x.size < _FLOOR_MIN:
-        x %= p
-    else:
-        x -= x // p * p
+    x -= x // p * p
     return x
 
 

@@ -30,7 +30,9 @@ with its own N.  After a step of D the entry of s^0 t^0, 1 + t^N, has
 valuation 0, and the events up to the current row are replayed.
 
 Each result is a tuple-backed record (``typing.NamedTuple``), so one
-costs a tuple allocation and no Python-level ``__init__``.  Building the
+costs a tuple allocation and no Python-level ``__init__``.  Being a
+tuple, a result equals the plain 4-tuple (n, value, witness, capped) of
+its fields and unpacks into them.  Building the
 results is still most of a long profile's work: past the first events
 nearly every result is a copy of the plateau E_N = deg h.
 
@@ -72,7 +74,11 @@ from .ring import Ring
 
 
 class ExpansionResult(NamedTuple):
-    """E_N with an optional witness as ((i, j, coeff), ...) monomials; a tuple, immutable."""
+    """E_N with an optional witness as ((i, j, coeff), ...) monomials.
+
+    A tuple, immutable: it equals the plain tuple (n, value, witness,
+    capped) and unpacks into those four fields.
+    """
 
     n: int
     value: int

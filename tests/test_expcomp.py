@@ -203,6 +203,9 @@ class TestResultRecord:
     def test_fields_in_order(self):
         assert self.R._fields == ("n", "value", "witness", "capped")
         assert tuple(self.R(3, 1, ((0, 1, 1),), False)) == (3, 1, ((0, 1, 1),), False)
+        assert self.R(3, 1, ((0, 1, 1),), False) == (3, 1, ((0, 1, 1),), False)
+        n, value, witness, capped = self.R(4, 2, capped=True)
+        assert (n, value, witness, capped) == (4, 2, None, True)
 
     def test_defaults(self):
         res = self.R(5, 2)

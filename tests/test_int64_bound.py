@@ -347,7 +347,7 @@ class TestReduce:
     """``algebra._reduce``, the one in-place reduction of an int64 array mod p."""
 
     @pytest.mark.parametrize("p", (3, 5, P31))
-    @pytest.mark.parametrize("size", (1, algebra._FLOOR_MIN - 1, algebra._FLOOR_MIN, 4200))
+    @pytest.mark.parametrize("size", (1, 300, 4200))
     def test_equals_numpy_mod(self, p, size):
         x = np.random.default_rng(size + p).integers(-2**62, 2**62, size, dtype=np.int64,
                                                      endpoint=True)
@@ -366,6 +366,6 @@ class TestReduce:
         assert np.array_equal(base[3:-3], before[3:-3] % p)
         assert np.array_equal(base[:3], before[:3]) and np.array_equal(base[-3:], before[-3:])
 
-    def test_reduces_a_2d_array_by_its_size(self):
-        x = np.full((3, algebra._FLOOR_MIN // 2), -7, dtype=np.int64)
+    def test_reduces_a_2d_array(self):
+        x = np.full((3, 5), -7, dtype=np.int64)
         assert np.array_equal(algebra._reduce(x, 5), np.full(x.shape, 3))
