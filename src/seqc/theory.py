@@ -217,6 +217,11 @@ def functional_equation_residual(spec: SequenceSpec, pref) -> LaurentSeries:
     terms are exact polynomials in y, so the result is known down to
     x^-m, the lowest exponent R is known at, the same as for the
     truncated series products: it is cut there with one mask.
+
+    ``verify`` does not call it: times the unit (1+y)^(2^k) this residual
+    is y h(G) for the witness h, so ``residual_zero`` already decides the
+    same relation.  The tests, the acceptance gate and perfbench's span
+    call it, and it goes with that span (ROADMAP item 1b).
     """
     if not spec.is_all_one_pattern:
         raise ValueError("functional equation applies to all-one patterns only")
@@ -238,6 +243,13 @@ def functional_equation_residual(spec: SequenceSpec, pref) -> LaurentSeries:
 
 def verify(spec: SequenceSpec, n_max: int, mutate=None) -> VerifyReport:
     """Run every applicable cross-check for one sequence up to n_max.
+
+    The checks, in report order: ``bm_cf_agree``, ``exact_formula`` (where
+    a closed form is known), ``theorem1_bounds``, ``bound_attainment``
+    (Thue-Morse), ``convergent_identities``, then ``cf_predictions`` and
+    ``q_congruences`` on the all-one patterns, and ``residual_zero``, the
+    witness relation h(G) = 0, which on the all-one patterns is also the
+    functional equation (``functional_equation_residual``).
 
     ``mutate`` (prefix -> prefix) corrupts the prefix for the tests, the CLI's
     ``--corrupt-index`` and ``perfbench/scan_controls.py``; a result not n_max
@@ -296,10 +308,6 @@ def verify(spec: SequenceSpec, n_max: int, mutate=None) -> VerifyReport:
              if a != _cf_prediction_bits(k, _quotient_shape(j))), None)))
 
         checks.append(_check("q_congruences", next(iter(contfrac.q_congruences(exp, k)), None)))
-
-        feq = functional_equation_residual(spec, pref)
-        checks.append(_check("functional_equation", None if feq.is_zero else (
-            -int(feq.valuation), 0, list(feq.coeffs[:8])), expected=0))
 
     res = autoseq.witness_residual(w, pref)
     # a nonzero Poly's top coefficient is nonzero, so filter finds the lowest nonzero one

@@ -112,7 +112,7 @@ def test_functional_equation_zero_prefix_matches_reference(k):
 
 
 def _first_fail_functional_equation(spec, pref):
-    """The first failing N that ``verify`` reports for ``functional_equation``."""
+    """The first N at which the functional-equation residual stops vanishing."""
     feq = theory.functional_equation_residual(spec, pref)
     return None if feq.is_zero else -int(feq.valuation)
 

@@ -217,6 +217,35 @@ class TestFunctionalEquation:
         assert not res.is_zero
 
 
+def is_unit_times_equation(h, k):
+    """t h_i = (1 + t^(2^k)) F_i for i = 0, 1, 2, over F_2.
+
+    F = (t + t^2) s^2 + t s + t^(2^k) U(t^(2^k)) is the functional
+    equation in t = x^-1 and s = G, and (1 + t^(2^k)) U(t^(2^k)) = 1.  The
+    factor 1 + t^(2^k) = (1 + t)^(2^k) is a unit of F_2[[t]], so F(G) and
+    h(G) vanish to the same order on every prefix.
+    """
+    t, unit = P(0, 1), P(1) + Poly.monomial(F2, 2 ** k)
+    equation_times_unit = (Poly.monomial(F2, 2 ** k), unit * t, unit * P(0, 1, 1))
+    return tuple(t * h_i == f_i for h_i, f_i in zip(h, equation_times_unit, strict=True))
+
+
+class TestFunctionalEquationIsTheWitness:
+    """Why ``verify`` checks the witness relation once, by ``residual_zero``."""
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_witness_is_the_equation_times_a_unit(self, k):
+        w = autoseq.witness(autoseq.pattern(2, k, 2 ** k - 1))
+        assert is_unit_times_equation(w.h_coeffs, k) == (True, True, True)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_flipped_h1_coefficient_fails(self, k):
+        h0, h1, h2 = autoseq.witness(autoseq.pattern(2, k, 2 ** k - 1)).h_coeffs
+        for i in range(2 ** k + 2):
+            flipped = h1 + Poly.monomial(F2, i)
+            assert is_unit_times_equation((h0, flipped, h2), k) == (True, False, True), i
+
+
 class TestVerify:
     def test_all_builtins_pass(self):
         for spec in autoseq.builtin_specs():
@@ -234,6 +263,27 @@ class TestVerify:
         d = report.to_dict()
         assert d["spec"] == "thue-morse"
         assert d["ok"] is True
+
+    def test_suite_check_names_in_order(self):
+        # the witness relation is checked once, by residual_zero: over F_2
+        # the functional equation is t h(G) up to the unit 1 + t^(2^k)
+        # (TestFunctionalEquationIsTheWitness), so verify has no second check of it
+        head = ["bm_cf_agree", "exact_formula", "theorem1_bounds"]
+        all_one = ["convergent_identities", "cf_predictions", "q_congruences", "residual_zero"]
+        no_formula = ["bm_cf_agree", "theorem1_bounds", "convergent_identities", "residual_zero"]
+        expected = {
+            "thue-morse": head + ["bound_attainment"] + all_one,
+            "rudin-shapiro": head + all_one,
+            "pattern(p=2,k=3,a=7)": head + all_one,
+            "sum-of-digits(p=3)": no_formula,
+            "baum-sweet": no_formula,
+            "paper-folding(v0=1)": no_formula,
+            "perfect-profile": head + ["convergent_identities", "residual_zero"],
+            "pattern(p=2,k=4,a=15)": head + all_one,
+        }
+        reports = theory.verify_suite(512)
+        assert {r.spec_name: [c.name for c in r.checks] for r in reports} == expected
+        assert [r.spec_name for r in reports] == list(expected)
 
     def test_corrupted_generator_fails_with_location(self):
         def mutate(pref):
@@ -272,15 +322,15 @@ class TestVerify:
         assert report.first_failure.name == "residual_zero"
         assert report.first_failure.first_fail_n == 1501
 
-    def test_functional_equation_covers_n_max(self):
+    def test_residual_zero_covers_n_max(self):
         def mutate(pref):
             pref[1500] ^= 1
             return pref
 
         report = theory.verify(autoseq.thue_morse(), 2048, mutate=mutate)
-        feq = next(c for c in report.checks if c.name == "functional_equation")
-        assert not feq.passed
-        assert feq.first_fail_n > 1024
+        res = next(c for c in report.checks if c.name == "residual_zero")
+        assert not res.passed
+        assert res.first_fail_n == 1501
 
     def test_bound_attainment_reads_the_witness(self, monkeypatch):
         # M one higher, by h_0 = t^2 in place of t, moves both Theorem 1
