@@ -13,9 +13,9 @@ convergents (P_j, Q_j) are never stored.  The denominators are the one
 convergent stream: ``convergent(j)`` and ``check_convergent_identities``
 rebuild Q_j from the quotients by the three-term recurrence, holding two
 at a time, and a numerator is read off one product, P_j = Pol(Q_j R).
-``q_congruences`` runs the same recurrence on w-bit residues mod
-x^w + 1 and builds no full Q_j.  The tests check the engine against an
-independent polynomial-part/inverse recursion on truncated series.
+``q_congruences``, which ``theory.verify`` does not call, runs the same
+recurrence on w-bit residues mod x^w + 1.  The tests check the engine
+against an independent polynomial-part/inverse recursion on truncated series.
 
 Polynomials are in the form the field chooses (``ring.Ring``): bit-packed
 ints over F_2, ``gf3`` slice pairs over F_3 and int64 arrays otherwise,
@@ -307,7 +307,9 @@ def q_congruences(expansion: CFExpansion, k: int) -> tuple:
     with fold = ``gf2.fold_mod`` at width w, which is exact because
     reduction mod x^w + 1 is a ring homomorphism.  Each step is a product
     of two w-bit ints, whatever deg Q_j is.  Returns the failures as
-    (j, expected bits, actual bits), in order of j.
+    (j, expected bits, actual bits), in order of j.  ``theory.verify``
+    leaves it to ``cf_predictions``; the tests, the acceptance gate and
+    its span call it, and it goes with the span (ROADMAP item 1b).
     """
     if expansion.field.p != 2:
         raise ValueError("congruence report is defined over F_2 only")

@@ -246,10 +246,10 @@ def verify(spec: SequenceSpec, n_max: int, mutate=None) -> VerifyReport:
 
     The checks, in report order: ``bm_cf_agree``, ``exact_formula`` (where
     a closed form is known), ``theorem1_bounds``, ``bound_attainment``
-    (Thue-Morse), ``convergent_identities``, then ``cf_predictions`` and
-    ``q_congruences`` on the all-one patterns, and ``residual_zero``, the
-    witness relation h(G) = 0, which on the all-one patterns is also the
-    functional equation (``functional_equation_residual``).
+    (Thue-Morse), ``convergent_identities``, then ``cf_predictions`` on
+    the all-one patterns, which also decides ``contfrac.q_congruences``,
+    and ``residual_zero``, the witness relation h(G) = 0, on the all-one
+    patterns also the functional equation (``functional_equation_residual``).
 
     ``mutate`` (prefix -> prefix) corrupts the prefix for the tests, the CLI's
     ``--corrupt-index`` and ``perfbench/scan_controls.py``; a result not n_max
@@ -306,8 +306,6 @@ def verify(spec: SequenceSpec, n_max: int, mutate=None) -> VerifyReport:
             ((j, list(cf_prediction(k, j).coeffs), list(gf2.to_bits(a)))
              for j, a in enumerate(quotients, start=1)
              if a != _cf_prediction_bits(k, _quotient_shape(j))), None)))
-
-        checks.append(_check("q_congruences", next(iter(contfrac.q_congruences(exp, k)), None)))
 
     res = autoseq.witness_residual(w, pref)
     # a nonzero Poly's top coefficient is nonzero, so filter finds the lowest nonzero one

@@ -185,6 +185,12 @@ class TestSpecs:
         with pytest.raises(ValueError):
             autoseq.pattern(4, 1, 1)  # p must be prime
 
+    def test_spec_validation(self):
+        with pytest.raises(ValueError, match="v0 must be an F_2 element"):
+            autoseq.SequenceSpec(autoseq.PAPER_FOLDING, v0=2)
+        with pytest.raises(ValueError, match="unknown sequence kind: fibonacci"):
+            autoseq.SequenceSpec("fibonacci")
+
     def test_all_one_pattern_flag(self):
         assert autoseq.pattern(2, 3, 7).is_all_one_pattern
         assert not autoseq.pattern(2, 3, 5).is_all_one_pattern
@@ -212,6 +218,11 @@ class TestWitness:
 
     def test_built_once(self):
         assert autoseq.witness(autoseq.thue_morse()) is autoseq.witness(autoseq.pattern(2, 1, 1))
+
+    @pytest.mark.parametrize("h", [(), (Poly(PrimeField(2), (1,)), Poly(PrimeField(2), ()))])
+    def test_rejects_zero_leading_coefficient(self, h):
+        with pytest.raises(ValueError, match="leading coefficient h_d must be nonzero"):
+            AlgebraicWitness(PrimeField(2), h)
 
     def test_pattern_witness_m(self):
         # M = p^k - 1 for the pattern witness

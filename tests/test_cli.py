@@ -59,7 +59,9 @@ class TestGenerate:
 
     @pytest.mark.parametrize("command", [["generate", "--n", "8"], ["profile", "--n-max", "8"],
                                          ["verify", "--n-max", "8"]])
-    @pytest.mark.parametrize("p", ["4", "1"])
+    # 1763 = 41 * 43 has no prime factor up to 37, so trial division passes
+    # it and only the Miller-Rabin rounds reject it
+    @pytest.mark.parametrize("p", ["4", "1", "1763"])
     def test_sum_of_digits_base_not_prime_is_usage_error(self, capsys, command, p):
         code, out, err = run_cli(
             [command[0], "--seq", "sum-of-digits", "--p", p, *command[1:]], capsys)
@@ -285,32 +287,35 @@ class TestVerify:
         assert int(agree["actual"]) == int(agree["expected"]) + 1
         assert all(c["pass"] for name, c in checks.items() if name != "bm_cf_agree")
 
-    @pytest.mark.parametrize("seq", [["thue-morse"],
-                                     ["pattern", "--p", "2", "--k", "2", "--a", "3"]])
-    def test_bumped_cf_quotient_fails_predictions_and_congruences(self, capsys, monkeypatch,
-                                                                  seq):
+    @pytest.mark.parametrize("seq, k", [(["thue-morse"], 1),
+                                        (["pattern", "--p", "2", "--k", "2", "--a", "3"], 2)])
+    def test_bumped_cf_quotient_fails_predictions(self, capsys, monkeypatch, seq, k):
         # A_5 of the expansion verify reads gets its constant term flipped:
         # its degree, and so the CF profile, is unchanged, and the report
-        # names cf_predictions and q_congruences at j = 5 (A_j + 1 adds
-        # Q_{j-1}, whose residue is 1 or x + 1, to Q_j) and exits 1
+        # names cf_predictions at j = 5 and exits 1.  The Q_j congruences,
+        # which verify leaves to cf_predictions, fail at the same j (A_j + 1
+        # adds Q_{j-1}, whose residue is 1 or x + 1, to Q_j)
         real = contfrac.cf_expand
         j = 5
+        bumped = []
 
         def cf_expand(r):
             exp = real(r)
             assert exp.reliable_count > j
             quots = list(exp.raw_quotients)
             quots[j] ^= 1
-            return dataclasses.replace(exp, raw_quotients=tuple(quots))
+            bumped.append(dataclasses.replace(exp, raw_quotients=tuple(quots)))
+            return bumped[-1]
 
         monkeypatch.setattr(contfrac, "cf_expand", cf_expand)
         code, out, _ = run_cli(["verify", "--seq", *seq, "--n-max", "64"], capsys)
         assert code == 1
         checks = {c["name"]: c for c in json.loads(out)[0]["checks"]}
-        for name in ("cf_predictions", "q_congruences"):
-            assert not checks[name]["pass"] and checks[name]["first_fail_N"] == j
+        assert not checks["cf_predictions"]["pass"]
+        assert checks["cf_predictions"]["first_fail_N"] == j
         assert {name for name, c in checks.items() if not c["pass"]} == {
-            "convergent_identities", "cf_predictions", "q_congruences"}
+            "convergent_identities", "cf_predictions"}
+        assert contfrac.q_congruences(bumped[0], k)[0][0] == j
 
     def test_requires_target(self, capsys):
         code, _, _ = run_cli(["verify"], capsys)
@@ -542,6 +547,15 @@ def test_length_past_maxsize_is_an_error(capsys, command, option):
     assert err == f"error: prefix length must lie in [1, {sys.maxsize}], got {n}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["profile", "--seq", "pattern", "--p", "2", "--k", "0", "--a", "1", "--n-max", "8"],
+     "pattern length k must be >= 1"),
+    (["verify", "--seq", "thue-morse", "--n-max", "3"], "n_max must be >= 4"),
+])
+def test_rejected_value_is_an_error(capsys, argv, message):
+    assert run_cli(argv, capsys) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("command, option", [("profile", "--n-max"), ("generate", "--n"),
                                              ("expansion", "--n"), ("verify", "--n-max")])
 def test_length_too_long_to_allocate_is_an_error(capsys, monkeypatch, command, option):
@@ -661,8 +675,9 @@ class TestVerifyOutputPin:
     ``verify --suite all --n-max 512`` and of ``--corrupt-index`` 0, 300
     and 511 on each suite spec, run through ``cli.main``.  A refactor of
     the CLI or of ``theory.verify`` must leave it unchanged.  It was
-    re-pinned when ``verify`` dropped its ``functional_equation`` check:
-    the only differences were the removed check objects, for no FAIL line
+    re-pinned when ``verify`` dropped its ``functional_equation`` check,
+    and again when it dropped its ``q_congruences`` check: each time the
+    only differences were the removed check objects, for no FAIL line
     named that check.  ROADMAP item 5, which adds fields to every check,
     changes the reports on purpose and re-pins it again.
     """
@@ -677,7 +692,7 @@ class TestVerifyOutputPin:
         ["--seq", "perfect-profile"],
         ["--seq", "pattern", "--p", "2", "--k", "4", "--a", "15"],
     ]
-    DIGEST = "a1f475b980adf42d2cbcc4acbdbe0a03b23f90306062839c75b8329199501b50"
+    DIGEST = "08ac9cb8e733b5c8870e11de3c0a59379aef7fb784d7afd52c0c76f73875471c"
 
     def test_reports_match_pinned_digest(self, capsys):
         runs = [["verify", "--suite", "all", "--n-max", "512"]]

@@ -113,6 +113,12 @@ class TestConvergents:
         assert q0 == Poly.one(F2)  # Q_0 = 1
         assert p0.is_zero  # A_0 = 0 for a sequence series
 
+    def test_index_outside_the_expansion_raises(self):
+        exp = contfrac.cf_expand(series_for(autoseq.thue_morse(), 32))
+        for j in (-1, exp.degree_count + 1):
+            with pytest.raises(IndexError, match=f"convergent index {j} outside"):
+                exp.convergent(j)
+
     def test_thue_morse_denominator_degrees(self):
         exp = contfrac.cf_expand(series_for(autoseq.thue_morse(), 64))
         for j in range(1, exp.degree_count + 1):
@@ -514,6 +520,13 @@ class TestProfileFromCF:
         with pytest.raises(PrecisionError):
             contfrac.profile_from_expansion(contfrac.cf_expand(r), 16)
 
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            contfrac.profile_from_cf(series_for(autoseq.thue_morse(), 8), 0)
+        # 1 + x^-1 + ...: a series of valuation 0 is no sequence's x^-1 sum
+        with pytest.raises(ValueError, match="valuation < 0"):
+            contfrac.profile_from_cf(LaurentSeries(F2, 0, (1,) * 9, -8), 8)
+
     def test_from_expansion_matches_from_series(self):
         for spec in autoseq.builtin_specs():
             r = series_for(spec, 128)
@@ -640,6 +653,11 @@ class TestQCongruences:
         exp = contfrac.cf_expand(series_for(autoseq.sum_of_digits(3), 64))
         with pytest.raises(ValueError):
             contfrac.q_congruences(exp, 1)
+
+    def test_requires_k_at_least_1(self):
+        exp = contfrac.cf_expand(series_for(autoseq.thue_morse(), 64))
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            contfrac.q_congruences(exp, 0)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=1), min_size=4, max_size=64))

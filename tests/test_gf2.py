@@ -140,6 +140,11 @@ def test_divmod_is_division_with_remainder(case):
     assert r.bit_length() < b.bit_length()
 
 
+def test_divmod_by_zero_raises():
+    with pytest.raises(ZeroDivisionError):
+        gf2.divmod_(0b1011, 0)
+
+
 def test_mul_large_operands():
     # all-ones operands past 2^16 bits: every byte of the shorter one is
     # 0xff, the last table entry

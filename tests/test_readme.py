@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from seqc import cli
+from seqc import cli, theory
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -40,3 +40,12 @@ def test_library_example(capsys):
     exec(compile(_block("Library example", "python"), "README.md", "exec"), {})
     out = capsys.readouterr().out.splitlines()
     assert out == ["Poly(p=2, [1, 1, 1])", "True"]
+
+
+def test_readme_lists_verify_checks_in_report_order():
+    # the backticked names up to the first ";" after this phrase in the
+    # seqc.theory row, against every name the suite reports, first seen first
+    row = next(line for line in README.splitlines() if line.startswith("| `seqc.theory` |"))
+    listed = row.split("its checks, in report order:", 1)[1].split(";", 1)[0]
+    reported = dict.fromkeys(c.name for r in theory.verify_suite(64) for c in r.checks)
+    assert re.findall(r"`(\w+)`", listed) == list(reported)

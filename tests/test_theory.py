@@ -1,14 +1,14 @@
 """Closed-form formulas, bounds, structural predictions, and verify()."""
 
 from fractions import Fraction
-from itertools import groupby
+from itertools import accumulate, groupby
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqc import autoseq, lincomp, theory
+from seqc import autoseq, contfrac, gf2, lincomp, theory
 from seqc.algebra import Poly, PrimeField
 from seqc.autoseq import Profile
 
@@ -246,6 +246,65 @@ class TestFunctionalEquationIsTheWitness:
             assert is_unit_times_equation((h0, flipped, h2), k) == (True, False, True), i
 
 
+def congruence_closure(k, shapes):
+    """The predicted quotients mod x^w + 1, w = 2^(k-1), and Q_1, Q_2 there.
+
+    ``shapes`` holds A_1, A_j for even j and A_j for odd j > 1, bit-packed.
+    Q_1 and Q_2 come from ``contfrac.q_congruences``' residue recurrence
+    from (Q_-1, Q_0) = (0, 1).  When the reduced A_j are 0 for j >= 2,
+    Q_j = A_j Q_(j-1) + Q_(j-2) = Q_(j-2) mod x^w + 1, so by induction the
+    residues at j = 1 and 2 are those at every odd and every even j.
+    """
+    w = 1 << (k - 1)
+    folded = tuple(gf2.fold_mod(a, w) for a in shapes)
+    prev, cur, residues = 0, 1, []
+    for a in folded[:2]:
+        prev, cur = cur, gf2.fold_mod(gf2.mul(a, cur), w) ^ prev
+        residues.append(cur)
+    return folded, tuple(residues)
+
+
+def predicted_expansion(shapes):
+    """An F_2 expansion whose quotients A_1..A_6 are ``shapes`` by j's shape."""
+    quots = [shapes[theory._quotient_shape(j) - 1] for j in range(1, 7)]
+    degs = tuple(accumulate((a.bit_length() - 1 for a in quots), initial=0))
+    return contfrac.CFExpansion(F2, 2 * degs[-1], 0, (0, *quots), degs)
+
+
+class TestCongruencesFollowFromPredictions:
+    """Why ``verify`` has no ``q_congruences`` check: ``cf_predictions``
+    reads the same quotients first, and the predicted ones satisfy every
+    congruence, so a report that fails the congruences fails the
+    predictions at an earlier check."""
+
+    K = range(1, 16)  # every k whose witness degree 2^k + 3 is within the cap
+
+    @staticmethod
+    def closed(k):
+        """``congruence_closure``'s value when the Q_j residues are the ones
+        ``q_congruences`` expects: Q_1 is 1 (k = 1) or x + 1, Q_2 is 1."""
+        q1 = 1 if k == 1 else 0b11
+        return (q1, 0, 0), (q1, 1)
+
+    def test_k_covers_every_pattern_under_the_cap(self):
+        assert autoseq.witness(autoseq.pattern(2, 15, 2 ** 15 - 1)).h_coeffs
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            autoseq.witness(autoseq.pattern(2, 16, 2 ** 16 - 1))
+
+    @pytest.mark.parametrize("k", K)
+    def test_predictions_close_the_congruences(self, k):
+        shapes = [theory._cf_prediction_bits(k, s) for s in (1, 2, 3)]
+        assert congruence_closure(k, shapes) == self.closed(k)
+        assert contfrac.q_congruences(predicted_expansion(shapes), k) == ()
+
+    @pytest.mark.parametrize("k", K)
+    @pytest.mark.parametrize("flip", (1, 2, 3))
+    def test_flipped_constant_bit_breaks_the_closure(self, k, flip):
+        shapes = [theory._cf_prediction_bits(k, s) ^ (s == flip) for s in (1, 2, 3)]
+        assert congruence_closure(k, shapes) != self.closed(k)
+        assert contfrac.q_congruences(predicted_expansion(shapes), k)[0][0] == flip
+
+
 class TestVerify:
     def test_all_builtins_pass(self):
         for spec in autoseq.builtin_specs():
@@ -263,13 +322,16 @@ class TestVerify:
         d = report.to_dict()
         assert d["spec"] == "thue-morse"
         assert d["ok"] is True
+        assert report.first_failure is None
 
     def test_suite_check_names_in_order(self):
         # the witness relation is checked once, by residual_zero: over F_2
         # the functional equation is t h(G) up to the unit 1 + t^(2^k)
-        # (TestFunctionalEquationIsTheWitness), so verify has no second check of it
+        # (TestFunctionalEquationIsTheWitness), so verify has no second check
+        # of it; nor of the Q_j congruences, which cf_predictions decides
+        # (TestCongruencesFollowFromPredictions)
         head = ["bm_cf_agree", "exact_formula", "theorem1_bounds"]
-        all_one = ["convergent_identities", "cf_predictions", "q_congruences", "residual_zero"]
+        all_one = ["convergent_identities", "cf_predictions", "residual_zero"]
         no_formula = ["bm_cf_agree", "theorem1_bounds", "convergent_identities", "residual_zero"]
         expected = {
             "thue-morse": head + ["bound_attainment"] + all_one,
