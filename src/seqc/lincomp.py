@@ -7,29 +7,38 @@ polynomial b of the last length change, at step m.  Coefficient n of D is
 sum_j c_j u_(n-j), the discrepancy of step n, so no dot product is taken.
 The update c <- c - (d/b_d) x^(n-m) b becomes D <- D - (d/b_d) x^(n-m) E,
 and a length change makes E the old D.  Coefficients of D below n are
-never read again, so neither D nor E needs them, and the profile needs
-no connection vector at all; only ``bm_connection`` asks for c.
+never read again, so neither D nor E needs them, and no kernel keeps c
+or b: each returns the profile alone.
 
-The ring chooses the form.  ``_synthesize`` packs the prefix once with
+The ring chooses the form.  ``bm_profile`` packs the prefix once with
 ``ring.Ring(field).from_coeffs``, and the type of that value picks the
 kernel, as in ``expcomp``: an int (F_2) goes to ``_bm_f2``, bit-packed
 in 64-step blocks; a ``gf3`` slice pair (F_3) to ``_bm_f3``, in the same
 blocks; an int64 array (p >= 5, and p = 3 under the tests' int64 ring)
 to ``_bm_modp``, exact at every supported p under the bound invariant
-of ``ring`` and ``algebra._make_room``.  Each kernel returns c in its
-form, read back once by ``to_poly``.  The zero-prefix and 0...0!=0
-boundary conventions fall out of the standard initialization and are
-asserted in tests rather than special-cased here.
+of ``ring`` and ``algebra._make_room``.  The zero-prefix and 0...0!=0
+boundary conventions of the profile fall out of the standard
+initialization and are asserted in tests rather than special-cased here.
+
+Massey's connection polynomial comes from the continued fraction of
+R = sum u_i x^(-i-1): Berlekamp's and Euclid's algorithms build the same
+polynomials (J. L. Dornstetter, "On the equivalence between Berlekamp's
+and Euclid's algorithms", IEEE Trans. IT 33, 1987).  ``bm_connection``
+reads it off the last degree-certified denominator Q_J, L = deg Q_J,
+with the coefficients of A_J below degree 2L - N cut to 0 (none when
+2L <= N, where the minimal recurrence is unique), as its docstring says.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
-from . import gf3
-from .algebra import PrimeField, _make_room, _sub_multiple
+from . import contfrac
+from .algebra import LaurentSeries, PrimeField, _make_room, _sub_multiple
 from .autoseq import Profile
 from .ring import Ring
 
@@ -39,8 +48,8 @@ _BLOCK = 64
 _MASK = (1 << _BLOCK) - 1
 
 
-def _bm_f2(d, n_len, connection):
-    """Bit-packed residual synthesis of a packed prefix; returns (L values, c, final L).
+def _bm_f2(d, n_len):
+    """Bit-packed residual synthesis of a packed prefix; returns the L values.
 
     At block start s the int ``d`` holds D >> s, and ``w`` its low _BLOCK
     bits, so bit t of ``w`` is the discrepancy of step n = s + t.  E is
@@ -59,12 +68,9 @@ def _bm_f2(d, n_len, connection):
     N.
 
     Start: c = b = 1 and m = -1, so D = S and E = S; e_sh = -1 is
-    folded into e as (e, e_sh) = (S << 1, 0).  c and b are tracked only
-    when ``connection`` is set; c stays 1 otherwise.
+    folded into e as (e, e_sh) = (S << 1, 0).
     """
     e, e_sh = d << 1, 0
-    c = b = 1
-    m = -1
     ell = 0
     prof = []
     for s in range(0, n_len, _BLOCK):
@@ -74,26 +80,21 @@ def _bm_f2(d, n_len, connection):
         w = d & _MASK
         for t in range(min(_BLOCK, n_len - s)):
             if w >> t & 1:
-                n = s + t
                 x = e << (t - e_sh) if t >= e_sh else e >> (e_sh - t)
-                if connection:
-                    c, old_c = c ^ (b << (n - m)), c
-                if 2 * ell <= n:
-                    ell = n + 1 - ell
-                    e, e_sh, m = d & keep, t, n
-                    if connection:
-                        b = old_c
+                if 2 * ell <= s + t:
+                    ell = s + t + 1 - ell
+                    e, e_sh = d & keep, t
                 d ^= x
                 w ^= x & _MASK
             prof.append(ell)
-    return prof, c, ell
+    return prof
 
 
-def _bm_f3(d, n_len, connection):
-    """Bit-sliced residual synthesis over F_3, as ``_bm_f2`` runs it; returns
-    (L values, c, final L).
+def _bm_f3(d, n_len):
+    """Bit-sliced residual synthesis over F_3, as ``_bm_f2`` runs it;
+    returns the L values.
 
-    D, E, c and b are ``gf3`` slice pairs, and (dh, dl), (wh, wl) and
+    D and E are ``gf3`` slice pairs, and (dh, dl), (wh, wl) and
     (eh, el, e_sh) play the parts of d, w and (e, e_sh) in ``_bm_f2``,
     under the same invariant and the same cuts below N.  The discrepancy
     of step n = s + t is bit t of the window's slices, and ``d_two``
@@ -101,14 +102,12 @@ def _bm_f3(d, n_len, connection):
     b_d the discrepancy at the last length change: d/b_d is 1 when
     d = b_d, and then D takes x^(n-m) E with its slices swapped
     (negated), and 2 otherwise, and -2 = 1, so D takes x^(n-m) E as it
-    is.  c <- c - (d/b_d) x^(n-m) b alike.
+    is.
 
-    Start: c = b = 1, b_d = 1 and m = -1, as in ``_bm_f2``.
+    Start: b_d = 1 and m = -1, as in ``_bm_f2``.
     """
     dh, dl = d
     eh, el, e_sh = dh << 1, dl << 1, 0
-    c = b = (0, 1)
-    m = -1
     bd_two = 0  # whether b_d is 2
     ell = 0
     prof = []
@@ -120,22 +119,15 @@ def _bm_f3(d, n_len, connection):
         for t in range(min(_BLOCK, n_len - s)):
             if (wh | wl) >> t & 1:
                 d_two = wh >> t & 1
-                negate = d_two == bd_two  # d/b_d = 1
-                n = s + t
                 if t >= e_sh:
                     xh, xl = eh << (t - e_sh), el << (t - e_sh)
                 else:
                     xh, xl = eh >> (e_sh - t), el >> (e_sh - t)
-                if negate:
+                if d_two == bd_two:  # d/b_d = 1
                     xh, xl = xl, xh
-                if connection:
-                    yh, yl = b[0] << (n - m), b[1] << (n - m)
-                    c, old_c = gf3.add(c, (yl, yh) if negate else (yh, yl)), c
-                if 2 * ell <= n:
-                    ell = n + 1 - ell
-                    eh, el, e_sh, m, bd_two = dh & keep, dl & keep, t, n, d_two
-                    if connection:
-                        b = old_c
+                if 2 * ell <= s + t:
+                    ell = s + t + 1 - ell
+                    eh, el, e_sh, bd_two = dh & keep, dl & keep, t, d_two
                 # D += X and w += X's low _BLOCK bits, by ``gf3.add``'s formula
                 # written out: as calls they made this kernel 18-23% slower
                 u = (dl | xh) ^ (dh | xl)
@@ -144,35 +136,28 @@ def _bm_f3(d, n_len, connection):
                 u = (wl | xh) ^ (wh | xl)
                 wh, wl = (wl | xl) ^ u, (wh | xh) ^ u
             prof.append(ell)
-    return prof, c, ell
+    return prof
 
 
-def _bm_modp(seq, n_len, connection, p):
+def _bm_modp(seq, n_len, p):
     """Residual synthesis of a packed prefix on int64 arrays over F_p, for
-    odd p; returns (L values, c[:L+1] unreduced or None, final L).
+    odd p; returns the L values.
 
     ``res[i]`` holds coefficient i of D = c S for every i >= n; entries
     below n are stale and never read.  ``e[k]`` holds coefficient m + k
     of E = b S, so the update at step n is res[n:] -= (d/b_d) e[:N-n].
-    None of them is reduced mod p as a rule: ``res``, ``e`` and, when
-    the connection is kept, its live prefix c[:L+1] and ``b`` each carry
-    a bound on their entries, and ``_make_room`` reduces an operand only
+    Neither is reduced mod p as a rule: ``res`` and ``e`` each carry a
+    bound on their entries, and ``_make_room`` reduces an operand only
     when the next update could pass int64.  A length change copies the
-    live residual and c[:L+1] as they stand, with their bounds.
+    live residual as it stands, with its bound.
 
-    Start: c = b = 1 and m = -1, so res = S and e = [0] + S.
+    Start: m = -1, so res = S and e = [0] + S.
     """
     e = np.zeros(n_len + 1, dtype=np.int64)
     e[1:len(seq) + 1] = seq
     res = e[1:].copy()
     m_res = m_e = p - 1  # bounds on |res[n:]| and |e[:N-n]|
-    if connection:
-        c = np.zeros(n_len + 1, dtype=np.int64)
-        c[0] = 1
-        b = c[:1].copy()
-        m_c = m_b = 1  # bounds on |c[:L+1]| and |b|
     ell = 0
-    m = -1
     bd_inv = 1  # inverse of the discrepancy at the last length change
     prof = []
     for n in range(n_len):
@@ -186,50 +171,52 @@ def _bm_modp(seq, n_len, connection, p):
                 e_next, m_e_next = live.copy(), m_res
                 bd_inv = pow(d, -1, p)
             m_res += _sub_multiple(live, used, coef, p) * m_e
-            if connection:
-                m_c, m_b = _make_room(c[:ell + 1], m_c, b, m_b, p)
-                if grow:  # b becomes the old c
-                    b_next, m_b_next = c[:ell + 1].copy(), m_c
-                m_c += _sub_multiple(c[n - m:n - m + len(b)], b, coef, p) * m_b
-                if grow:
-                    b, m_b = b_next, m_b_next
             if grow:
                 e, m_e = e_next, m_e_next
-                ell, m = n + 1 - ell, n
+                ell = n + 1 - ell
         prof.append(ell)
-    return prof, (c[:ell + 1] if connection else None), ell
-
-
-def _synthesize(prefix, field: PrimeField, connection=False):
-    """(L values, (-c_L, ..., -c_1) mod p or None, final L).
-
-    The packed prefix drops trailing zeros, so a kernel takes N too, and
-    c_L may be 0, so the connection read back is padded to L + 1.
-    """
-    prefix = field.validate_symbols(prefix)
-    ring, p = Ring(field), field.p
-    seq = ring.from_coeffs(prefix)
-    kernel = (_bm_f2 if isinstance(seq, int) else _bm_f3 if isinstance(seq, tuple)
-              else partial(_bm_modp, p=p))
-    prof, c, ell = kernel(seq, len(prefix), connection)
-    if not connection:
-        return prof, None, ell
-    coeffs = ring.to_poly(c).coeffs
-    coeffs += (0,) * (ell + 1 - len(coeffs))
-    return prof, tuple([-a % p for a in coeffs[ell:0:-1]]), ell
+    return prof
 
 
 def bm_profile(prefix, field: PrimeField) -> Profile:
-    """L(u_n, N) for every N = 1..len(prefix)."""
-    prof, _, _ = _synthesize(prefix, field)
-    return Profile(tuple(prof))
+    """L(u_n, N) for every N = 1..len(prefix).
+
+    The packed prefix drops trailing zeros, so a kernel takes N too.
+    """
+    prefix = field.validate_symbols(prefix)
+    seq = Ring(field).from_coeffs(prefix)
+    kernel = (_bm_f2 if isinstance(seq, int) else _bm_f3 if isinstance(seq, tuple)
+              else partial(_bm_modp, p=field.p))
+    return Profile(tuple(kernel(seq, len(prefix))))
 
 
 def bm_connection(prefix, field: PrimeField):
     """(L, (c_0, ..., c_{L-1})) with u_{n+L} = c_{L-1} u_{n+L-1} + ... + c_0 u_n.
 
     Replaying the recurrence from the first L symbols regenerates the
-    whole prefix.
+    whole prefix.  It is Massey's recurrence, read off the continued
+    fraction: Q = sum q_i x^i with deg Q = L gives c_i = -q_i / q_L.
+    Let Q_J be the last degree-certified denominator, L = deg Q_J, and
+    N = len(prefix).  Q is Q'_J = A'_J Q_{J-1} + Q_{J-2}, where A'_J is
+    A_J with its coefficients of degree below 2L - N set to 0.  The
+    last length change is at m = deg Q_{J-1} + deg Q_J - 1, and each
+    Massey update after it, at a step n, writes A_J's coefficient of
+    degree deg A_J - (n - m); steps n >= N never run, so those below
+    2L - N stay 0 (none is cut when 2L <= N).  When J = 1 and 2L > N,
+    A'_1 also takes Massey's start, c = b = 1 at m = -1, as its constant
+    coefficient -lc(A_1) u_m = -1 for u_m the first nonzero symbol.  An
+    all-zero prefix has J = 0 and Q_0 = 1, so it gives (0, ()).
     """
-    _, c, ell = _synthesize(prefix, field, connection=True)
-    return ell, c
+    expansion = contfrac.cf_expand(LaurentSeries.from_prefix(prefix, field))
+    ell, ring, p = expansion.q_degrees[-1], Ring(field), field.p
+    *quotients, a = expansion.raw_quotients
+    cut = 2 * ell - expansion.precision
+    if cut > 0:
+        a = ring.sub(a, ring.split(a, cut)[1])
+        if len(quotients) == 1:
+            a = ring.sub(a, ring.monomial(0))
+    denominators = contfrac._denominators(replace(expansion, raw_quotients=(*quotients, a)))
+    q = next(islice(denominators, len(quotients), None))
+    *low, top = ring.to_poly(q).coeffs
+    scale = -pow(top, -1, p)
+    return ell, tuple([v * scale % p for v in low])

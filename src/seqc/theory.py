@@ -248,8 +248,9 @@ def verify(spec: SequenceSpec, n_max: int, mutate=None) -> VerifyReport:
     a closed form is known), ``theorem1_bounds``, ``bound_attainment``
     (Thue-Morse), ``convergent_identities``, then ``cf_predictions`` on
     the all-one patterns, which also decides ``contfrac.q_congruences``,
-    and ``residual_zero``, the witness relation h(G) = 0, on the all-one
-    patterns also the functional equation (``functional_equation_residual``).
+    and ``residual_zero``, the witness relation h(G) = 0, which on the
+    all-one patterns decides the functional equation too, so
+    ``functional_equation_residual`` is not called.
 
     ``mutate`` (prefix -> prefix) corrupts the prefix for the tests, the CLI's
     ``--corrupt-index`` and ``perfbench/scan_controls.py``; a result not n_max

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from seqc import autoseq, contfrac, lincomp
+from seqc import autoseq, contfrac, lincomp, theory
 from seqc.algebra import LaurentSeries, PrimeField
 from test_autoseq import validate_profile
 
@@ -183,15 +183,20 @@ def _at_every_p(*prefixes):
 @example((2, [0] * 63 + [1] + _bits(6, 100)))
 @example((2, [0] * 127 + [1] + _bits(7, 100)))
 @example((2, [1, 0] * 63 + [1, 1] + _bits(8, 60)))
-# at p = 2^31 - 1 res and c are reduced about every other update: 200
-# symbols run about a hundred reductions of each
+# at p = 2^31 - 1 res or e is reduced at every other update or more often:
+# these 200 symbols run about 200 and 100 reductions
 @example((P31, [P31 - 1 - v for v in _bits(9, 200)]))
 @example((P31, (lambda rng: [rng.randrange(P31) for _ in range(200)])(random.Random(10))))
 # the packed prefix drops trailing zeros, so a kernel takes N apart from
 # it: a packed value far shorter than N, and an empty one.  The connection
-# is read back from c and padded to L + 1: c = 1 - x^L, with zeros
-# between c_0 and c_L, and c = 1 with c_L = 0 at L = 1 and L = 2
-@_at_every_p([1] + [0] * 63, [0] * 64, [0, 0, 1], [1, 0, 0, 0, 0, 0, 0, 1], [1, 1, 0, 0])
+# is read off the denominator Q_J, L = deg Q_J: Massey's c = 1 - x^L, with
+# zeros between c_0 and c_L, and c = 1 with c_L = 0 at L = 1 and L = 2.
+# With 2L > N the readout cuts A_J below degree 2L - N: a run of ones then
+# a break, whose A_2 = 1 + x + ... + x^9 loses 9 coefficients; and at J = 1
+# the cut A_1 takes Massey's start as its constant, where the uncut
+# A_1 = x - x^3 + ... + x^9 would give c_0 = 0 and Massey gives 1
+@_at_every_p([1] + [0] * 63, [0] * 64, [0, 0, 1], [1, 0, 0, 0, 0, 0, 0, 1], [1, 1, 0, 0],
+             [1] * 10 + [0], [0] * 8 + [1, 0, 1])
 @settings(max_examples=80)
 def test_live_span_bm_matches_schoolbook(case):
     p, xs = case
@@ -212,6 +217,23 @@ def test_long_zero_tail_matches_schoolbook(p, xs):
     assert list(bm) == prof
     assert lincomp.bm_connection(xs, field) == (ell, tuple(-c[ell - i] % p for i in range(ell)))
     assert contfrac.profile_from_cf(LaurentSeries.from_prefix(xs, field), len(xs)) == bm
+
+
+@pytest.mark.parametrize("bump", [None, 186], ids=["clean", "bumped"])
+@pytest.mark.parametrize("spec", [*theory.suite_specs(), autoseq.pattern(3, 2, 4)],
+                         ids=lambda spec: spec.canonical_name)
+def test_connection_matches_schoolbook_on_suite(spec, bump):
+    """Massey's connection on the suite's sequences at N = 248, clean and with
+    the symbol at 3N/4 bumped.  In 8 of the 18 prefixes 2L > N and the
+    readout cuts nonzero coefficients of A_J: clean sum-of-digits(3) loses
+    39 of its degree-80 ruler quotient's, a cut that short random lists
+    rarely reach."""
+    p = spec.field.p
+    xs = autoseq.prefix(spec, 248)
+    if bump is not None:
+        xs[bump] = (xs[bump] + 1) % p
+    _, c, ell = schoolbook_bm(xs, p)
+    assert lincomp.bm_connection(xs, spec.field) == (ell, tuple(-c[ell - i] % p for i in range(ell)))
 
 
 symbol_lists = st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=40)
